@@ -14,7 +14,6 @@ from .autodiff import (
     Tensor,
     fd_check,
     grad,
-    hvp,
     superpose,
     value_and_grad,
 )
@@ -35,9 +34,8 @@ from .environment import (
     UnsupportedPathError,
     arrival_params,
     gen_dataset,
-    image_depth,
     load_dataset,
-    path_length,
+    path_geometry,
     reflection_coeff,
     save_dataset,
     stratified_locations,

@@ -303,20 +303,6 @@ class Tensor:
                 node._backward(node)
 
 
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Stack same-shape tensors along a new axis."""
-    tensors = [Tensor._lift(t) for t in tensors]
-    out_value = np.stack([t.value for t in tensors], axis=axis)
-
-    def backward(out):
-        pieces = np.moveaxis(out.grad, axis, 0)
-        for t, g in zip(tensors, pieces):
-            if t.needs_grad:
-                t._accumulate(g)
-
-    return Tensor._make(out_value, tensors, "stack", backward)
-
-
 def superpose(alpha: Tensor, tau: Tensor, pulse: AnalyticPulse, grid: TimeGrid) -> Tensor:
     """Differentiable sum of delayed scaled pulses; see signals.superpose_arrivals.
 
@@ -503,17 +489,3 @@ def fd_check(
     max_rel = float(np.max(np.abs(a - b) / denom)) if len(checked) else 0.0
     return GradReport(analytic, fd, checked, max_rel)
 
-
-def hvp(loss_fn, at: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Hessian-vector product by central differencing of the gradient.
-
-    Step h = 1e-4 * (1 + ||at||_inf), independent of the direction's scale.
-    """
-    at = np.asarray(at, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-    if direction.shape != at.shape:
-        raise ValueError(f"direction shape {direction.shape} != point shape {at.shape}")
-    h = 1e-4 * (1.0 + (float(np.max(np.abs(at))) if at.size else 0.0))
-    gp = grad(loss_fn, at + h * direction)
-    gm = grad(loss_fn, at - h * direction)
-    return (gp - gm) / (2.0 * h)

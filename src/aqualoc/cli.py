@@ -20,10 +20,8 @@ import numpy as np
 
 from .environment import (
     DEFAULT_ENVIRONMENT,
-    DEFAULT_REGION,
     DEFAULT_SOURCE,
     Environment,
-    Region,
     SourceLocation,
     gen_dataset,
     load_dataset,
@@ -41,15 +39,18 @@ from .harness import (
     METHOD_DA_GBL,
     METHOD_GBL_MATCHED,
     METHOD_GBL_NN,
+    SCENE_TYPES,
+    ExperimentConfig,
     config_from_dict,
+    parse_scene,
     run_and_write,
 )
 from .localize import ToaInitError, crlb, da_gbl, gbl, toa_init
 from .pln import DEFAULT_HIDDEN, REDUCED_HIDDEN, PlnArchitecture
-from .signals import AnalyticPulse, NoiseSpec, TimeGrid, add_awgn, make_pulse, snr_to_n0
+from .signals import NoiseSpec, TimeGrid, add_awgn, make_pulse, snr_to_n0
 from .theory import EnvPerturbation, TheoremConfig, verify_theorem
 
-_SCENE_KEYS = {"environment", "source", "pulse", "grid", "region"}
+_SCENE_KEYS = set(SCENE_TYPES)
 
 
 def _data_dir() -> Path:
@@ -87,15 +88,9 @@ def _check_keys(doc: dict, allowed: set, command: str) -> None:
 
 
 def _scene_from(doc: dict):
-    try:
-        env = Environment(**doc["environment"]) if "environment" in doc else DEFAULT_ENVIRONMENT
-        source = SourceLocation(**doc["source"]) if "source" in doc else DEFAULT_SOURCE
-        pulse = AnalyticPulse(**doc["pulse"]) if "pulse" in doc else make_pulse()
-        grid = TimeGrid(**doc["grid"]) if "grid" in doc else TimeGrid()
-        region = Region(**doc["region"]) if "region" in doc else DEFAULT_REGION
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scene section: {exc}") from exc
-    return env, source, pulse, grid, region
+    """(environment, source, pulse, grid, region), defaulting as ExperimentConfig does."""
+    cfg = ExperimentConfig(**parse_scene(doc))
+    return cfg.environment, cfg.source, cfg.pulse, cfg.grid, cfg.region
 
 
 def _apply_overrides(doc: dict, args) -> dict:
@@ -320,9 +315,9 @@ def _cmd_selftest(args, doc: dict) -> int:
     grid = TimeGrid()
 
     def oracle_lengths():
-        from .environment import THREE_PATHS, path_length
+        from .environment import path_geometry
 
-        got = [path_length(env, source, p) for p in THREE_PATHS]
+        got, _ = path_geometry(env, source.x, source.z)
         want = [618.1423784210236, 625.8594091327541, 663.0987860040161]
         assert np.allclose(got, want, rtol=0.0, atol=1e-9), f"{got} != {want}"
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -110,35 +110,28 @@ DEFAULT_ENVIRONMENT = Environment(depth=200.0, sound_speed=1500.0, receiver_dept
 DEFAULT_SOURCE = SourceLocation(x=610.0, z=20.0)
 
 
-def image_depth(env: Environment, z: float | np.ndarray, path: PathSpec):
-    """Vertical offset between the receiver and the image source for `path`."""
-    if path == DIRECT:
-        return z - env.receiver_depth
-    if path == SURFACE:
-        return z + env.receiver_depth
-    # grouped as (2 depth - z_r) - z: same float ops as the differentiable route
-    return (2.0 * env.depth - env.receiver_depth) - z
+# Image source of each path in THREE_PATHS order: its vertical offset from the
+# receiver is image_offsets(env) + IMAGE_SIGNS * z, so IMAGE_SIGNS = d(offset)/dz
+IMAGE_SIGNS = np.array([1.0, 1.0, -1.0])
 
 
-def path_length(env: Environment, src: SourceLocation, path: PathSpec) -> float:
-    """Ray path length via the image-source construction.
+def image_offsets(env: Environment) -> np.ndarray:
+    """Constant part (-z_r, z_r, 2 depth - z_r) of each path's image offset."""
+    zr = env.receiver_depth
+    return np.array([-zr, zr, 2.0 * env.depth - zr])
 
-    Parameters
-    ----------
-    env : Environment
-    src : SourceLocation
-    path : PathSpec
-        One of DIRECT, SURFACE, BOTTOM.
 
-    Returns
-    -------
-    float
-        Euclidean distance from the image source to the receiver, in meters.
+def path_geometry(env: Environment, x, z) -> tuple[np.ndarray, np.ndarray]:
+    """Image-method path lengths and signed image offsets, shape (..., 3).
+
+    Broadcasts over x and z. Returns (lengths, s_dz) with s_dz the offset
+    times IMAGE_SIGNS, so d length / d(x, z) = (x, s_dz) / length. Lengths are
+    sqrt(x*x + dz*dz), not hypot, so that synthesis stays bit-identical to
+    the differentiable model when the analytic lengths are plugged in.
     """
-    dz = image_depth(env, src.z, path)
-    # sqrt(x*x + dz*dz), not hypot: keeps synthesis bit-identical to the
-    # differentiable model when the analytic lengths are plugged in
-    return math.sqrt(src.x * src.x + dz * dz)
+    x = np.asarray(x, dtype=np.float64)[..., np.newaxis]
+    dz = image_offsets(env) + IMAGE_SIGNS * np.asarray(z, dtype=np.float64)[..., np.newaxis]
+    return np.sqrt(x * x + dz * dz), IMAGE_SIGNS * dz
 
 
 def reflection_coeff(path: PathSpec) -> float:
@@ -146,11 +139,13 @@ def reflection_coeff(path: PathSpec) -> float:
     return -1.0 if path.n_surface % 2 else 1.0
 
 
+RHOS = np.array([reflection_coeff(p) for p in THREE_PATHS])
+
+
 def arrival_params(env: Environment, src: SourceLocation):
     """Amplitudes rho_i / l_i and delays l_i / c for the three paths."""
-    lengths = np.array([path_length(env, src, p) for p in THREE_PATHS])
-    rhos = np.array([reflection_coeff(p) for p in THREE_PATHS])
-    return rhos / lengths, lengths / env.sound_speed
+    lengths, _ = path_geometry(env, src.x, src.z)
+    return RHOS / lengths, lengths / env.sound_speed
 
 
 def synthesize_received(
@@ -327,18 +322,9 @@ def save_dataset(ds: Dataset, directory: str | Path) -> Path:
         "count": ds.count,
         "seed": ds.seed,
         "snr_db": ds.snr_db,
-        "environment": {
-            "depth": ds.environment.depth,
-            "sound_speed": ds.environment.sound_speed,
-            "receiver_depth": ds.environment.receiver_depth,
-        },
-        "pulse": {
-            "center_freq": ds.pulse.center_freq,
-            "bandwidth": ds.pulse.bandwidth,
-            "center_time": ds.pulse.center_time,
-            "amplitude": ds.pulse.amplitude,
-        },
-        "grid": {"sample_rate": ds.grid.sample_rate, "duration": ds.grid.duration},
+        "environment": asdict(ds.environment),
+        "pulse": asdict(ds.pulse),
+        "grid": asdict(ds.grid),
         "signal_files": files,
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
@@ -353,32 +339,58 @@ def save_dataset(ds: Dataset, directory: str | Path) -> Path:
 
 
 def load_dataset(directory: str | Path) -> Dataset:
-    """Load a dataset directory written by save_dataset."""
+    """Load a dataset directory written by save_dataset.
+
+    Raises ValueError, naming the cause, for a malformed manifest, a count
+    that differs from the number of signal files, a locations table without
+    exactly the indices 0..count-1 once each, or a signal file of the wrong
+    length.
+    """
     directory = Path(directory)
     try:
         manifest = json.loads((directory / "manifest.json").read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"corrupt dataset manifest in {directory}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"dataset manifest in {directory} is not a JSON object")
     version = manifest.get("format_version")
     if version != DATASET_FORMAT_VERSION:
         raise ValueError(
             f"dataset format version {version} not supported "
             f"(expected {DATASET_FORMAT_VERSION})"
         )
-    env = Environment(**manifest["environment"])
-    pulse = AnalyticPulse(**manifest["pulse"])
-    grid = TimeGrid(**manifest["grid"])
-    count = manifest["count"]
-    locations = np.empty((count, 2))
-    with open(directory / "locations.csv", newline="") as fh:
+    try:
+        env = Environment(**manifest["environment"])
+        pulse = AnalyticPulse(**manifest["pulse"])
+        grid = TimeGrid(**manifest["grid"])
+        files = manifest["signal_files"]
+        seed = manifest["seed"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad dataset manifest in {directory}: {exc!r}") from exc
+    if not (isinstance(files, list) and all(isinstance(f, str) for f in files)
+            and manifest.get("count") == len(files)):
+        raise ValueError(
+            f"dataset manifest in {directory} gives count {manifest.get('count')!r} "
+            f"but does not list that many signal file names"
+        )
+    count = len(files)
+    table = directory / "locations.csv"
+    with open(table, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["index", "x_s", "z_s"]:
             raise ValueError(f"unexpected locations header {header}")
-        for row in reader:
-            locations[int(row[0])] = (float(row[1]), float(row[2]))
+        try:
+            rows = [(int(k), float(x), float(z)) for k, x, z in reader]
+        except ValueError as exc:
+            raise ValueError(f"malformed row in {table}: {exc}") from exc
+    if sorted(k for k, _, _ in rows) != list(range(count)):
+        raise ValueError(f"{table} must list the indices 0..{count - 1} once each")
+    locations = np.empty((count, 2))
+    for k, x, z in rows:
+        locations[k] = (x, z)
     signals = np.empty((count, grid.n_samples))
-    for k, name in enumerate(manifest["signal_files"]):
+    for k, name in enumerate(files):
         raw = (directory / name).read_bytes()
         vals = np.frombuffer(raw, dtype="<f8")
         if len(vals) != grid.n_samples:
@@ -387,5 +399,4 @@ def load_dataset(directory: str | Path) -> Dataset:
                 f"expected {grid.n_samples}"
             )
         signals[k] = vals
-    return Dataset(env, pulse, grid, manifest["seed"], locations, signals,
-                   manifest.get("snr_db"))
+    return Dataset(env, pulse, grid, seed, locations, signals, manifest.get("snr_db"))

@@ -13,13 +13,16 @@ import base64
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Layout, Tensor, value_and_grad
-from .environment import Dataset, Environment, SourceLocation, THREE_PATHS, reflection_coeff
+from .environment import (
+    IMAGE_SIGNS, RHOS, THREE_PATHS, Dataset, Environment, SourceLocation, image_offsets,
+)
+from .localize import detect_arrivals
 from .pln import (
     InputNormalization,
     PlnArchitecture,
@@ -35,15 +38,11 @@ from .signals import (
     SampledSignal,
     TimeGrid,
     arrival_windows,
-    correlation_envelope,
+    correlation_envelope,  # not called here; kept as a global the bench tracer patches
     eval_pulse_dt,
     lowpassed_pulse,
-    pick_envelope_peaks,
-    refine_envelope_peak,
     smooth_rows,
 )
-
-RHOS = np.array([reflection_coeff(p) for p in THREE_PATHS])
 
 # One unit of the adaptable sound-speed coordinate equals this many m/s, which
 # keeps that coordinate commensurate with the O(1) network weights.
@@ -141,9 +140,7 @@ class MatchedModel:
     def __init__(self, env: Environment, pulse: AnalyticPulse):
         self.env = env
         self.pulse = pulse
-        zr = env.receiver_depth
-        self.offsets = np.array([-zr, zr, 2.0 * env.depth - zr])
-        self.signs = np.array([1.0, 1.0, -1.0])
+        self.offsets = image_offsets(env)
         self.w_train = np.empty(0)
         self.layout = Layout((), ())
 
@@ -158,7 +155,7 @@ class MatchedModel:
     def lengths_t(self, x_t, z_t) -> Tensor:
         x_t = Tensor._lift(x_t)
         z_t = Tensor._lift(z_t)
-        dz = self.offsets + self.signs * z_t
+        dz = self.offsets + IMAGE_SIGNS * z_t
         return (x_t * x_t + dz * dz).sqrt()
 
     def signal_t(self, w_t, x_t, z_t, grid: TimeGrid) -> Tensor:
@@ -221,50 +218,35 @@ def make_train_loss_fn(
 def _peak_length_targets(dataset: Dataset) -> np.ndarray:
     """Per-item path-length targets from matched-filter peaks, NaN where unsettled.
 
-    Each recording is correlated against the transmit pulse and up to three
-    envelope peaks are picked and refined (same machinery the localizer's
-    initializer uses). Peak times scale to path lengths by the sound speed.
-    The earliest arrival is always the direct path. The later two swap order
-    across z = depth - z_r, but the surface bounce flips polarity (rho = -1),
-    so of the two later peaks the one whose correlation is negative is the
-    surface arrival. Entries one waveform does not settle are NaN: surface
-    and bottom when both later peaks share a sign; the surface when only two
-    peaks survive (it merges with the direct arrival for shallow sources and
-    with the bottom one near z = depth - z_r, and the merged peak stands in
-    for its other member); all but the direct when one peak survives.
-    Returns (count, 3) in the direct/surface/bottom column order the network
-    predicts.
+    Up to three arrivals of each recording come from detect_arrivals, the
+    detector the localizer's initializer uses, and their times scale to path
+    lengths by the sound speed. The earliest arrival is always the direct
+    path. The later two swap order across z = depth - z_r, but the surface
+    bounce flips polarity (rho = -1), so of the two later peaks the one whose
+    correlation is negative is the surface arrival. Entries one waveform does
+    not settle are NaN: surface and bottom when both later peaks share a sign;
+    the surface when only two peaks survive (it merges with the direct
+    arrival for shallow sources and with the bottom one near z = depth - z_r,
+    and the merged peak stands in for its other member); all but the direct
+    when one peak survives; all three when none clears the floor. Returns
+    (count, 3) in the direct/surface/bottom column order the network predicts.
     """
     fs = dataset.grid.sample_rate
     c = dataset.environment.sound_speed
-    pulse = dataset.pulse
-    # one carrier-free cycle of separation: training recordings are noiseless,
-    # so peaks may be split more aggressively than on field data, which keeps
-    # the merged bands (where the stand-in targets are biased) narrow
-    min_sep = max(1, int(round(1.0 / pulse.bandwidth * fs)))
     targets = np.full((dataset.count, len(THREE_PATHS)), np.nan)
     for k in range(dataset.count):
-        env_c, lag_times, corr = correlation_envelope(
-            dataset.signals[k], pulse, fs, with_correlation=True
-        )
-        med = float(np.median(env_c))
-        mad = float(np.median(np.abs(env_c - med)))
-        # the relative floor rejects spectral-leakage local maxima that clear
-        # a pure median threshold on noiseless recordings
-        thr = max(med + 3.0 * 1.4826 * mad, 1e-3 * float(env_c.max()))
-        peaks = pick_envelope_peaks(env_c, min_sep, thr, max_peaks=3)
-        if not peaks:
-            peaks = [int(np.argmax(env_c))]
-        refined = np.array([refine_envelope_peak(env_c, i) for i in peaks])
-        order = np.argsort(refined)
-        lens = c * (lag_times[0] + refined[order] / fs)
-        negative = corr[np.array(peaks)[order]] < 0.0
-        targets[k, 0] = lens[0]
-        if len(lens) == 3:
-            if negative[1] != negative[2]:
-                surface = 1 if negative[1] else 2
-                targets[k, 1] = lens[surface]
-                targets[k, 2] = lens[3 - surface]
+        # one carrier-free cycle of separation: training recordings are
+        # noiseless, so peaks may be split more aggressively than on field
+        # data, which keeps the merged bands (where the stand-in targets are
+        # biased) narrow; the relative floor rejects spectral-leakage local
+        # maxima that clear a pure median threshold on noiseless recordings
+        times, polarity = detect_arrivals(dataset.signals[k], dataset.pulse, fs, 1.0, 1e-3)
+        lens = c * times
+        targets[k, :1] = lens[:1]
+        if len(lens) == 3 and polarity[1] != polarity[2]:
+            surface = 1 if polarity[1] < 0.0 else 2
+            targets[k, 1] = lens[surface]
+            targets[k, 2] = lens[3 - surface]
         elif len(lens) == 2:
             targets[k, 2] = lens[1]
     return targets
@@ -789,8 +771,11 @@ def _encode(a: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode()
 
 
-def _decode(text: str, shape: tuple[int, ...]) -> np.ndarray:
-    raw = base64.b64decode(text.encode(), validate=True)
+def _decode(entry: dict, shape: tuple[int, ...]) -> np.ndarray:
+    """One saved weight segment, whose recorded shape must be `shape`."""
+    if tuple(entry["shape"]) != shape:
+        raise CheckpointError(f"weight shape {entry['shape']} does not match {shape}")
+    raw = base64.b64decode(entry["data"], validate=True)
     expected = int(np.prod(shape)) * 8 if shape else 8
     if len(raw) != expected:
         raise CheckpointError(
@@ -806,14 +791,8 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> Path:
     segments = layout.unpack(model.pln.values)
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "architecture": {
-            "hidden": list(model.pln.arch.hidden),
-            "length_scale": model.pln.arch.length_scale,
-        },
-        "normalization": {
-            "shift": list(model.pln.norm.shift),
-            "scale": list(model.pln.norm.scale),
-        },
+        "architecture": asdict(model.pln.arch),
+        "normalization": asdict(model.pln.norm),
         "weights": {
             name: {"shape": list(segments[name].shape), "data": _encode(segments[name])}
             for name in layout.names
@@ -821,12 +800,7 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> Path:
         "sound_speed": model.sound_speed,
         "receiver_depth": model.receiver_depth,
         "adapt_sound_speed": model.adapt_sound_speed,
-        "pulse": {
-            "center_freq": model.pulse.center_freq,
-            "bandwidth": model.pulse.bandwidth,
-            "center_time": model.pulse.center_time,
-            "amplitude": model.pulse.amplitude,
-        },
+        "pulse": asdict(model.pulse),
         "metadata": ck.metadata,
     }
     path = Path(path)
@@ -841,6 +815,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         doc = json.loads(path.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
@@ -857,11 +833,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             scale=tuple(doc["normalization"]["scale"]),
         )
         layout = arch.layout()
-        segments = {
-            name: _decode(doc["weights"][name]["data"],
-                          tuple(doc["weights"][name]["shape"]))
-            for name in layout.names
-        }
+        segments = {name: _decode(doc["weights"][name], layout.shape_of(name))
+                    for name in layout.names}
         params = PlnParams(arch, norm, layout.pack(segments))
         model = ModelParams(
             pln=params,

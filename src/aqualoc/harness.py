@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -86,62 +86,39 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be non-empty")
 
     def to_dict(self) -> dict:
-        env = self.environment
-        return {
-            "environment": {
-                "depth": env.depth,
-                "sound_speed": env.sound_speed,
-                "receiver_depth": env.receiver_depth,
-            },
-            "source": {"x": self.source.x, "z": self.source.z},
-            "pulse": {
-                "center_freq": self.pulse.center_freq,
-                "bandwidth": self.pulse.bandwidth,
-                "center_time": self.pulse.center_time,
-                "amplitude": self.pulse.amplitude,
-            },
-            "grid": {"sample_rate": self.grid.sample_rate, "duration": self.grid.duration},
-            "region": {
-                "x_min": self.region.x_min, "x_max": self.region.x_max,
-                "z_min": self.region.z_min, "z_max": self.region.z_max,
-            },
-            "snr_db_list": list(self.snr_db_list),
-            "mismatch_m_list": list(self.mismatch_m_list),
-            "gamma_list": list(self.gamma_list),
-            "methods": list(self.methods),
-            "trials": self.trials,
-            "seed": self.seed,
-            "snr_db": self.snr_db,
-            "out_dir": str(self.out_dir),
-            "checkpoint": None if self.checkpoint is None else str(self.checkpoint),
-            "timing": self.timing,
-        }
+        """JSON form; each scene section is its dataclass's fields in order."""
+        doc = asdict(self)
+        for name in ("snr_db_list", "mismatch_m_list", "gamma_list", "methods"):
+            doc[name] = list(doc[name])
+        doc["out_dir"] = str(self.out_dir)
+        doc["checkpoint"] = None if self.checkpoint is None else str(self.checkpoint)
+        return doc
+
+
+# The sections of a config document that hold one scene dataclass each.
+SCENE_TYPES = {
+    "environment": Environment,
+    "source": SourceLocation,
+    "pulse": AnalyticPulse,
+    "grid": TimeGrid,
+    "region": Region,
+}
+
+
+def parse_scene(doc: dict) -> dict:
+    """The scene sections present in a config document, built and validated."""
+    try:
+        return {key: cls(**doc[key]) for key, cls in SCENE_TYPES.items() if key in doc}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad scene section: {exc}") from exc
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from a JSON document; unknown keys are errors."""
-    known = {
-        "environment", "source", "pulse", "grid", "region",
-        "snr_db_list", "mismatch_m_list", "gamma_list", "methods",
-        "trials", "seed", "snr_db", "out_dir", "checkpoint", "timing",
-    }
-    extra = set(doc) - known
+    extra = set(doc) - {f.name for f in fields(ExperimentConfig)}
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
-    kwargs = {}
-    try:
-        if "environment" in doc:
-            kwargs["environment"] = Environment(**doc["environment"])
-        if "source" in doc:
-            kwargs["source"] = SourceLocation(**doc["source"])
-        if "pulse" in doc:
-            kwargs["pulse"] = AnalyticPulse(**doc["pulse"])
-        if "grid" in doc:
-            kwargs["grid"] = TimeGrid(**doc["grid"])
-        if "region" in doc:
-            kwargs["region"] = Region(**doc["region"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config section: {exc}") from exc
+    kwargs = parse_scene(doc)
     for name in ("snr_db_list", "mismatch_m_list", "gamma_list", "methods"):
         if name in doc:
             kwargs[name] = tuple(doc[name])

@@ -20,14 +20,13 @@ from .environment import (
     BOTTOM,
     DEFAULT_REGION,
     DIRECT,
+    RHOS,
     Environment,
     PathSpec,
     Region,
     SURFACE,
     THREE_PATHS,
-    image_depth,
-    path_length,
-    reflection_coeff,
+    path_geometry,
 )
 from .signals import (
     AnalyticPulse,
@@ -50,11 +49,6 @@ class SingularFisherError(ValueError):
     """Raised when the Fisher information matrix is not invertible."""
 
 
-def _dz_slope(path: PathSpec) -> float:
-    """d(image offset)/dz: +1 for direct and surface, -1 for bottom."""
-    return -1.0 if path.n_bottom else 1.0
-
-
 # ---------------------------------------------------------------------------
 # TOA initialization
 # ---------------------------------------------------------------------------
@@ -71,17 +65,10 @@ class ToaEstimate:
     assignment: tuple[PathSpec, ...]
 
 
-def _tau_and_jac(env: Environment, x: float, z: float, paths: Sequence[PathSpec]):
-    taus = np.empty(len(paths))
-    jac = np.empty((len(paths), 2))
-    c = env.sound_speed
-    for i, p in enumerate(paths):
-        dz = image_depth(env, z, p)
-        ell = math.sqrt(x * x + dz * dz)
-        taus[i] = ell / c
-        jac[i, 0] = x / (ell * c)
-        jac[i, 1] = dz * _dz_slope(p) / (ell * c)
-    return taus, jac
+def _tau_and_jac(env: Environment, x: float, z: float, cols: list[int]):
+    lengths, s_dz = path_geometry(env, x, z)
+    ell, c = lengths[cols], env.sound_speed
+    return ell / c, np.column_stack([x / (ell * c), s_dz[cols] / (ell * c)])
 
 
 def _lm_refine(
@@ -95,7 +82,8 @@ def _lm_refine(
     """Equal-weight nonlinear least squares on the delay equations."""
     p = p_init.astype(np.float64).copy()
     lam = 1e-3
-    taus, jac = _tau_and_jac(env, p[0], p[1], paths)
+    cols = [THREE_PATHS.index(path) for path in paths]
+    taus, jac = _tau_and_jac(env, p[0], p[1], cols)
     res = taus - times
     cost = float(res @ res)
     for _ in range(n_iter):
@@ -106,7 +94,7 @@ def _lm_refine(
         except np.linalg.LinAlgError:
             break
         cand = p + step
-        taus_c, jac_c = _tau_and_jac(env, max(cand[0], 1e-3), cand[1], paths)
+        taus_c, jac_c = _tau_and_jac(env, max(cand[0], 1e-3), cand[1], cols)
         res_c = taus_c - times
         cost_c = float(res_c @ res_c)
         if cost_c < cost:
@@ -135,6 +123,30 @@ def _closed_form_seed(ell_d: float, ell_s: float, env: Environment, region: Regi
     return np.array(region.clip(math.sqrt(x_sq), z))
 
 
+def detect_arrivals(
+    values: np.ndarray, pulse: AnalyticPulse, fs: float, sep_cycles: float, rel_floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Up to three matched-filter arrivals: ascending times and their polarities.
+
+    Envelope peaks of the correlation with the pulse must clear the larger of
+    a median + 3 MAD noise floor and rel_floor times the envelope maximum,
+    and stand at least sep_cycles / bandwidth apart. Each is refined to
+    sub-sample precision; its polarity (+1 or -1) is the sign of the raw
+    correlation at the picked sample. Fewer than three (possibly none) come
+    back when fewer clear the floor.
+    """
+    envelope, lag_times, corr = correlation_envelope(values, pulse, fs, with_correlation=True)
+    med = float(np.median(envelope))
+    mad = float(np.median(np.abs(envelope - med)))
+    threshold = max(med + 3.0 * 1.4826 * mad, rel_floor * float(envelope.max()))
+    min_sep = max(1, int(round(sep_cycles / pulse.bandwidth * fs)))
+    peaks = np.array(pick_envelope_peaks(envelope, min_sep, threshold, max_peaks=3), dtype=int)
+    refined = np.array([refine_envelope_peak(envelope, i) for i in peaks])
+    order = np.argsort(refined)
+    polarity = np.where(corr[peaks[order]] < 0.0, -1.0, 1.0)
+    return lag_times[0] + refined[order] / fs, polarity
+
+
 def toa_init(
     received: SampledSignal,
     pulse: AnalyticPulse,
@@ -155,20 +167,12 @@ def toa_init(
     ToaInitError
         If fewer than two sufficiently separated peaks clear the noise floor.
     """
-    fs = received.grid.sample_rate
-    envelope, lag_times = correlation_envelope(received.values, pulse, fs)
-    med = float(np.median(envelope))
-    mad = float(np.median(np.abs(envelope - med)))
-    threshold = med + 3.0 * 1.4826 * mad
-    min_sep = max(1, int(round(2.0 / pulse.bandwidth * fs)))
-    peaks = pick_envelope_peaks(envelope, min_sep, threshold, max_peaks=3)
-    if len(peaks) < 2:
+    times, _ = detect_arrivals(received.values, pulse, received.grid.sample_rate, 2.0, 0.0)
+    if len(times) < 2:
         raise ToaInitError(
-            f"only {len(peaks)} arrival peak(s) above the noise floor; "
+            f"only {len(times)} arrival peak(s) above the noise floor; "
             "need at least 2 to seed a location"
         )
-    refined = np.array([refine_envelope_peak(envelope, i) for i in peaks])
-    times = np.sort(lag_times[0] + refined / fs)
     c = assumed_env.sound_speed
     if len(times) == 3:
         assignments = [
@@ -185,7 +189,7 @@ def toa_init(
         if best is None or resid < best[1]:
             best = (p, resid, paths)
     p0, residual, assignment = best
-    return ToaEstimate(times, p0, len(peaks), residual, assignment)
+    return ToaEstimate(times, p0, len(times), residual, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +308,9 @@ def da_loss(
     return float(objective(Tensor(v, needs_grad=False)).value)
 
 
-def _calibrate_p_scales(adapter, w, p, grid) -> tuple[float, float]:
-    """Per-coordinate 1/sqrt(Gauss-Newton curvature) of the model signal."""
-    dt = grid.dt
-    scales = []
+def _p_curvature(adapter, w, p, grid) -> np.ndarray:
+    """Gauss-Newton data curvature 2 dt |df/dp_j|^2 per raw position coordinate."""
+    curv = np.empty(2)
     for j, h in ((0, 1e-2), (1, 1e-2)):
         hi = p.copy()
         lo = p.copy()
@@ -316,9 +319,13 @@ def _calibrate_p_scales(adapter, w, p, grid) -> tuple[float, float]:
         f_hi = _signal_values(adapter, w, hi, grid)
         f_lo = _signal_values(adapter, w, lo, grid)
         dfdp = (f_hi - f_lo) / (2.0 * h)
-        curv = 2.0 * dt * float(dfdp @ dfdp)
-        scales.append(1.0 / math.sqrt(curv) if curv > 0.0 else 1.0)
-    return (scales[0], scales[1])
+        curv[j] = 2.0 * grid.dt * float(dfdp @ dfdp)
+    return curv
+
+
+def _calibrate_p_scales(adapter, w, p, grid) -> tuple[float, float]:
+    """Per-coordinate 1/sqrt(Gauss-Newton curvature) of the model signal."""
+    return tuple(1.0 / math.sqrt(c) if c > 0.0 else 1.0 for c in _p_curvature(adapter, w, p, grid))
 
 
 def _signal_values(adapter, w: np.ndarray | None, p: np.ndarray, grid) -> np.ndarray:
@@ -511,23 +518,16 @@ def crlb(
     """
     if n0 <= 0.0:
         raise ValueError("noise density must be positive")
-    t = grid.times()
     c = env.sound_speed
-    dfdx = np.zeros(grid.n_samples)
-    dfdz = np.zeros(grid.n_samples)
-    for path in THREE_PATHS:
-        dz = image_depth(env, z, path)
-        ell = math.sqrt(x * x + dz * dz)
-        rho = reflection_coeff(path)
-        alpha = rho / ell
-        tau = ell / c
-        u = t - tau
-        s = eval_pulse(pulse, u)
-        s_dot = eval_pulse_dt(pulse, u)
-        # df/dl through both the amplitude (−rho/l^2) and the delay (1/c)
-        df_dl = (-rho / (ell * ell)) * s - alpha * s_dot / c
-        dfdx += df_dl * (x / ell)
-        dfdz += df_dl * (dz * _dz_slope(path) / ell)
+    lengths, s_dz = path_geometry(env, x, z)
+    ell = lengths[:, np.newaxis]
+    rho = RHOS[:, np.newaxis]
+    u = grid.times() - ell / c
+    s, s_dot = eval_pulse(pulse, u), eval_pulse_dt(pulse, u)
+    # df/dl through both the amplitude (-rho/l^2) and the delay (1/c), per path
+    df_dl = (-rho / (ell * ell)) * s - (rho / ell) * s_dot / c
+    dfdx = np.sum(df_dl * (x / ell), axis=0)
+    dfdz = np.sum(df_dl * (s_dz[:, np.newaxis] / ell), axis=0)
     dt = grid.dt
     fim = (2.0 / n0) * dt * np.array(
         [

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Layout, Tensor
-from .environment import Environment, Region, THREE_PATHS
+from .environment import Environment, Region, THREE_PATHS, path_geometry
 
 N_INPUTS = 5
 DEFAULT_HIDDEN = (64, 64, 64)
@@ -200,16 +200,9 @@ def pln_error_grid(
     nz: int = 20,
 ) -> float:
     """Worst relative path-length error over an nx-by-nz grid spanning the region."""
-    from .environment import path_length, SourceLocation
-
     xs = np.linspace(region.x_min, region.x_max, nx)
     zs = np.linspace(region.z_min, region.z_max, nz)
     gx, gz = np.meshgrid(xs, zs, indexing="ij")
     predicted = pln_lengths(params, gx, gz, env.receiver_depth)
-    truth = np.empty_like(predicted)
-    for i in range(nx):
-        for j in range(nz):
-            src = SourceLocation(gx[i, j], gz[i, j])
-            for k, p in enumerate(THREE_PATHS):
-                truth[i, j, k] = path_length(env, src, p)
+    truth, _ = path_geometry(env, gx, gz)
     return float(np.max(np.abs(predicted - truth) / truth))

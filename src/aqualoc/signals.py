@@ -180,11 +180,6 @@ class NoiseSpec:
             raise ValueError(f"n0 must be >= 0, got {self.n0}")
 
 
-def require_same_grid(a: SampledSignal, b: SampledSignal) -> None:
-    if a.grid != b.grid:
-        raise ValueError(f"signals live on different grids: {a.grid} vs {b.grid}")
-
-
 def energy(sig: SampledSignal) -> float:
     """Riemann-sum signal energy dt * sum(values^2)."""
     return float(sig.grid.dt * np.dot(sig.values, sig.values))

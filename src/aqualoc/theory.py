@@ -18,16 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, value_and_grad
-from .environment import (
-    Environment,
-    SourceLocation,
-    THREE_PATHS,
-    image_depth,
-    synthesize_received,
-)
+from .autodiff import value_and_grad
+from .environment import Environment, SourceLocation, path_geometry, synthesize_received
 from .forward import ModelParams, NetworkModel
-from .localize import GblConfig, da_gbl, toa_init
+from .localize import GblConfig, _make_objective, _p_curvature, da_gbl, toa_init
 from .signals import SampledSignal, TimeGrid
 
 
@@ -92,21 +86,7 @@ class TheoremConfig:
 
 def make_grad_fn(adapter, received: SampledSignal, gamma: float):
     """Return v_raw -> gradient of the adaptation objective at v = [w; p]."""
-    rv = received.values
-    grid = received.grid
-    dt = grid.dt
-    nw = adapter.n_weights
-    w_train = adapter.w_train
-
-    def objective(v_t: Tensor) -> Tensor:
-        w_t = v_t[:nw]
-        f_t = adapter.signal_t(w_t, v_t[nw], v_t[nw + 1], grid)
-        resid = f_t - rv
-        total = (resid * resid).sum() * dt
-        if gamma != 0.0:
-            dw = w_t - w_train
-            total = total + (0.5 * gamma) * (dw * dw).sum()
-        return total
+    objective, _ = _make_objective(adapter, received, gamma, adapt_weights=True)
 
     def grad_fn(v: np.ndarray) -> np.ndarray:
         _, g = value_and_grad(objective, np.asarray(v, dtype=np.float64))
@@ -320,33 +300,6 @@ class TheoremReport:
         return path
 
 
-def _path_slopes(env: Environment, x: float, z: float) -> np.ndarray:
-    """|d path length / d position| per coordinate, maximized over paths."""
-    sx = sz = 0.0
-    for p in THREE_PATHS:
-        dz = image_depth(env, z, p)
-        ell = math.sqrt(x * x + dz * dz)
-        sx = max(sx, abs(x / ell))
-        sz = max(sz, abs(dz / ell))
-    return np.array([sx, sz])
-
-
-def _raw_p_curvature(adapter, w: np.ndarray, p: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Gauss-Newton data curvature per raw position coordinate."""
-    dt = grid.dt
-    out = np.empty(2)
-    for j, h in ((0, 1e-2), (1, 1e-2)):
-        hi = p.copy()
-        lo = p.copy()
-        hi[j] += h
-        lo[j] -= h
-        f_hi = adapter.signal_t(Tensor(w, needs_grad=False), hi[0], hi[1], grid).value
-        f_lo = adapter.signal_t(Tensor(w, needs_grad=False), lo[0], lo[1], grid).value
-        dfdp = (f_hi - f_lo) / (2.0 * h)
-        out[j] = 2.0 * dt * float(dfdp @ dfdp)
-    return out
-
-
 def _newton_polish(grad_fn, v: np.ndarray, h: float, iters: int, max_step: float):
     """Drive the gradient to roundoff with damped FD-Hessian Newton steps."""
     best_v = v.copy()
@@ -409,7 +362,7 @@ def verify_theorem(
 
     # Normalized coordinates: unit weight scale, position scales chosen so the
     # data-term curvature per position coordinate equals curvature_target.
-    curv = _raw_p_curvature(adapter, v0_raw[:nw], v0_raw[nw:], grid)
+    curv = _p_curvature(adapter, v0_raw[:nw], v0_raw[nw:], grid)
     curv = np.maximum(curv, 1e-300)
     u_p = np.sqrt(cfg.curvature_target / curv)
     scales = np.ones(nw + 2)
@@ -423,8 +376,10 @@ def verify_theorem(
     def grad_norm_fn(vt: np.ndarray) -> np.ndarray:
         return scales * raw_grad(to_raw(vt))
 
-    # Cap the cube so no probe shifts any path length out of the aligned basin.
-    slopes = _path_slopes(env_train, v0_raw[nw], v0_raw[nw + 1])
+    # Cap the cube so no probe shifts any path length out of the aligned basin:
+    # |d path length / d position| per coordinate, maximized over paths.
+    lengths, s_dz = path_geometry(env_train, v0_raw[nw], v0_raw[nw + 1])
+    slopes = np.max(np.abs([v0_raw[nw] / lengths, s_dz / lengths]), axis=1)
     shift_per_sigma = float(slopes @ u_p)
     sigma_used = min(cfg.sigma, cfg.path_shift_budget_m / shift_per_sigma)
     h_fd = cfg.fd_rel * sigma_used
@@ -456,11 +411,35 @@ def verify_theorem(
 
     convexity_ok = lam.lambda_hat > 0.0 and lambda_center > 0.0
     n_total = nw + 2
+    measured = dict(
+        n_w=nw,
+        n_p=2,
+        gamma=cfg.gamma,
+        eps_depth_m=eps.depth_m,
+        eps_sound_speed_ms=eps.sound_speed_ms,
+        eps_norm=eps.norm,
+        p_scales=(float(u_p[0]), float(u_p[1])),
+        sigma_config=cfg.sigma,
+        sigma_used=sigma_used,
+        lambda_hat=lam.lambda_hat,
+        lambda_center=lambda_center,
+        hessian_asym=lam.asym_max,
+        l_hat=lip.l_hat,
+        gbl_grad_norm=gbl_grad_norm,
+        polish_grad_norm=polish_grad_norm,
+        convexity_ok=convexity_ok,
+        seed=cfg.seed,
+    )
     if not convexity_ok:
-        return _report_failure(
-            "strong convexity does not hold on the sampled cube",
-            cfg, eps, nw, u_p, sigma_used, lam, lambda_center, lip,
-            gbl_grad_norm, polish_grad_norm,
+        nan = math.nan
+        return TheoremReport(
+            **measured,
+            xi_hat=nan, theta=nan, rho_cube=nan, epsilon_budget=nan, bound=nan,
+            displacement=nan, displacement_p_m=(nan, nan), g0_norm=nan, gprime_max_err=nan,
+            sign_pos_min=nan, sign_neg_max=nan,
+            rho_ok=False, gprime_ok=False, budget_ok=False, displacement_ok=False,
+            signs_ok=False, passed=False,
+            verdict="not-applicable: strong convexity does not hold on the sampled cube",
         )
 
     direction = np.linalg.solve(lam.hessian_center, np.ones(n_total))
@@ -507,19 +486,7 @@ def verify_theorem(
         verdict = "pass" if passed else "claim-failed"
 
     return TheoremReport(
-        n_w=nw,
-        n_p=2,
-        gamma=cfg.gamma,
-        eps_depth_m=eps.depth_m,
-        eps_sound_speed_ms=eps.sound_speed_ms,
-        eps_norm=eps.norm,
-        p_scales=(float(u_p[0]), float(u_p[1])),
-        sigma_config=cfg.sigma,
-        sigma_used=sigma_used,
-        lambda_hat=lam.lambda_hat,
-        lambda_center=lambda_center,
-        hessian_asym=lam.asym_max,
-        l_hat=lip.l_hat,
+        **measured,
         xi_hat=xi.xi_hat,
         theta=theta,
         rho_cube=rho_cube,
@@ -531,9 +498,6 @@ def verify_theorem(
         gprime_max_err=xi.gprime_max_err,
         sign_pos_min=sign_pos_min,
         sign_neg_max=sign_neg_max,
-        gbl_grad_norm=gbl_grad_norm,
-        polish_grad_norm=polish_grad_norm,
-        convexity_ok=convexity_ok,
         rho_ok=rho_ok,
         gprime_ok=gprime_ok,
         budget_ok=budget_ok,
@@ -541,48 +505,5 @@ def verify_theorem(
         signs_ok=signs_ok,
         passed=passed,
         verdict=verdict,
-        seed=cfg.seed,
     )
 
-
-def _report_failure(
-    reason, cfg, eps, nw, u_p, sigma_used, lam, lambda_center, lip,
-    gbl_grad_norm, polish_grad_norm,
-) -> TheoremReport:
-    return TheoremReport(
-        n_w=nw,
-        n_p=2,
-        gamma=cfg.gamma,
-        eps_depth_m=eps.depth_m,
-        eps_sound_speed_ms=eps.sound_speed_ms,
-        eps_norm=eps.norm,
-        p_scales=(float(u_p[0]), float(u_p[1])),
-        sigma_config=cfg.sigma,
-        sigma_used=sigma_used,
-        lambda_hat=lam.lambda_hat,
-        lambda_center=lambda_center,
-        hessian_asym=lam.asym_max,
-        l_hat=lip.l_hat,
-        xi_hat=math.nan,
-        theta=math.nan,
-        rho_cube=math.nan,
-        epsilon_budget=math.nan,
-        bound=math.nan,
-        displacement=math.nan,
-        displacement_p_m=(math.nan, math.nan),
-        g0_norm=math.nan,
-        gprime_max_err=math.nan,
-        sign_pos_min=math.nan,
-        sign_neg_max=math.nan,
-        gbl_grad_norm=gbl_grad_norm,
-        polish_grad_norm=polish_grad_norm,
-        convexity_ok=False,
-        rho_ok=False,
-        gprime_ok=False,
-        budget_ok=False,
-        displacement_ok=False,
-        signs_ok=False,
-        passed=False,
-        verdict=f"not-applicable: {reason}",
-        seed=cfg.seed,
-    )

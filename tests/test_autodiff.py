@@ -1,4 +1,4 @@
-"""Reverse-mode engine: op-level gradients, FD audits, curvature products."""
+"""Reverse-mode engine: op-level gradients and FD audits."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from aqualoc.autodiff import (
     Tensor,
     fd_check,
     grad,
-    hvp,
-    stack,
     superpose,
     value_and_grad,
 )
@@ -133,18 +131,6 @@ def test_getitem_scatters_gradient(rng):
     np.testing.assert_array_equal(g, [0.0, 4.0, 4.0, 0.0, 0.0])
 
 
-def test_stack_gradient(rng):
-    x0 = rng.normal(size=3)
-
-    def f(x):
-        s = stack([x * 2.0, x * x], axis=0)
-        return (s * s).sum()
-
-    g = grad(f, x0)
-    want = 8.0 * x0 + 4.0 * x0**3
-    np.testing.assert_allclose(g, want, rtol=1e-13)
-
-
 def test_reused_node_accumulates(rng):
     x0 = rng.normal(size=3)
 
@@ -193,40 +179,6 @@ def test_fd_check_subset_marks_unchecked(rng):
     report = fd_check(lambda x: (x * x).sum(), x0, n_coords=5, seed=1)
     assert len(report.checked) == 5
     assert np.isnan(report.fd).sum() == 25
-
-
-def test_hvp_quadratic_recovers_matrix(rng):
-    n = 6
-    a = rng.normal(size=(n, n))
-    a = (a + a.T) / 2.0
-    x0 = rng.normal(size=n)
-
-    def f(x):
-        return ((x @ a) * x).sum() * 0.5
-
-    for _ in range(3):
-        v = rng.normal(size=n)
-        np.testing.assert_allclose(hvp(f, x0, v), a @ v, rtol=1e-6, atol=1e-9)
-
-
-def test_hvp_linear_function_zero(rng):
-    x0 = rng.normal(size=4)
-    v = rng.normal(size=4)
-    got = hvp(lambda x: (x * np.arange(1.0, 5.0)).sum(), x0, v)
-    np.testing.assert_allclose(got, np.zeros(4), atol=1e-10)
-
-
-def test_hvp_symmetry(rng):
-    x0 = rng.uniform(0.5, 1.5, size=5)
-
-    def f(x):
-        return (x * x * x).sum() + (x[:2] * x[3:]).sum()
-
-    u = rng.normal(size=5)
-    v = rng.normal(size=5)
-    assert float(u @ hvp(f, x0, v)) == pytest.approx(
-        float(v @ hvp(f, x0, u)), rel=1e-6
-    )
 
 
 def test_superpose_forward_matches_plain_kernel(pulse, grid):

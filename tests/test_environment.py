@@ -1,9 +1,13 @@
 """Image-method propagation, received-signal synthesis, dataset generation."""
 
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aqualoc.environment import (
     BOTTOM,
@@ -23,7 +27,7 @@ from aqualoc.environment import (
     arrival_params,
     gen_dataset,
     load_dataset,
-    path_length,
+    path_geometry,
     reflection_coeff,
     save_dataset,
     synthesize_received,
@@ -38,6 +42,27 @@ def oracle_lengths(x, z, z_r=120.0, depth=200.0):
         math.hypot(x, z + z_r),
         math.hypot(x, 2.0 * depth - z - z_r),
     )
+
+
+def path_length(env, src, path):
+    """One path's length, read from the vectorized geometry."""
+    lengths, _ = path_geometry(env, src.x, src.z)
+    return lengths[THREE_PATHS.index(path)]
+
+
+def test_path_geometry_broadcasts_and_gives_jacobian(env, rng):
+    x = rng.uniform(300.0, 900.0, (4, 5))
+    z = rng.uniform(5.0, 100.0, (4, 5))
+    lengths, s_dz = path_geometry(env, x, z)
+    assert lengths.shape == s_dz.shape == (4, 5, 3)
+    for i, path in enumerate(THREE_PATHS):
+        assert lengths[2, 3, i] == path_length(env, SourceLocation(x[2, 3], z[2, 3]), path)
+    # d length / d(x, z) = (x, s_dz) / length, against central differences
+    h = 1e-4
+    dx = (path_geometry(env, x + h, z)[0] - path_geometry(env, x - h, z)[0]) / (2 * h)
+    dz = (path_geometry(env, x, z + h)[0] - path_geometry(env, x, z - h)[0]) / (2 * h)
+    np.testing.assert_allclose(dx, x[..., None] / lengths, rtol=1e-7)
+    np.testing.assert_allclose(dz, s_dz / lengths, rtol=1e-6, atol=1e-9)
 
 
 def test_direct_length_vertical_limit(env):
@@ -228,6 +253,82 @@ def test_dataset_roundtrip(tmp_path, env, pulse, grid):
     assert back.snr_db == ds.snr_db
     np.testing.assert_array_equal(back.locations, ds.locations)
     np.testing.assert_array_equal(back.signals, ds.signals)
+
+
+# manifest.json of gen_dataset(env, DEFAULT_REGION, 2, pulse, grid, seed=5,
+# snr_db=12.5) as save_dataset wrote it before the scene dicts came from
+# dataclasses.asdict; any drift breaks datasets already on disk
+MANIFEST_2_ITEMS = (
+    '{\n  "format_version": 1,\n  "count": 2,\n  "seed": 5,\n  "snr_db": 12.5,\n'
+    '  "environment": {\n    "depth": 200.0,\n    "sound_speed": 1500.0,\n'
+    '    "receiver_depth": 120.0\n  },\n  "pulse": {\n    "center_freq": 750.0,\n'
+    '    "bandwidth": 500.0,\n    "center_time": 0.05,\n    "amplitude": 1.0\n  },\n'
+    '  "grid": {\n    "sample_rate": 4000.0,\n    "duration": 2.0\n  },\n'
+    '  "signal_files": [\n    "sig_00000.f64",\n    "sig_00001.f64"\n  ]\n}'
+)
+
+
+def test_dataset_manifest_text_pinned(tmp_path, env, pulse, grid):
+    ds = gen_dataset(env, DEFAULT_REGION, 2, pulse, grid, seed=5, snr_db=12.5)
+    save_dataset(ds, tmp_path)
+    assert (tmp_path / "manifest.json").read_text() == MANIFEST_2_ITEMS
+
+
+@pytest.fixture(scope="module")
+def three_items(env, pulse, grid):
+    return gen_dataset(env, DEFAULT_REGION, 3, pulse, grid, seed=2)
+
+
+# rows of a rewritten locations.csv: (index written, item whose x, z it holds)
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-1, 4), st.integers(0, 2)), max_size=5))
+def test_load_dataset_location_rows_exact_or_rejected(three_items, rows):
+    """Dropped, duplicated or renumbered rows load as written or raise ValueError."""
+    with tempfile.TemporaryDirectory() as d:
+        save_dataset(three_items, d)
+        loc = three_items.locations
+        lines = ["index,x_s,z_s"] + [
+            f"{k},{float(loc[j, 0])!r},{float(loc[j, 1])!r}" for k, j in rows
+        ]
+        (Path(d) / "locations.csv").write_text("\r\n".join(lines) + "\r\n")
+        if sorted(k for k, _ in rows) == [0, 1, 2]:
+            # each index once: row k holds the item it names, so rows left
+            # at their own index load equal to the original
+            back = load_dataset(d)
+            np.testing.assert_array_equal(back.locations, loc[[j for _, j in sorted(rows)]])
+        else:
+            with pytest.raises(ValueError, match="indices 0..2 once each"):
+                load_dataset(d)
+
+
+def _rewrite_manifest(d: Path, **changes) -> None:
+    doc = json.loads((d / "manifest.json").read_text())
+    doc.update(changes)
+    (d / "manifest.json").write_text(json.dumps(doc))
+
+
+def _cut_last_field(path: Path) -> None:
+    text = path.read_text()
+    path.write_text(text[: text.rindex(",")])
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (lambda d: (d / "manifest.json").write_text("[1, 2]"), "not a JSON object"),
+        (lambda d: _rewrite_manifest(d, signal_files=["sig_00000.f64", "sig_00001.f64"]),
+         "count 3"),
+        (lambda d: _rewrite_manifest(d, count=2), "count 2"),
+        (lambda d: _rewrite_manifest(d, grid=[4000.0, 2.0]), "bad dataset manifest"),
+        (lambda d: _cut_last_field(d / "locations.csv"), "malformed row"),
+    ],
+    ids=["non-object", "fewer-files", "count-mismatch", "bad-section", "truncated-row"],
+)
+def test_load_dataset_rejects_malformed_directory(tmp_path, three_items, corrupt, match):
+    d = save_dataset(three_items, tmp_path / "ds")
+    corrupt(d)
+    with pytest.raises(ValueError, match=match):
+        load_dataset(d)
 
 
 def test_region_validation_and_clip():

@@ -1,9 +1,13 @@
 """Forward model, waveform training loss, pretraining schedule, checkpoints."""
 
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from aqualoc.autodiff import Tensor, fd_check, value_and_grad
 from aqualoc.environment import (
@@ -413,6 +417,54 @@ def test_checkpoint_rejects_corruption(tmp_path, init_model):
     bad.write_text(json.dumps(doc_t))
     with pytest.raises(CheckpointError):
         load_checkpoint(bad)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# where a value replaces part of a saved checkpoint; () is the whole document
+CHECKPOINT_SECTIONS = (
+    (), ("format_version",), ("architecture",), ("architecture", "hidden"),
+    ("architecture", "length_scale"), ("normalization",), ("normalization", "scale"),
+    ("weights",), ("weights", "W0"), ("weights", "W0", "shape"), ("weights", "b1", "data"),
+    ("sound_speed",), ("receiver_depth",), ("adapt_sound_speed",), ("pulse",),
+    ("pulse", "bandwidth"), ("metadata",),
+)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint_doc(init_model):
+    with tempfile.TemporaryDirectory() as d:
+        return json.loads(save_checkpoint(Checkpoint(init_model, {}), Path(d) / "ck.json").read_text())
+
+
+@settings(max_examples=200, deadline=None)
+@example(section=(), value=[1, 2])
+@example(section=("architecture", "hidden"), value=[10**12])
+@given(section=st.sampled_from(CHECKPOINT_SECTIONS), value=JSON_VALUES)
+def test_load_checkpoint_fails_only_with_checkpoint_error(saved_checkpoint_doc, section, value):
+    """Any JSON value in place of a section loads or raises CheckpointError, never another type."""
+    doc = copy.deepcopy(saved_checkpoint_doc)
+    if section:
+        parent = doc
+        for key in section[:-1]:
+            parent = parent[key]
+        parent[section[-1]] = value
+    else:
+        doc = value
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "ck.json"
+        path.write_text(json.dumps(doc))
+        if not isinstance(doc, dict):
+            with pytest.raises(CheckpointError, match="not a JSON object"):
+                load_checkpoint(path)
+            return
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
 
 
 def test_network_model_weight_layouts(init_model):

@@ -111,6 +111,12 @@ def test_config_dict_round_trip():
     assert config_hash(again) == config_hash(cfg)
 
 
+def test_config_hash_pinned():
+    # every sweep manifest records this hash of the default config's
+    # canonical JSON; it must not drift with how to_dict builds that JSON
+    assert config_hash(ExperimentConfig()) == "a46b4c28e58744c4"
+
+
 def test_config_hash_sensitivity():
     a = ExperimentConfig(seed=0)
     b = ExperimentConfig(seed=1)

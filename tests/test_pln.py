@@ -8,8 +8,7 @@ from aqualoc.environment import (
     DEFAULT_ENVIRONMENT,
     DEFAULT_REGION,
     SourceLocation,
-    THREE_PATHS,
-    path_length,
+    path_geometry,
 )
 from aqualoc.forward import load_checkpoint
 from aqualoc.pln import (
@@ -159,7 +158,7 @@ def test_trained_network_accuracy(trained_checkpoint):
 
     # distinct paths stay well separated where the true spread is wide
     src = SourceLocation(400.0, 30.0)
-    true = [path_length(DEFAULT_ENVIRONMENT, src, p) for p in THREE_PATHS]
+    true, _ = path_geometry(DEFAULT_ENVIRONMENT, src.x, src.z)
     got = pln_lengths(params, 400.0, 30.0, 120.0)
     assert np.all(np.diff(np.sort(got)) > 1.0)
     np.testing.assert_allclose(np.sort(got), np.sort(true), rtol=0.005)
