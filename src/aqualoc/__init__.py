@@ -11,9 +11,7 @@ from .autodiff import (
     GradReport,
     Layout,
     NumericOverflowError,
-    Tensor,
     fd_check,
-    grad,
     superpose,
     value_and_grad,
 )

@@ -1,13 +1,11 @@
-"""Reverse-mode automatic differentiation on numpy arrays.
+"""Explicit derivatives for the forward model's one fixed chain.
 
-A Tensor records the op that produced it and a closure that routes the output
-gradient to its parents; calling backward() on a scalar output runs the
-closures in reverse topological order. Tapes are implicit (the graph hangs off
-the output node), single-use, and confined to one thread.
-
-Subexpressions that cannot influence any differentiable leaf are folded into
-constants on the spot, so wrapping plain numpy data in Tensors costs almost
-nothing extra during the backward sweep.
+Position -> path lengths -> (alpha, tau) -> pulse superposition -> loss is
+differentiated link by link: each link returns its value together with a
+vector-Jacobian product (vjp) that maps a cotangent of its output back to its
+inputs. A loss function takes a flat parameter vector and returns its value
+and a closure computing the gradient, so value-only callers (line searches,
+finite differences) never run the backward part.
 """
 
 from __future__ import annotations
@@ -18,336 +16,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import AnalyticPulse, TimeGrid, superpose_arrivals
+from .signals import AnalyticPulse, TimeGrid, eval_pulse_dt, superpose_arrivals
 
 
 class NumericOverflowError(ArithmeticError):
     """A non-finite value appeared while evaluating or differentiating."""
 
 
-_node_ids = itertools.count()
+def window_dt(pulse: AnalyticPulse, u: np.ndarray) -> np.ndarray:
+    """ds/dt on arrival windows, at times u relative to the envelope center."""
+    return eval_pulse_dt(pulse, u + pulse.center_time)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original operand shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-class Tensor:
-    """Array-valued node in the differentiation graph."""
-
-    __slots__ = ("value", "grad", "op", "node_id", "needs_grad", "_parents", "_backward")
-
-    # makes ndarray <op> Tensor defer to the reflected operators below instead
-    # of numpy broadcasting over an object array
-    __array_ufunc__ = None
-
-    def __init__(self, value, parents=(), op="leaf", needs_grad=None):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self.op = op
-        self.node_id = next(_node_ids)
-        self._parents = tuple(parents)
-        self._backward = None
-        if needs_grad is None:
-            needs_grad = any(p.needs_grad for p in self._parents)
-        self.needs_grad = needs_grad
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def item(self) -> float:
-        return float(self.value)
-
-    def __repr__(self) -> str:
-        return f"Tensor(op={self.op!r}, shape={self.shape})"
-
-    # -- graph construction helpers ------------------------------------------
-
-    @staticmethod
-    def _lift(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(x, needs_grad=False)
-
-    @staticmethod
-    def _make(value, parents, op, backward):
-        parents = tuple(p for p in parents if p.needs_grad)
-        if not parents:
-            return Tensor(value, op=op, needs_grad=False)
-        out = Tensor(value, parents=parents, op=op)
-        out._backward = backward
-        return out
-
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def __add__(self, other):
-        other = Tensor._lift(other)
-        out_value = self.value + other.value
-
-        def backward(out):
-            if self.needs_grad:
-                self._accumulate(_unbroadcast(out.grad, self.shape))
-            if other.needs_grad:
-                other._accumulate(_unbroadcast(out.grad, other.shape))
-
-        return Tensor._make(out_value, (self, other), "add", backward)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = Tensor._lift(other)
-        out_value = self.value - other.value
-
-        def backward(out):
-            if self.needs_grad:
-                self._accumulate(_unbroadcast(out.grad, self.shape))
-            if other.needs_grad:
-                other._accumulate(_unbroadcast(-out.grad, other.shape))
-
-        return Tensor._make(out_value, (self, other), "sub", backward)
-
-    def __rsub__(self, other):
-        return Tensor._lift(other) - self
-
-    def __mul__(self, other):
-        other = Tensor._lift(other)
-        out_value = self.value * other.value
-
-        def backward(out):
-            if self.needs_grad:
-                self._accumulate(_unbroadcast(out.grad * other.value, self.shape))
-            if other.needs_grad:
-                other._accumulate(_unbroadcast(out.grad * self.value, other.shape))
-
-        return Tensor._make(out_value, (self, other), "mul", backward)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Tensor._lift(other)
-        out_value = self.value / other.value
-
-        def backward(out):
-            if self.needs_grad:
-                self._accumulate(_unbroadcast(out.grad / other.value, self.shape))
-            if other.needs_grad:
-                other._accumulate(
-                    _unbroadcast(-out.grad * self.value / other.value**2, other.shape)
-                )
-
-        return Tensor._make(out_value, (self, other), "div", backward)
-
-    def __rtruediv__(self, other):
-        return Tensor._lift(other) / self
-
-    def __neg__(self):
-        def backward(out):
-            self._accumulate(-out.grad)
-
-        return Tensor._make(-self.value, (self,), "neg", backward)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only constant exponents are supported")
-        out_value = self.value**exponent
-
-        def backward(out):
-            self._accumulate(out.grad * exponent * self.value ** (exponent - 1))
-
-        return Tensor._make(out_value, (self,), "pow", backward)
-
-    def __matmul__(self, other):
-        other = Tensor._lift(other)
-        out_value = self.value @ other.value
-
-        def backward(out):
-            if self.needs_grad:
-                self._accumulate(out.grad @ other.value.T)
-            if other.needs_grad:
-                other._accumulate(self.value.T @ out.grad)
-
-        return Tensor._make(out_value, (self, other), "matmul", backward)
-
-    def __getitem__(self, key):
-        out_value = self.value[key]
-
-        def backward(out):
-            g = np.zeros_like(self.value)
-            g[key] = out.grad
-            self._accumulate(g)
-
-        return Tensor._make(out_value, (self,), "getitem", backward)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], tuple):
-            shape = shape[0]
-        out_value = self.value.reshape(shape)
-
-        def backward(out):
-            self._accumulate(out.grad.reshape(self.shape))
-
-        return Tensor._make(out_value, (self,), "reshape", backward)
-
-    def sum(self, axis=None):
-        out_value = self.value.sum(axis=axis)
-
-        def backward(out):
-            g = out.grad
-            if axis is not None:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
-
-        return Tensor._make(out_value, (self,), "sum", backward)
-
-    # -- elementwise transcendentals -------------------------------------------
-
-    def exp(self):
-        out_value = np.exp(self.value)
-
-        def backward(out):
-            self._accumulate(out.grad * out_value)
-
-        return Tensor._make(out_value, (self,), "exp", backward)
-
-    def log(self):
-        out_value = np.log(self.value)
-
-        def backward(out):
-            self._accumulate(out.grad / self.value)
-
-        return Tensor._make(out_value, (self,), "log", backward)
-
-    def sqrt(self):
-        out_value = np.sqrt(self.value)
-
-        def backward(out):
-            self._accumulate(out.grad * 0.5 / out_value)
-
-        return Tensor._make(out_value, (self,), "sqrt", backward)
-
-    def tanh(self):
-        out_value = np.tanh(self.value)
-
-        def backward(out):
-            self._accumulate(out.grad * (1.0 - out_value * out_value))
-
-        return Tensor._make(out_value, (self,), "tanh", backward)
-
-    def sin(self):
-        out_value = np.sin(self.value)
-
-        def backward(out):
-            self._accumulate(out.grad * np.cos(self.value))
-
-        return Tensor._make(out_value, (self,), "sin", backward)
-
-    def cos(self):
-        out_value = np.cos(self.value)
-
-        def backward(out):
-            self._accumulate(-out.grad * np.sin(self.value))
-
-        return Tensor._make(out_value, (self,), "cos", backward)
-
-    def softplus(self):
-        out_value = np.logaddexp(0.0, self.value)
-
-        def backward(out):
-            # sigmoid via tanh keeps both saturation tails stable
-            sig = 0.5 * (1.0 + np.tanh(0.5 * self.value))
-            self._accumulate(out.grad * sig)
-
-        return Tensor._make(out_value, (self,), "softplus", backward)
-
-    # -- backward pass -----------------------------------------------------------
-
-    def topo_order(self) -> list["Tensor"]:
-        """Reverse-postorder DFS over grad-requiring ancestors (iterative)."""
-        order: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
-        return order
-
-    def backward(self) -> None:
-        if self.value.size != 1:
-            raise ValueError(f"backward requires a scalar output, got shape {self.shape}")
-        order = self.topo_order()
-        self.grad = np.ones_like(self.value)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node)
-
-
-def superpose(alpha: Tensor, tau: Tensor, pulse: AnalyticPulse, grid: TimeGrid) -> Tensor:
-    """Differentiable sum of delayed scaled pulses; see signals.superpose_arrivals.
+def superpose(alpha: np.ndarray, tau: np.ndarray, pulse: AnalyticPulse, grid: TimeGrid):
+    """signals.superpose_arrivals plus its vjp to (alpha, tau).
 
     Forward arithmetic is shared bit-for-bit with the plain synthesis kernel.
-    The vjp in tau uses the analytic pulse derivative on the cached windows.
+    The vjp reads the output cotangent on each arrival's window: its dot
+    product with the pulse window gives d/d alpha, and with the analytic
+    pulse derivative (times -alpha) gives d/d tau.
     """
-    alpha = Tensor._lift(alpha)
-    tau = Tensor._lift(tau)
-    if not (np.all(np.isfinite(alpha.value)) and np.all(np.isfinite(tau.value))):
+    alpha = np.asarray(alpha, dtype=np.float64)
+    tau = np.asarray(tau, dtype=np.float64)
+    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(tau))):
         raise NumericOverflowError("non-finite arrival parameters entering superpose")
-    out_value, (pad, start, u, window) = superpose_arrivals(
-        alpha.value, tau.value, pulse, grid, return_parts=True
+    out, (pad, start, u, window) = superpose_arrivals(
+        alpha, tau, pulse, grid, return_parts=True
     )
-    squeeze = alpha.value.ndim == 1
-    a2 = np.atleast_2d(alpha.value)
-    n_batch, n_paths = a2.shape
-    w_len = window.shape[-1]
     n = grid.n_samples
 
-    def backward(out):
-        gy = np.atleast_2d(out.grad)
-        gpad = np.zeros((n_batch, n + 2 * pad))
-        gpad[:, pad : pad + n] = gy
-        g_alpha = np.empty_like(a2)
-        g_tau = np.empty_like(a2)
-        omega = 2.0 * np.pi * pulse.center_freq
-        env = pulse.amplitude * np.exp(-(u * u) / (2.0 * pulse.sigma**2))
-        dwindow = env * (
-            -(u / pulse.sigma**2) * np.cos(omega * u) - omega * np.sin(omega * u)
-        )
-        for b in range(n_batch):
-            for i in range(n_paths):
-                s0 = start[b, i]
-                gw = gpad[b, s0 : s0 + w_len]
-                g_alpha[b, i] = gw @ window[b, i]
-                g_tau[b, i] = -a2[b, i] * (gw @ dwindow[b, i])
-        if squeeze:
-            g_alpha = g_alpha[0]
-            g_tau = g_tau[0]
-        if alpha.needs_grad:
-            alpha._accumulate(g_alpha)
-        if tau.needs_grad:
-            tau._accumulate(g_tau)
+    def vjp(g_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g2 = np.atleast_2d(g_out)
+        gpad = np.zeros((len(g2), n + 2 * pad))
+        gpad[:, pad : pad + n] = g2
+        at = start[:, :, None] + np.arange(window.shape[-1])
+        g_win = gpad[np.arange(len(g2))[:, None, None], at]
+        g_alpha = np.einsum("bim,bim->bi", g_win, window)
+        g_tau = -np.atleast_2d(alpha) * np.einsum("bim,bim->bi", g_win, window_dt(pulse, u))
+        return g_alpha.reshape(alpha.shape), g_tau.reshape(tau.shape)
 
-    return Tensor._make(out_value, (alpha, tau), "superpose", backward)
+    return out, vjp
 
 
 @dataclass(frozen=True)
@@ -359,81 +67,53 @@ class Layout:
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(int(np.prod(s)) if s else 1 for s in self.shapes)
+        return tuple(math.prod(s) for s in self.shapes)
 
     @property
     def size(self) -> int:
         return sum(self.sizes)
 
+    def slices(self) -> list[slice]:
+        """Each segment's slice of the flat vector, in order."""
+        ends = list(itertools.accumulate(self.sizes, initial=0))
+        return [slice(a, b) for a, b in zip(ends, ends[1:])]
+
     def slice_of(self, name: str) -> slice:
-        start = 0
-        for n, s in zip(self.names, self.sizes):
-            if n == name:
-                return slice(start, start + s)
-            start += s
-        raise KeyError(f"no segment named {name!r}")
+        if name not in self.names:
+            raise KeyError(f"no segment named {name!r}")
+        return self.slices()[self.names.index(name)]
 
     def shape_of(self, name: str) -> tuple[int, ...]:
         return self.shapes[self.names.index(name)]
 
     def pack(self, segments: dict[str, np.ndarray]) -> np.ndarray:
         flat = np.empty(self.size)
-        for name, shape in zip(self.names, self.shapes):
-            flat[self.slice_of(name)] = np.asarray(segments[name]).reshape(-1)
+        for name, part in zip(self.names, self.slices()):
+            flat[part] = np.asarray(segments[name]).reshape(-1)
         return flat
 
     def unpack(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         return {
-            name: flat[self.slice_of(name)].reshape(shape)
-            for name, shape in zip(self.names, self.shapes)
+            name: flat[part].reshape(shape)
+            for name, shape, part in zip(self.names, self.shapes, self.slices())
         }
-
-    def segment(self, t: Tensor, name: str) -> Tensor:
-        return t[self.slice_of(name)].reshape(self.shape_of(name))
-
-
-def _first_nonfinite_value(root: Tensor) -> Tensor | None:
-    nodes = sorted(root.topo_order(), key=lambda t: t.node_id)
-    for node in nodes:
-        if not np.all(np.isfinite(node.value)):
-            return node
-    return None
-
-
-def _first_nonfinite_grad(root: Tensor) -> Tensor | None:
-    nodes = sorted(root.topo_order(), key=lambda t: t.node_id, reverse=True)
-    for node in nodes:
-        if node.grad is not None and not np.all(np.isfinite(node.grad)):
-            return node
-    return None
 
 
 def value_and_grad(loss_fn, at: np.ndarray) -> tuple[float, np.ndarray]:
-    """Evaluate a scalar program and its gradient at a flat parameter vector.
+    """Evaluate a scalar loss and its gradient at a flat parameter vector.
 
-    Raises NumericOverflowError naming the earliest offending graph node if a
-    non-finite value or gradient shows up anywhere on the tape.
+    loss_fn(x) returns (value, grad) with grad() the gradient at x. Raises
+    NumericOverflowError, saying which pass it came from, if the value or
+    the gradient is not finite.
     """
-    x = Tensor(np.array(at, dtype=np.float64, copy=True), op="input", needs_grad=True)
-    out = loss_fn(x)
-    if not isinstance(out, Tensor):
-        raise TypeError("loss_fn must return a Tensor")
-    if not np.all(np.isfinite(out.value)):
-        bad = _first_nonfinite_value(out)
-        where = f"node #{bad.node_id} ({bad.op})" if bad is not None else "output"
-        raise NumericOverflowError(f"non-finite value at {where} during forward pass")
-    out.backward()
-    g = x.grad if x.grad is not None else np.zeros_like(x.value)
+    value, grad = loss_fn(np.array(at, dtype=np.float64, copy=True))
+    value = float(value)
+    if not math.isfinite(value):
+        raise NumericOverflowError("non-finite value during forward pass")
+    g = grad()
     if not np.all(np.isfinite(g)):
-        bad = _first_nonfinite_grad(out)
-        where = f"node #{bad.node_id} ({bad.op})" if bad is not None else "input"
-        raise NumericOverflowError(f"non-finite gradient at {where} during backward pass")
-    return float(out.value), g
-
-
-def grad(loss_fn, at: np.ndarray) -> np.ndarray:
-    """Gradient of a scalar program at a flat parameter vector."""
-    return value_and_grad(loss_fn, at)[1]
+        raise NumericOverflowError("non-finite gradient during backward pass")
+    return value, g
 
 
 @dataclass
@@ -456,14 +136,14 @@ def fd_check(
     n_coords: int | None = 50,
     seed: int = 0,
 ) -> GradReport:
-    """Compare the reverse-mode gradient against central finite differences.
+    """Compare the analytic gradient against central finite differences.
 
     Per-coordinate step h_j = h * max(1, |x_j|); relative error uses
     |a - b| / max(|a|, |b|, 1e-12). With n_coords set, only a random coordinate
     subset is probed (2 evaluations per coordinate).
     """
     at = np.asarray(at, dtype=np.float64)
-    analytic = grad(loss_fn, at)
+    analytic = value_and_grad(loss_fn, at)[1]
     size = at.size
     if n_coords is None or n_coords >= size:
         checked = np.arange(size)
@@ -471,21 +151,15 @@ def fd_check(
         rng = np.random.default_rng(seed)
         checked = np.sort(rng.choice(size, size=n_coords, replace=False))
     fd = np.full(size, np.nan)
-
-    def eval_at(x):
-        out = loss_fn(Tensor(x, op="input", needs_grad=False))
-        return float(out.value) if isinstance(out, Tensor) else float(out)
-
     for j in checked:
         hj = h * max(1.0, abs(at[j]))
         xp = at.copy()
         xm = at.copy()
         xp[j] += hj
         xm[j] -= hj
-        fd[j] = (eval_at(xp) - eval_at(xm)) / (2.0 * hj)
+        fd[j] = (float(loss_fn(xp)[0]) - float(loss_fn(xm)[0])) / (2.0 * hj)
     a = analytic[checked]
     b = fd[checked]
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-12)
     max_rel = float(np.max(np.abs(a - b) / denom)) if len(checked) else 0.0
     return GradReport(analytic, fd, checked, max_rel)
-

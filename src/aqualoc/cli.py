@@ -325,7 +325,7 @@ def _cmd_selftest(args, doc: dict) -> int:
         from .forward import MatchedModel
 
         oracle = synthesize_received(env, source, pulse, grid)
-        matched = MatchedModel(env, pulse).signal_t(None, source.x, source.z, grid).value
+        matched, _ = MatchedModel(env, pulse).signal_t(None, source.x, source.z, grid)
         assert np.array_equal(oracle.values, matched), "matched synthesis differs from oracle"
 
     def gradient_check():

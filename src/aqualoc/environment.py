@@ -24,6 +24,7 @@ from .signals import (
     TimeGrid,
     WINDOW_SIGMAS,
     add_awgn,
+    require_finite,
     snr_to_n0,
     superpose_arrivals,
 )
@@ -56,6 +57,10 @@ class Environment:
     receiver_depth: float
 
     def __post_init__(self) -> None:
+        require_finite(
+            "environment", depth=self.depth, sound_speed=self.sound_speed,
+            receiver_depth=self.receiver_depth,
+        )
         if self.depth <= 0.0:
             raise ValueError(f"depth must be positive, got {self.depth}")
         if self.sound_speed <= 0.0:
@@ -75,6 +80,7 @@ class SourceLocation:
     z: float
 
     def __post_init__(self) -> None:
+        require_finite("source", x=self.x, z=self.z)
         if self.x <= 0.0:
             raise ValueError(f"source range must be positive, got {self.x}")
         if self.z <= 0.0:
@@ -342,9 +348,9 @@ def load_dataset(directory: str | Path) -> Dataset:
     """Load a dataset directory written by save_dataset.
 
     Raises ValueError, naming the cause, for a malformed manifest, a count
-    that differs from the number of signal files, a locations table without
-    exactly the indices 0..count-1 once each, or a signal file of the wrong
-    length.
+    that differs from the number of signal files, a malformed or non-finite
+    location row, a locations table without exactly the indices 0..count-1
+    once each, or a signal file of the wrong length.
     """
     directory = Path(directory)
     try:
@@ -384,6 +390,8 @@ def load_dataset(directory: str | Path) -> Dataset:
             rows = [(int(k), float(x), float(z)) for k, x, z in reader]
         except ValueError as exc:
             raise ValueError(f"malformed row in {table}: {exc}") from exc
+    if not all(math.isfinite(x) and math.isfinite(z) for _, x, z in rows):
+        raise ValueError(f"non-finite location in {table}")
     if sorted(k for k, _, _ in rows) != list(range(count)):
         raise ValueError(f"{table} must list the indices 0..{count - 1} once each")
     locations = np.empty((count, 2))

@@ -18,20 +18,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Layout, Tensor, value_and_grad
+from . import autodiff
+from .autodiff import value_and_grad
 from .environment import (
-    IMAGE_SIGNS, RHOS, THREE_PATHS, Dataset, Environment, SourceLocation, image_offsets,
+    RHOS, THREE_PATHS, Dataset, Environment, SourceLocation, path_geometry,
 )
 from .localize import detect_arrivals
 from .pln import (
     InputNormalization,
     PlnArchitecture,
     PlnParams,
+    length_forward,
+    length_position_jacobian,
+    length_vjp,
     path_features,
-    path_features_t,
     pln_error_grid,
     pln_init,
-    pln_lengths_t,
 )
 from .signals import (
     AnalyticPulse,
@@ -39,8 +41,8 @@ from .signals import (
     TimeGrid,
     arrival_windows,
     correlation_envelope,  # not called here; kept as a global the bench tracer patches
-    eval_pulse_dt,
     lowpassed_pulse,
+    require_finite,
     smooth_rows,
 )
 
@@ -70,6 +72,7 @@ class ModelParams:
     adapt_sound_speed: bool = False
 
     def __post_init__(self) -> None:
+        require_finite("model", sound_speed=self.sound_speed, receiver_depth=self.receiver_depth)
         if self.sound_speed <= 0.0:
             raise ValueError(f"sound_speed must be positive, got {self.sound_speed}")
         if self.receiver_depth <= 0.0:
@@ -77,8 +80,14 @@ class ModelParams:
 
 
 def alpha_tau(lengths, rhos, sound_speed):
-    """Amplitude rho / l and delay l / c for path lengths; works on Tensors too."""
+    """Amplitude rho / l and delay l / c for path lengths."""
     return rhos / lengths, lengths / sound_speed
+
+
+def alpha_tau_vjp(lengths, rhos, sound_speed, g_alpha, g_tau):
+    """Cotangents of (alpha, tau) pulled back to the lengths and the sound speed."""
+    g_lengths = -g_alpha * rhos / lengths**2 + g_tau / sound_speed
+    return g_lengths, float(np.sum(-g_tau * lengths / sound_speed**2))
 
 
 class NetworkModel:
@@ -86,18 +95,15 @@ class NetworkModel:
 
     The adaptable weight vector is the flat network weights, plus one trailing
     sound-speed coordinate (c / SOUND_SPEED_SCALE) when adapt_sound_speed is on.
+    signal_t(w, x, z, grid) returns the model signal and its vjp, which maps
+    a signal cotangent to (weights, x, z) cotangents; w = None means w_train.
     """
 
     def __init__(self, model: ModelParams):
         self.model = model
-        pln_layout = model.pln.layout
         if model.adapt_sound_speed:
-            self.layout = Layout(pln_layout.names + ("c",), pln_layout.shapes + ((),))
-            self.w_train = np.concatenate(
-                [model.pln.values, [model.sound_speed / SOUND_SPEED_SCALE]]
-            )
+            self.w_train = np.append(model.pln.values, model.sound_speed / SOUND_SPEED_SCALE)
         else:
-            self.layout = pln_layout
             self.w_train = model.pln.values.copy()
 
     @property
@@ -112,37 +118,41 @@ class NetworkModel:
         """Same network and medium, different source waveform."""
         return NetworkModel(replace(self.model, pulse=pulse))
 
-    def signal_t(self, w_t: Tensor | None, x_t, z_t, grid: TimeGrid) -> Tensor:
-        if w_t is None:
-            w_t = Tensor(self.w_train, needs_grad=False)
-        feats = path_features_t(
-            Tensor._lift(x_t), Tensor._lift(z_t), self.model.receiver_depth,
-            self.model.pln.norm,
-        )
-        lengths = pln_lengths_t(w_t, self.model.pln, feats)
-        if self.model.adapt_sound_speed:
-            c = self.layout.segment(w_t, "c") * SOUND_SPEED_SCALE
-        else:
-            c = self.model.sound_speed
+    def signal_t(self, w: np.ndarray | None, x, z, grid: TimeGrid):
+        pln = self.model.pln
+        w = self.w_train if w is None else w
+        w_pln = w[: pln.n_weights]
+        feats = path_features(x, z, self.model.receiver_depth, pln.norm)
+        lengths, backward = length_forward(pln, w_pln, feats)
+        adapt_c = self.model.adapt_sound_speed
+        c = w[pln.n_weights] * SOUND_SPEED_SCALE if adapt_c else self.model.sound_speed
         alphas, taus = alpha_tau(lengths, RHOS, c)
-        from .autodiff import superpose
+        f, superpose_vjp = autodiff.superpose(alphas, taus, self.model.pulse, grid)
 
-        return superpose(alphas, taus, self.model.pulse, grid)
+        def vjp(g_f: np.ndarray):
+            g_l, g_c = alpha_tau_vjp(lengths, RHOS, c, *superpose_vjp(g_f))
+            inputs, deltas = backward()
+            g_w = length_vjp(pln.layout, inputs, deltas, g_l)
+            if adapt_c:
+                g_w = np.append(g_w, g_c * SOUND_SPEED_SCALE)
+            g_x, g_z = g_l @ length_position_jacobian(pln, w_pln, deltas)
+            return g_w, g_x, g_z
+
+        return f, vjp
 
 
 class MatchedModel:
     """Analytic image-method lengths in a known environment; no weights.
 
     Plugging this in place of the network reproduces the synthesis oracle
-    bit-for-bit (identical floating-point operations throughout).
+    bit-for-bit (identical floating-point operations throughout). signal_t
+    has NetworkModel's signature; its vjp gives an empty weight cotangent.
     """
 
     def __init__(self, env: Environment, pulse: AnalyticPulse):
         self.env = env
         self.pulse = pulse
-        self.offsets = image_offsets(env)
         self.w_train = np.empty(0)
-        self.layout = Layout((), ())
 
     @property
     def n_weights(self) -> int:
@@ -152,25 +162,23 @@ class MatchedModel:
         """Same environment, different source waveform."""
         return MatchedModel(self.env, pulse)
 
-    def lengths_t(self, x_t, z_t) -> Tensor:
-        x_t = Tensor._lift(x_t)
-        z_t = Tensor._lift(z_t)
-        dz = self.offsets + IMAGE_SIGNS * z_t
-        return (x_t * x_t + dz * dz).sqrt()
+    def signal_t(self, w, x, z, grid: TimeGrid):
+        c = self.env.sound_speed
+        lengths, s_dz = path_geometry(self.env, x, z)
+        alphas, taus = alpha_tau(lengths, RHOS, c)
+        f, superpose_vjp = autodiff.superpose(alphas, taus, self.pulse, grid)
 
-    def signal_t(self, w_t, x_t, z_t, grid: TimeGrid) -> Tensor:
-        lengths = self.lengths_t(x_t, z_t)
-        alphas, taus = alpha_tau(lengths, RHOS, self.env.sound_speed)
-        from .autodiff import superpose
+        def vjp(g_f: np.ndarray):
+            g_l, _ = alpha_tau_vjp(lengths, RHOS, c, *superpose_vjp(g_f))
+            return self.w_train, g_l @ (x / lengths), g_l @ (s_dz / lengths)
 
-        return superpose(alphas, taus, self.pulse, grid)
+        return f, vjp
 
 
 def model_output(model: ModelParams, src: SourceLocation, grid: TimeGrid) -> SampledSignal:
     """Noiseless model waveform at a source hypothesis."""
-    adapter = NetworkModel(model)
-    out = adapter.signal_t(None, src.x, src.z, grid)
-    return SampledSignal(grid, out.value)
+    values, _ = NetworkModel(model).signal_t(None, src.x, src.z, grid)
+    return SampledSignal(grid, values)
 
 
 def make_train_loss_fn(
@@ -180,7 +188,7 @@ def make_train_loss_fn(
     pulse: AnalyticPulse | None = None,
     signals: np.ndarray | None = None,
 ):
-    """Build w_t -> mean integrated squared residual over the chosen items.
+    """Build w -> (mean integrated squared residual over the chosen items, gradient).
 
     `pulse` and `signals` exist so the pretraining schedule can substitute the
     lowpassed pulse and correspondingly smoothed recordings; by default the
@@ -202,15 +210,21 @@ def make_train_loss_fn(
     r = signals[idx]
     grid = dataset.grid
     scale = grid.dt / batch
+    c = model.sound_speed
 
-    def loss_fn(w_t: Tensor) -> Tensor:
-        lengths = pln_lengths_t(w_t, model.pln, feats).reshape(batch, len(THREE_PATHS))
-        alphas, taus = alpha_tau(lengths, RHOS, model.sound_speed)
-        from .autodiff import superpose
-
-        f = superpose(alphas, taus, pulse, grid)
+    def loss_fn(w: np.ndarray):
+        flat, backward = length_forward(model.pln, w, feats)
+        lengths = flat.reshape(batch, len(THREE_PATHS))
+        alphas, taus = alpha_tau(lengths, RHOS, c)
+        f, superpose_vjp = autodiff.superpose(alphas, taus, pulse, grid)
         resid = r - f
-        return (resid * resid).sum() * scale
+        del f  # a whole-dataset batch holds 16 MB here; free it before resid * resid
+
+        def grad() -> np.ndarray:
+            g_l, _ = alpha_tau_vjp(lengths, RHOS, c, *superpose_vjp(-2.0 * scale * resid))
+            return length_vjp(model.pln.layout, *backward(), g_l.ravel())
+
+        return (resid * resid).sum() * scale, grad
 
     return loss_fn
 
@@ -258,7 +272,7 @@ def _make_peaks_loss_fn(
     indices: np.ndarray,
     targets: np.ndarray,
 ):
-    """Build w_t -> mean squared length error against the settled peak targets.
+    """Build w -> (mean squared length error against the settled peak targets, gradient).
 
     A plain smooth regression with unlimited capture range: it never compares
     waveforms, so it pulls arbitrarily misplaced predictions straight to the
@@ -276,52 +290,27 @@ def _make_peaks_loss_fn(
     weight = settled.astype(float)
     scale = 1.0 / (batch * len(THREE_PATHS))
 
-    def loss_fn(w_t: Tensor) -> Tensor:
-        lengths = pln_lengths_t(w_t, model.pln, feats).reshape(batch, len(THREE_PATHS))
-        r = (lengths - t) * weight
-        return (r * r).sum() * scale
+    def loss_fn(w: np.ndarray):
+        lengths, backward = length_forward(model.pln, w, feats)
+        r = (lengths.reshape(batch, len(THREE_PATHS)) - t) * weight
+
+        def grad() -> np.ndarray:
+            return length_vjp(model.pln.layout, *backward(), (2.0 * scale * r * weight).ravel())
+
+        return (r * r).sum() * scale, grad
 
     return loss_fn
 
 
 def train_loss(model: ModelParams, dataset: Dataset) -> float:
     """Mean integrated squared residual of the model over a whole dataset."""
-    loss_fn = make_train_loss_fn(model, dataset)
-    out = loss_fn(Tensor(model.pln.values, needs_grad=False))
-    return float(out.value)
-
-
-def _length_jacobian_factors(
-    params: PlnParams, w: np.ndarray, feats: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Predicted lengths plus the per-layer factors of their weight Jacobian.
-
-    Row r's length depends on layer i's weights only through the
-    pre-activation z_i = a_i W_i + b_i, so its gradient there is the outer
-    product of the layer input a_i[r] with delta_i[r] = d length / d z_i
-    (and delta_i[r] alone for the bias). Returns (lengths, inputs, deltas):
-    per layer one (rows, fan_in) input block and one (rows, fan_out) delta.
-    """
-    seg = params.layout.unpack(w)
-    n_layers = len(params.arch.hidden)
-    inputs = [feats]
-    for i in range(n_layers):
-        inputs.append(np.tanh(inputs[-1] @ seg[f"W{i}"] + seg[f"b{i}"]))
-    head = (inputs[-1] @ seg[f"W{n_layers}"] + seg[f"b{n_layers}"])[:, 0]
-    scale = params.arch.length_scale
-    lengths = scale * np.logaddexp(0.0, head)
-    # softplus' = sigmoid, via tanh as in the autodiff softplus
-    deltas = [scale * 0.5 * (1.0 + np.tanh(0.5 * head))[:, None]]
-    for i in range(n_layers, 0, -1):
-        deltas.append((deltas[-1] @ seg[f"W{i}"].T) * (1.0 - inputs[i] * inputs[i]))
-    deltas.reverse()
-    return lengths, inputs, deltas
+    return float(make_train_loss_fn(model, dataset)(model.pln.values)[0])
 
 
 def _length_gram(inputs: list[np.ndarray], deltas: list[np.ndarray]) -> np.ndarray:
     """J J^T of the lengths' weight Jacobian J, without forming J.
 
-    By _length_jacobian_factors, rows r and s of J meet in layer i's weights
+    By pln.length_forward, rows r and s of J meet in layer i's weights
     as (a_r . a_s) (delta_r . delta_s) and in its bias as delta_r . delta_s,
     so J J^T = sum over layers of (A A^T + 1) * (D D^T), elementwise. The
     bias enters as one more constant input; a one-column D (the output
@@ -344,16 +333,6 @@ def _length_gram(inputs: list[np.ndarray], deltas: list[np.ndarray]) -> np.ndarr
             acc = acc + g
         out[band] = acc
     return out
-
-
-def _length_vjp(layout: Layout, inputs, deltas, v: np.ndarray) -> np.ndarray:
-    """J^T v for the length Jacobian, as one backprop with per-row weights v."""
-    segments = {}
-    for i, (a, d) in enumerate(zip(inputs, deltas)):
-        dv = d * v[:, None]
-        segments[f"W{i}"] = a.T @ dv
-        segments[f"b{i}"] = dv.sum(axis=0)
-    return layout.pack(segments)
 
 
 def _on_windows(x: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -418,8 +397,8 @@ class _ExactFit:
         """
         n_paths = len(THREE_PATHS)
         n = self.grid.n_samples
-        lengths, inputs, deltas = _length_jacobian_factors(self.model.pln, w, self.feats)
-        point = {"w": w, "loss": math.inf, "inputs": inputs, "deltas": deltas}
+        lengths, backward = length_forward(self.model.pln, w, self.feats)
+        point = {"w": w, "loss": math.inf, "backward": backward}
         if not np.all(np.isfinite(lengths)):
             return point
         lengths = lengths.reshape(self.count, n_paths)
@@ -441,11 +420,15 @@ class _ExactFit:
         return point
 
     def linearize(self, point: dict) -> dict:
-        """Add J J^T, H^{-1}, H^{-1} G^T e and the damping scale to an evaluated point."""
+        """Add J's factors, J J^T, H^{-1}, H^{-1} G^T e and the damping scale to a point.
+
+        The factors come from the point's backward pass, which evaluate
+        leaves to here so that a rejected trial step never runs it.
+        """
         n_paths = len(THREE_PATHS)
         lengths, alphas = point["lengths"], point["alphas"]
         # G on the arrival windows: d(alpha s(t - tau)) / dl
-        dwindow = eval_pulse_dt(self.pulse, point["u"] + self.pulse.center_time)
+        dwindow = autodiff.window_dt(self.pulse, point["u"])
         g_win = -(alphas / lengths)[:, :, None] * point["window"]
         g_win -= (alphas / self.model.sound_speed)[:, :, None] * dwindow
         g_win *= point["inside"]
@@ -455,13 +438,14 @@ class _ExactFit:
         # it invertible without moving the well-posed directions
         gtg += 1e-12 * np.trace(gtg, axis1=1, axis2=2)[:, None, None] * np.eye(n_paths)
         h_inv = np.linalg.inv(gtg)
-        kk = _length_gram(point["inputs"], point["deltas"])
+        inputs, deltas = point["backward"]()
+        kk = _length_gram(inputs, deltas)
         # mean diagonal of M M^T: tr(R_k K_kk R_k^T) = tr(H_k K_kk)
         items = np.arange(self.count)
         diag_blocks = kk.reshape(self.count, n_paths, self.count, n_paths)[items, :, items, :]
         mean_diag = np.einsum("kij,kji->", gtg, diag_blocks) / len(kk)
-        return {**point, "kk": kk, "h_inv": h_inv, "gte": gte,
-                "rhs": np.einsum("kij,kj->ki", h_inv, gte), "mean_diag": mean_diag}
+        return {**point, "inputs": inputs, "deltas": deltas, "kk": kk, "h_inv": h_inv,
+                "gte": gte, "rhs": np.einsum("kij,kj->ki", h_inv, gte), "mean_diag": mean_diag}
 
     def step(self, lin: dict, lam: float) -> tuple[np.ndarray, float]:
         """Damped step at relative damping lam, and the loss drop it predicts."""
@@ -473,7 +457,7 @@ class _ExactFit:
             mu * lin["h_inv"]
         )
         z = np.linalg.solve(damped, lin["rhs"].ravel())
-        dw = _length_vjp(self.model.pln.layout, lin["inputs"], lin["deltas"], z)
+        dw = length_vjp(self.model.pln.layout, lin["inputs"], lin["deltas"], z)
         # ||b||^2 = e^T G H^{-1} G^T e and b - M dw = mu R^{-T} z
         z = z.reshape(self.count, n_paths)
         predicted = float(np.einsum("ki,ki->", lin["gte"], lin["rhs"]))
@@ -781,7 +765,10 @@ def _decode(entry: dict, shape: tuple[int, ...]) -> np.ndarray:
         raise CheckpointError(
             f"weight payload holds {len(raw)} bytes, expected {expected}"
         )
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    values = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    if not np.all(np.isfinite(values)):
+        raise CheckpointError("non-finite weight in checkpoint")
+    return values
 
 
 def save_checkpoint(ck: Checkpoint, path: str | Path) -> Path:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, value_and_grad
+from .autodiff import value_and_grad
 from .environment import (
     BOTTOM,
     DEFAULT_REGION,
@@ -267,29 +267,36 @@ class LocalizeResult:
 
 
 def _make_objective(adapter, received: SampledSignal, gamma: float, adapt_weights: bool):
-    """Integrated squared residual, plus the weight anchor when adapting."""
+    """Integrated squared residual, plus the weight anchor when adapting.
+
+    The objective maps v = [w; x; z] (just [x; z] unless adapting) to its
+    value and a gradient closure.
+    """
     rv = received.values
     grid = received.grid
     dt = grid.dt
     nw = adapter.n_weights if adapt_weights else 0
     w_train = adapter.w_train if nw else None
 
-    def objective(v_t: Tensor) -> Tensor:
-        if nw:
-            w_t = v_t[:nw]
-            x_t = v_t[nw]
-            z_t = v_t[nw + 1]
-        else:
-            w_t = None
-            x_t = v_t[0]
-            z_t = v_t[1]
-        f_t = adapter.signal_t(w_t, x_t, z_t, grid)
-        resid = f_t - rv
+    def objective(v: np.ndarray):
+        w = v[:nw] if nw else None
+        f, vjp = adapter.signal_t(w, v[nw], v[nw + 1], grid)
+        resid = f - rv
         total = (resid * resid).sum() * dt
-        if nw and gamma != 0.0:
-            dw = w_t - w_train
+        anchored = nw > 0 and gamma != 0.0
+        if anchored:
+            dw = w - w_train
             total = total + (0.5 * gamma) * (dw * dw).sum()
-        return total
+
+        def grad() -> np.ndarray:
+            g_w, g_x, g_z = vjp(2.0 * dt * resid)
+            if not nw:
+                return np.array([g_x, g_z])
+            if anchored:
+                g_w = g_w + gamma * dw
+            return np.concatenate([g_w, [g_x, g_z]])
+
+        return total, grad
 
     return objective, nw
 
@@ -305,7 +312,7 @@ def da_loss(
     adapt = w is not None
     objective, nw = _make_objective(adapter, received, gamma, adapt)
     v = np.concatenate([np.asarray(w, dtype=np.float64), np.asarray(p, dtype=np.float64)]) if adapt else np.asarray(p, dtype=np.float64)
-    return float(objective(Tensor(v, needs_grad=False)).value)
+    return float(objective(v)[0])
 
 
 def _p_curvature(adapter, w, p, grid) -> np.ndarray:
@@ -329,11 +336,7 @@ def _calibrate_p_scales(adapter, w, p, grid) -> tuple[float, float]:
 
 
 def _signal_values(adapter, w: np.ndarray | None, p: np.ndarray, grid) -> np.ndarray:
-    w_t = Tensor(w, needs_grad=False) if w is not None else None
-    out = adapter.signal_t(
-        w_t, Tensor(np.float64(p[0]), needs_grad=False), Tensor(np.float64(p[1]), needs_grad=False), grid
-    )
-    return out.value
+    return adapter.signal_t(w, p[0], p[1], grid)[0]
 
 
 def _descend(
@@ -344,7 +347,7 @@ def _descend(
     scales[nw + 1] = p_scales[1]
 
     def value_at(v: np.ndarray) -> float:
-        return float(objective(Tensor(v, needs_grad=False)).value)
+        return float(objective(v)[0])
 
     v = v0.astype(np.float64).copy()
     loss, g = value_and_grad(objective, v)

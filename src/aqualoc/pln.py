@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Layout, Tensor
+from .autodiff import Layout
 from .environment import Environment, Region, THREE_PATHS, path_geometry
+from .signals import require_finite
 
 N_INPUTS = 5
 DEFAULT_HIDDEN = (64, 64, 64)
@@ -34,6 +35,7 @@ class PlnArchitecture:
             raise ValueError("at least one hidden layer is required")
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
+        require_finite("architecture", length_scale=self.length_scale)
         if self.length_scale <= 0.0:
             raise ValueError(f"length_scale must be positive, got {self.length_scale}")
 
@@ -62,6 +64,10 @@ class InputNormalization:
     def __post_init__(self) -> None:
         if len(self.shift) != N_INPUTS or len(self.scale) != N_INPUTS:
             raise ValueError(f"need {N_INPUTS} shifts and scales")
+        for name in ("shift", "scale"):
+            require_finite("normalization", **{
+                f"{name}[{i}]": v for i, v in enumerate(getattr(self, name))
+            })
         if any(s <= 0.0 for s in self.scale):
             raise ValueError("scales must be positive")
 
@@ -148,48 +154,60 @@ def path_features(
     return (feats - shift) / scale
 
 
-def path_features_t(
-    x: Tensor, z: Tensor, receiver_depth: float, norm: InputNormalization
-) -> Tensor:
-    """Differentiable (3, 5) feature block for scalar position tensors."""
-    shift = np.asarray(norm.shift)
-    scale = np.asarray(norm.scale)
-    const = path_features(1.0, 1.0, receiver_depth, norm)  # placeholder x, z
-    const[:, 0] = 0.0
-    const[:, 1] = 0.0
-    ex = np.zeros((len(THREE_PATHS), N_INPUTS))
-    ez = np.zeros((len(THREE_PATHS), N_INPUTS))
-    ex[:, 0] = 1.0
-    ez[:, 1] = 1.0
-    xn = (x - shift[0]) / scale[0]
-    zn = (z - shift[1]) / scale[1]
-    return xn * ex + zn * ez + const
+def length_forward(params: PlnParams, w: np.ndarray, feats: np.ndarray):
+    """Predicted lengths for a (rows, 5) feature matrix, and their backward pass.
 
-
-def pln_lengths_t(flat: Tensor, params: PlnParams, feats: Tensor | np.ndarray) -> Tensor:
-    """Predicted path lengths for a (rows, 5) feature matrix; returns (rows,)."""
-    a = feats if isinstance(feats, Tensor) else Tensor(feats, needs_grad=False)
-    layout = params.layout
+    Returns (lengths, backward). backward() gives the per-layer factors of
+    the lengths' weight Jacobian: row r's length depends on layer i's weights
+    only through the pre-activation z_i = a_i W_i + b_i, so its gradient
+    there is the outer product of the layer input a_i[r] with
+    delta_i[r] = d length / d z_i (and delta_i[r] alone for the bias).
+    backward() returns (inputs, deltas): per layer one (rows, fan_in) input
+    block and one (rows, fan_out) delta.
+    """
+    seg = params.layout.unpack(w)
     n_layers = len(params.arch.hidden)
+    inputs = [feats]
     for i in range(n_layers):
-        w = layout.segment(flat, f"W{i}")
-        b = layout.segment(flat, f"b{i}")
-        a = (a @ w + b).tanh()
-    w = layout.segment(flat, f"W{n_layers}")
-    b = layout.segment(flat, f"b{n_layers}")
-    head = (a @ w + b)[:, 0]
-    return params.arch.length_scale * head.softplus()
+        inputs.append(np.tanh(inputs[-1] @ seg[f"W{i}"] + seg[f"b{i}"]))
+    head = (inputs[-1] @ seg[f"W{n_layers}"] + seg[f"b{n_layers}"])[:, 0]
+    scale = params.arch.length_scale
+    lengths = scale * np.logaddexp(0.0, head)
+
+    def backward() -> tuple[list[np.ndarray], list[np.ndarray]]:
+        # softplus' = sigmoid, via tanh so both saturation tails stay stable
+        deltas = [scale * 0.5 * (1.0 + np.tanh(0.5 * head))[:, None]]
+        for i in range(n_layers, 0, -1):
+            deltas.append((deltas[-1] @ seg[f"W{i}"].T) * (1.0 - inputs[i] * inputs[i]))
+        deltas.reverse()
+        return inputs, deltas
+
+    return lengths, backward
+
+
+def length_vjp(layout: Layout, inputs, deltas, v: np.ndarray) -> np.ndarray:
+    """J^T v for the lengths' weight Jacobian J, as one backprop with per-row weights v."""
+    segments = {}
+    for i, (a, d) in enumerate(zip(inputs, deltas)):
+        dv = d * v[:, None]
+        segments[f"W{i}"] = a.T @ dv
+        segments[f"b{i}"] = dv.sum(axis=0)
+    return layout.pack(segments)
+
+
+def length_position_jacobian(params: PlnParams, w: np.ndarray, deltas) -> np.ndarray:
+    """d length / d(x, z) per row, (rows, 2), from the first layer's deltas."""
+    w0 = params.layout.unpack(w)["W0"]
+    return (deltas[0] @ w0.T)[:, :2] / np.asarray(params.norm.scale[:2])
 
 
 def pln_lengths(
     params: PlnParams, x: np.ndarray, z: np.ndarray, receiver_depth: float
 ) -> np.ndarray:
-    """Plain-numpy convenience: predicted lengths, shape (..., 3)."""
+    """Predicted lengths at positions (x, z), shape (..., 3)."""
     feats = path_features(x, z, receiver_depth, params.norm)
-    lead = feats.shape[:-1]
-    flat = Tensor(params.values, needs_grad=False)
-    out = pln_lengths_t(flat, params, feats.reshape(-1, N_INPUTS))
-    return out.value.reshape(lead)
+    lengths, _ = length_forward(params, params.values, feats.reshape(-1, N_INPUTS))
+    return lengths.reshape(feats.shape[:-1])
 
 
 def pln_error_grid(

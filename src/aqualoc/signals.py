@@ -8,6 +8,7 @@ defaults below are the single source of truth for the waveform geometry.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,14 @@ DEFAULT_DURATION = 2.0  # s
 # Arrival windows are truncated at this many envelope sigmas on each side;
 # exp(-0.5 * 12**2) ~ 5e-32, far below every tolerance used in this project.
 WINDOW_SIGMAS = 12.0
+
+
+def require_finite(owner: str, **values) -> None:
+    """Raise ValueError unless every value is a finite real number (bools excluded)."""
+    for name, value in values.items():
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ValueError(f"{owner} {name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +47,10 @@ class AnalyticPulse:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(
+            "pulse", center_freq=self.center_freq, bandwidth=self.bandwidth,
+            center_time=self.center_time, amplitude=self.amplitude,
+        )
         if self.center_freq < 0.0:
             raise ValueError(f"center_freq must be >= 0, got {self.center_freq}")
         if self.bandwidth <= 0.0:
@@ -133,6 +146,7 @@ class TimeGrid:
     duration: float = DEFAULT_DURATION
 
     def __post_init__(self) -> None:
+        require_finite("grid", sample_rate=self.sample_rate, duration=self.duration)
         if self.sample_rate <= 0.0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.duration <= 0.0:

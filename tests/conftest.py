@@ -23,6 +23,16 @@ from aqualoc.pln import DEFAULT_HIDDEN, REDUCED_HIDDEN, PlnArchitecture
 from aqualoc.signals import TimeGrid, make_pulse
 
 
+# Tests that need a trained network take minutes; `pytest -m "not slow"` skips them.
+SLOW_FIXTURES = {"trained", "trained_checkpoint", "reduced_checkpoint", "theorem", "theorem_report"}
+
+
+def pytest_collection_modifyitems(config, items):
+    for item in items:
+        if SLOW_FIXTURES & set(getattr(item, "fixturenames", ())):
+            item.add_marker(pytest.mark.slow)
+
+
 @pytest.fixture(scope="session")
 def pulse():
     return make_pulse()

@@ -279,23 +279,45 @@ def three_items(env, pulse, grid):
     return gen_dataset(env, DEFAULT_REGION, 3, pulse, grid, seed=2)
 
 
-# rows of a rewritten locations.csv: (index written, item whose x, z it holds)
+# text written in place of a number: non-finite, or not a number at all
+BAD_NUMBERS = ("nan", "inf", "-inf", "abc", "")
+
+
+# rows of a rewritten locations.csv: (index written, item whose x, z it holds,
+# text replacing its x or z, or None to keep both)
 @settings(max_examples=60, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(-1, 4), st.integers(0, 2)), max_size=5))
+@given(rows=st.lists(st.tuples(
+    st.integers(-1, 4), st.integers(0, 2),
+    st.none() | st.tuples(st.sampled_from(BAD_NUMBERS), st.integers(0, 1)),
+), max_size=5))
 def test_load_dataset_location_rows_exact_or_rejected(three_items, rows):
-    """Dropped, duplicated or renumbered rows load as written or raise ValueError."""
+    """Dropped, duplicated, renumbered or non-numeric rows load as written or raise ValueError."""
     with tempfile.TemporaryDirectory() as d:
         save_dataset(three_items, d)
         loc = three_items.locations
-        lines = ["index,x_s,z_s"] + [
-            f"{k},{float(loc[j, 0])!r},{float(loc[j, 1])!r}" for k, j in rows
-        ]
+        lines = ["index,x_s,z_s"]
+        for k, j, bad in rows:
+            xz = [repr(float(loc[j, 0])), repr(float(loc[j, 1]))]
+            if bad is not None:
+                xz[bad[1]] = bad[0]
+            lines.append(f"{k},{xz[0]},{xz[1]}")
         (Path(d) / "locations.csv").write_text("\r\n".join(lines) + "\r\n")
-        if sorted(k for k, _ in rows) == [0, 1, 2]:
+        bad_text = {bad[0] for _, _, bad in rows if bad is not None}
+        if bad_text - {"nan", "inf", "-inf"}:
+            with pytest.raises(ValueError, match="malformed row"):
+                load_dataset(d)
+        elif bad_text:
+            with pytest.raises(ValueError, match="non-finite location"):
+                load_dataset(d)
+        elif sorted(k for k, _, _ in rows) == [0, 1, 2]:
             # each index once: row k holds the item it names, so rows left
             # at their own index load equal to the original
             back = load_dataset(d)
-            np.testing.assert_array_equal(back.locations, loc[[j for _, j in sorted(rows)]])
+            assert back.locations.dtype == np.float64
+            assert np.all(np.isfinite(back.locations))
+            np.testing.assert_array_equal(
+                back.locations, loc[[j for _, j, _ in sorted(rows, key=lambda r: r[0])]]
+            )
         else:
             with pytest.raises(ValueError, match="indices 0..2 once each"):
                 load_dataset(d)
@@ -320,9 +342,13 @@ def _cut_last_field(path: Path) -> None:
          "count 3"),
         (lambda d: _rewrite_manifest(d, count=2), "count 2"),
         (lambda d: _rewrite_manifest(d, grid=[4000.0, 2.0]), "bad dataset manifest"),
+        (lambda d: _rewrite_manifest(
+            d, environment={"depth": 200.0, "sound_speed": math.nan, "receiver_depth": 120.0}
+        ), "sound_speed must be a finite number"),
         (lambda d: _cut_last_field(d / "locations.csv"), "malformed row"),
     ],
-    ids=["non-object", "fewer-files", "count-mismatch", "bad-section", "truncated-row"],
+    ids=["non-object", "fewer-files", "count-mismatch", "bad-section", "nan-sound-speed",
+         "truncated-row"],
 )
 def test_load_dataset_rejects_malformed_directory(tmp_path, three_items, corrupt, match):
     d = save_dataset(three_items, tmp_path / "ds")

@@ -2,14 +2,16 @@
 
 import copy
 import json
+import math
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from aqualoc.autodiff import Tensor, fd_check, value_and_grad
+from aqualoc.autodiff import fd_check, value_and_grad
 from aqualoc.environment import (
     DEFAULT_ENVIRONMENT,
     DEFAULT_REGION,
@@ -18,6 +20,7 @@ from aqualoc.environment import (
     SourceLocation,
     arrival_params,
     gen_dataset,
+    path_geometry,
     synthesize_received,
 )
 from aqualoc.forward import (
@@ -34,8 +37,6 @@ from aqualoc.forward import (
     TrainConfig,
     _ExactFit,
     _length_gram,
-    _length_jacobian_factors,
-    _length_vjp,
     _lm_stage,
     _make_peaks_loss_fn,
     _peak_length_targets,
@@ -43,6 +44,7 @@ from aqualoc.forward import (
     _stage_pulse,
     _stage_signals,
     alpha_tau,
+    alpha_tau_vjp,
     load_checkpoint,
     make_train_loss_fn,
     model_output,
@@ -54,10 +56,11 @@ from aqualoc.pln import (
     InputNormalization,
     PlnArchitecture,
     PlnParams,
+    length_forward,
+    length_vjp,
     path_features,
     pln_init,
     pln_lengths,
-    pln_lengths_t,
 )
 from aqualoc.signals import gaussian_kernel, lowpassed_pulse, smooth_rows
 
@@ -85,22 +88,27 @@ def test_alpha_tau_reference_values():
     )
 
 
-def test_alpha_tau_accepts_tensors():
-    lengths = Tensor(np.array([600.0, 620.0, 660.0]), needs_grad=True)
-    alphas, taus = alpha_tau(lengths, np.array([1.0, -1.0, 1.0]), 1500.0)
-    assert isinstance(alphas, Tensor)
-    np.testing.assert_allclose(taus.value, lengths.value / 1500.0, rtol=1e-15)
+def test_alpha_tau_vjp_closed_form():
+    lengths = np.array([600.0, 620.0, 660.0])
+    rhos = np.array([1.0, -1.0, 1.0])
+    alphas, taus = alpha_tau(lengths, rhos, 1500.0)
+    np.testing.assert_allclose(taus, lengths / 1500.0, rtol=1e-15)
+    g_alpha = np.array([0.3, -0.7, 1.1])
+    g_tau = np.array([2.0, 0.5, -1.5])
+    g_l, g_c = alpha_tau_vjp(lengths, rhos, 1500.0, g_alpha, g_tau)
+    np.testing.assert_allclose(g_l, -g_alpha * rhos / lengths**2 + g_tau / 1500.0, rtol=1e-15)
+    assert g_c == pytest.approx(-float(g_tau @ lengths) / 1500.0**2, rel=1e-15)
 
 
 def test_matched_model_reproduces_synthesis(env, pulse, grid, oracle_received):
     matched = MatchedModel(env, pulse)
-    out = matched.signal_t(None, DEFAULT_SOURCE.x, DEFAULT_SOURCE.z, grid)
-    np.testing.assert_array_equal(out.value, oracle_received.values)
+    out, _ = matched.signal_t(None, DEFAULT_SOURCE.x, DEFAULT_SOURCE.z, grid)
+    np.testing.assert_array_equal(out, oracle_received.values)
 
 
 def test_matched_model_lengths(env, pulse):
     matched = MatchedModel(env, pulse)
-    lens = matched.lengths_t(610.0, 20.0).value
+    lens, _ = path_geometry(matched.env, 610.0, 20.0)
     np.testing.assert_allclose(
         lens, [618.1423784210236, 625.8594091327541, 663.0987860040161], rtol=1e-15
     )
@@ -139,15 +147,15 @@ def test_train_loss_hand_riemann(init_model, grid, small_dataset):
         total += grid.dt * float(np.sum((r - f) ** 2))
     want = total / len(idx)
     loss_fn = make_train_loss_fn(init_model, ds, indices=idx)
-    got = float(loss_fn(Tensor(init_model.pln.values)).value)
+    got = float(loss_fn(init_model.pln.values)[0])
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_train_loss_batch_order_invariant(init_model, small_dataset):
     a = make_train_loss_fn(init_model, small_dataset, indices=np.array([1, 4, 7]))
     b = make_train_loss_fn(init_model, small_dataset, indices=np.array([7, 1, 4]))
-    w = Tensor(init_model.pln.values)
-    assert float(a(w).value) == pytest.approx(float(b(w).value), rel=1e-14)
+    w = init_model.pln.values
+    assert float(a(w)[0]) == pytest.approx(float(b(w)[0]), rel=1e-14)
 
 
 def test_train_loss_rejects_bad_shapes(init_model, small_dataset):
@@ -220,7 +228,7 @@ def test_peaks_loss_gradient_and_floor(init_model, train_dataset):
     loss_fn = _make_peaks_loss_fn(init_model, train_dataset, idx, targets)
     rep = fd_check(loss_fn, init_model.pln.values, n_coords=30, seed=1)
     assert rep.max_rel_error < 1e-6
-    val = float(loss_fn(Tensor(init_model.pln.values)).value)
+    val = float(loss_fn(init_model.pln.values)[0])
     assert val > 0.0
     # perfect predictions zero the loss: make the network's own lengths the
     # targets, with some left unsettled (NaN), which must drop out
@@ -243,24 +251,33 @@ def test_length_gram_matches_autodiff_jacobian(pulse, small_dataset):
         small_dataset.locations[:, 0], small_dataset.locations[:, 1], 120.0, norm
     ).reshape(-1, 5)
     w = params.values
-    jac = np.stack([
-        value_and_grad(lambda t, r=r: pln_lengths_t(t, params, feats)[r], w)[1]
-        for r in range(len(feats))
-    ])
-    lengths, inputs, deltas = _length_jacobian_factors(params, w, feats)
-    np.testing.assert_array_equal(lengths, pln_lengths_t(Tensor(w), params, feats).value)
+    lengths, backward = length_forward(params, w, feats)
+    inputs, deltas = backward()
+    np.testing.assert_array_equal(lengths, pln_lengths(
+        params, small_dataset.locations[:, 0], small_dataset.locations[:, 1], 120.0,
+    ).reshape(-1))
+    # the Jacobian row by row from the factors, anchored on central differences
+    rows = np.eye(len(feats))
+    jac = np.stack([length_vjp(params.layout, inputs, deltas, e) for e in rows])
+    h = 1e-5
+    fd = np.empty_like(jac)
+    for j in range(w.size):
+        step = np.zeros_like(w)
+        step[j] = h
+        fd[:, j] = (length_forward(params, w + step, feats)[0]
+                    - length_forward(params, w - step, feats)[0]) / (2.0 * h)
+    np.testing.assert_allclose(jac, fd, rtol=0.0, atol=1e-9 * np.abs(jac).max())
     jjt = jac @ jac.T
     np.testing.assert_allclose(_length_gram(inputs, deltas), jjt, rtol=0.0,
                                atol=1e-12 * np.abs(jjt).max())
     v = np.random.default_rng(0).normal(size=len(feats))
-    np.testing.assert_allclose(_length_vjp(params.layout, inputs, deltas, v), jac.T @ v,
+    np.testing.assert_allclose(length_vjp(params.layout, inputs, deltas, v), jac.T @ v,
                                rtol=1e-12, atol=1e-12 * np.abs(jac).max())
 
 
 def test_exact_fit_loss_matches_train_loss(init_model, small_dataset):
     fit = _ExactFit(init_model, small_dataset)
-    want = float(make_train_loss_fn(init_model, small_dataset)(
-        Tensor(init_model.pln.values)).value)
+    want = float(make_train_loss_fn(init_model, small_dataset)(init_model.pln.values)[0])
     assert fit.evaluate(init_model.pln.values)["loss"] == pytest.approx(want, rel=1e-12)
 
 
@@ -279,11 +296,11 @@ def test_lm_iteration_lowers_train_loss(init_model, small_dataset, grid):
     # a strongly damped step is a short gradient step: the Gauss-Newton
     # model's predicted drop must then match the actual one
     dw, predicted = fit.step(lin, 1e3)
-    actual = float(loss_fn(Tensor(w0)).value) - float(loss_fn(Tensor(w0 + dw)).value)
+    actual = float(loss_fn(w0)[0]) - float(loss_fn(w0 + dw)[0])
     assert actual == pytest.approx(predicted, rel=0.05)
     w1, losses = _lm_stage(fit, w0, 1)
-    before = float(loss_fn(Tensor(w0)).value)
-    after = float(loss_fn(Tensor(w1)).value)
+    before = float(loss_fn(w0)[0])
+    after = float(loss_fn(w1)[0])
     assert after < 0.9 * before
     assert losses == [pytest.approx(after, rel=1e-12)]
 
@@ -419,6 +436,7 @@ def test_checkpoint_rejects_corruption(tmp_path, init_model):
         load_checkpoint(bad)
 
 
+# numbers include NaN and +/-inf, which json writes as NaN and Infinity
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
@@ -428,9 +446,10 @@ JSON_VALUES = st.recursive(
 CHECKPOINT_SECTIONS = (
     (), ("format_version",), ("architecture",), ("architecture", "hidden"),
     ("architecture", "length_scale"), ("normalization",), ("normalization", "scale"),
+    ("normalization", "shift", 2), ("normalization", "scale", 4),
     ("weights",), ("weights", "W0"), ("weights", "W0", "shape"), ("weights", "b1", "data"),
     ("sound_speed",), ("receiver_depth",), ("adapt_sound_speed",), ("pulse",),
-    ("pulse", "bandwidth"), ("metadata",),
+    ("pulse", "bandwidth"), ("pulse", "center_time"), ("pulse", "amplitude"), ("metadata",),
 )
 
 
@@ -440,12 +459,26 @@ def saved_checkpoint_doc(init_model):
         return json.loads(save_checkpoint(Checkpoint(init_model, {}), Path(d) / "ck.json").read_text())
 
 
+def _finite_numbers(model: ModelParams) -> bool:
+    numbers = [
+        model.sound_speed, model.receiver_depth, model.pln.arch.length_scale,
+        *model.pln.norm.shift, *model.pln.norm.scale, *asdict(model.pulse).values(),
+    ]
+    return all(
+        not isinstance(v, (bool, str)) and math.isfinite(float(v)) for v in numbers
+    ) and bool(np.all(np.isfinite(model.pln.values)))
+
+
 @settings(max_examples=200, deadline=None)
 @example(section=(), value=[1, 2])
 @example(section=("architecture", "hidden"), value=[10**12])
+@example(section=("normalization", "shift"), value=["a", "b", "c", "d", "e"])
+@example(section=("sound_speed",), value=math.nan)
+@example(section=("pulse", "center_time"), value=math.inf)
+@example(section=("weights", "b1", "data"), value="AAAAAAAA+H8=")  # NaN bytes
 @given(section=st.sampled_from(CHECKPOINT_SECTIONS), value=JSON_VALUES)
 def test_load_checkpoint_fails_only_with_checkpoint_error(saved_checkpoint_doc, section, value):
-    """Any JSON value in place of a section loads or raises CheckpointError, never another type."""
+    """Any JSON value in place of a section loads with finite numbers or raises CheckpointError."""
     doc = copy.deepcopy(saved_checkpoint_doc)
     if section:
         parent = doc
@@ -462,9 +495,10 @@ def test_load_checkpoint_fails_only_with_checkpoint_error(saved_checkpoint_doc, 
                 load_checkpoint(path)
             return
         try:
-            load_checkpoint(path)
+            ck = load_checkpoint(path)
         except CheckpointError:
-            pass
+            return
+        assert _finite_numbers(ck.model)
 
 
 def test_network_model_weight_layouts(init_model):

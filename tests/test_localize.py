@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aqualoc.autodiff import Tensor, value_and_grad
+from aqualoc.autodiff import fd_check, value_and_grad
 from aqualoc.environment import (
     DEFAULT_ENVIRONMENT,
     DEFAULT_REGION,
@@ -228,6 +228,20 @@ def test_da_loss_gamma_zero_ignores_anchor(reduced_adapter, oracle_received, rng
     assert da_loss(reduced_adapter, oracle_received, w, TRUE_P, 0.0) == pytest.approx(
         data, rel=1e-12
     )
+
+
+def test_da_objective_with_sound_speed_matches_fd(pulse, oracle_received):
+    # every coordinate of [weights; c / SOUND_SPEED_SCALE; x; z] on an
+    # untrained network, with the selftest's step and tolerance
+    norm = InputNormalization.from_region(DEFAULT_REGION, DEFAULT_ENVIRONMENT)
+    params = pln_init(PlnArchitecture(hidden=(3,)), norm, 0)
+    adapter = NetworkModel(ModelParams(params, 1500.0, 120.0, pulse, adapt_sound_speed=True))
+    objective, nw = _make_objective(adapter, oracle_received, gamma=1.0, adapt_weights=True)
+    assert nw == params.values.size + 1
+    v = np.concatenate([adapter.w_train, TRUE_P + [0.2, -0.1]])
+    report = fd_check(objective, v, h=1e-6, n_coords=None)
+    assert len(report.checked) == v.size
+    assert report.ok(1e-5), f"max rel error {report.max_rel_error:.2e}"
 
 
 # -- adapted localization -------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aqualoc.autodiff import Tensor, fd_check
+from aqualoc.autodiff import fd_check
 from aqualoc.environment import (
     DEFAULT_ENVIRONMENT,
     DEFAULT_REGION,
@@ -17,12 +17,13 @@ from aqualoc.pln import (
     N_INPUTS,
     PlnArchitecture,
     PlnParams,
+    length_forward,
+    length_position_jacobian,
+    length_vjp,
     path_features,
-    path_features_t,
     pln_error_grid,
     pln_init,
     pln_lengths,
-    pln_lengths_t,
 )
 
 
@@ -94,21 +95,23 @@ def test_features_batched_shape(norm):
     assert feats.shape == (4, 2, 3, N_INPUTS)
 
 
-def test_features_t_matches_plain(norm):
-    plain = path_features(617.0, 43.0, 120.0, norm)
-    t = path_features_t(Tensor(617.0), Tensor(43.0), 120.0, norm)
-    np.testing.assert_allclose(t.value, plain, rtol=1e-15)
+def test_features_scalar_matches_batched(norm):
+    # the (3, 5) block the localization adapters build at one position is the
+    # same as that position's rows of a batched training feature matrix
+    batched = path_features(np.array([617.0, 300.0]), np.array([43.0, 5.0]), 120.0, norm)
+    one = path_features(617.0, 43.0, 120.0, norm)
+    np.testing.assert_allclose(one, batched[0], rtol=1e-15)
 
 
-def test_lengths_t_matches_plain_eval(norm, rng):
+def test_length_forward_matches_plain_eval(norm, rng):
     arch = PlnArchitecture(hidden=(8,))
     params = pln_init(arch, norm, 1)
     x = rng.uniform(300.0, 900.0, size=6)
     z = rng.uniform(5.0, 100.0, size=6)
     plain = pln_lengths(params, x, z, 120.0)
     feats = path_features(x, z, 120.0, norm).reshape(-1, N_INPUTS)
-    t = pln_lengths_t(Tensor(params.values), params, feats)
-    np.testing.assert_allclose(t.value.reshape(6, 3), plain, rtol=1e-15)
+    lengths, _ = length_forward(params, params.values, feats)
+    np.testing.assert_allclose(lengths.reshape(6, 3), plain, rtol=1e-15)
 
 
 def test_length_gradient_wrt_weights(norm):
@@ -117,7 +120,8 @@ def test_length_gradient_wrt_weights(norm):
     feats = path_features(610.0, 20.0, 120.0, norm)
 
     def f(w):
-        return pln_lengths_t(w, params, feats).sum()
+        lengths, backward = length_forward(params, w, feats)
+        return lengths.sum(), lambda: length_vjp(params.layout, *backward(), np.ones(3))
 
     rep = fd_check(f, params.values, n_coords=None)
     assert rep.max_rel_error < 1e-6
@@ -126,11 +130,16 @@ def test_length_gradient_wrt_weights(norm):
 def test_length_gradient_wrt_position(norm):
     arch = PlnArchitecture(hidden=(8,))
     params = pln_init(arch, norm, 2)
-    wt = Tensor(params.values, needs_grad=False)
 
     def f(pos):
-        feats = path_features_t(pos[0], pos[1], 120.0, params.norm)
-        return pln_lengths_t(wt, params, feats).sum()
+        feats = path_features(pos[0], pos[1], 120.0, params.norm)
+        lengths, backward = length_forward(params, params.values, feats)
+
+        def grad():
+            _, deltas = backward()
+            return length_position_jacobian(params, params.values, deltas).sum(axis=0)
+
+        return lengths.sum(), grad
 
     rep = fd_check(f, np.array([610.0, 20.0]), n_coords=None)
     assert rep.max_rel_error < 1e-6

@@ -76,13 +76,11 @@ def test_config_validation():
 def test_grad_regularizer_only(small_adapter, grid, rng):
     # data generated by the model at v itself: zero residual kills the data
     # term's gradient exactly, leaving the quadratic anchor alone
-    from aqualoc.autodiff import Tensor
-
     nw = small_adapter.n_weights
     w = small_adapter.w_train + 0.01 * rng.normal(size=nw)
     v = np.concatenate([w, TRUE_P])
-    made = small_adapter.signal_t(Tensor(w, needs_grad=False), TRUE_P[0], TRUE_P[1], grid)
-    received = SampledSignal(grid, made.value)
+    made, _ = small_adapter.signal_t(w, TRUE_P[0], TRUE_P[1], grid)
+    received = SampledSignal(grid, made)
     gamma = 7.0
     g = make_grad_fn(small_adapter, received, gamma)(v)
     expect_w = gamma * (w - small_adapter.w_train)
