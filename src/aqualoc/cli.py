@@ -3,9 +3,9 @@
 Subcommands: gen-data, train, localize, sweep-snr, sweep-mismatch, crlb,
 verify-theorem, selftest. Each reads an optional JSON config (--config) whose
 recognized keys depend on the subcommand; --seed, --trials, and --out override
-the corresponding config entries. Relative data paths resolve under
-AQUALOC_DATA_DIR when it is set. Exit codes: 0 success, 2 configuration
-error, 3 runtime failure.
+its seed, trials, and out_dir entries, on the subcommands that read them.
+Relative data paths resolve under AQUALOC_DATA_DIR when it is set. Exit
+codes: 0 success, 2 configuration error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def _cmd_train(args, doc: dict) -> int:
 
 def _cmd_localize(args, doc: dict) -> int:
     allowed = _SCENE_KEYS | {
-        "checkpoint", "method", "gamma", "snr_db", "mismatch_m", "seed", "out_dir",
+        "checkpoint", "method", "gamma", "snr_db", "mismatch_m", "seed",
     }
     _check_keys(doc, allowed, "localize")
     doc = _apply_overrides(doc, args)
@@ -242,8 +242,7 @@ def _cmd_sweep_mismatch(args, doc: dict) -> int:
 
 
 def _cmd_crlb(args, doc: dict) -> int:
-    _check_keys(doc, _SCENE_KEYS | {"snr_db_list", "seed", "out_dir"}, "crlb")
-    doc = _apply_overrides(doc, args)
+    _check_keys(doc, _SCENE_KEYS | {"snr_db_list"}, "crlb")
     env, source, pulse, grid, _ = _scene_from(doc)
     snrs = doc.get("snr_db_list", [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
     clean = synthesize_received(env, source, pulse, grid)
@@ -412,15 +411,18 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--out", default=None)
+        # an override flag only where its config entry is read
+        if name not in ("crlb", "selftest"):
+            p.add_argument("--seed", type=int, default=None)
+        if name in ("gen-data", "train", "sweep-snr", "sweep-mismatch", "verify-theorem"):
+            p.add_argument("--out", default=None)
         if name in ("train",):
             p.add_argument("--dataset", default=None)
             p.add_argument("--reduced", action="store_true")
         if name in ("localize", "sweep-snr", "sweep-mismatch", "verify-theorem"):
             p.add_argument("--checkpoint", default=None)
         if name in ("sweep-snr", "sweep-mismatch"):
+            p.add_argument("--trials", type=int, default=None)
             p.add_argument("--timing", action="store_true")
     return parser
 

@@ -204,6 +204,9 @@ class Region:
     z_max: float
 
     def __post_init__(self) -> None:
+        require_finite(
+            "region", x_min=self.x_min, x_max=self.x_max, z_min=self.z_min, z_max=self.z_max
+        )
         if not (0.0 < self.x_min < self.x_max):
             raise ValueError(f"need 0 < x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if not (0.0 < self.z_min < self.z_max):

@@ -546,7 +546,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 12800
     seed: int = 0
-    smoothing: tuple[tuple[str, float, float, float], ...] = DEFAULT_SMOOTHING
 
     def __post_init__(self) -> None:
         if self.lr < 0.0:
@@ -555,26 +554,13 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        kinds = {STAGE_PEAKS, STAGE_LOWPASS, STAGE_EXACT}
-        for kind, sigma, _frac, lr_scale in self.smoothing:
-            if kind not in kinds:
-                raise ValueError(f"unknown stage kind {kind!r}")
-            if kind in (STAGE_PEAKS, STAGE_EXACT) and sigma != 0.0:
-                raise ValueError(f"{kind} stages must use sigma 0")
-            if kind == STAGE_LOWPASS and sigma <= 0.0:
-                raise ValueError(f"{kind} stages need sigma > 0, got {sigma}")
-            if lr_scale <= 0.0:
-                raise ValueError(f"lr_scale must be positive, got {lr_scale}")
-        if abs(sum(f for _, _, f, _ in self.smoothing) - 1.0) > 1e-9:
-            raise ValueError("smoothing stage fractions must sum to 1")
-        if self.smoothing[-1][0] != STAGE_EXACT:
-            raise ValueError("the last smoothing stage must be exact")
 
     def stage_epochs(self) -> list[tuple[str, float, int, float]]:
+        """The epoch budget split over DEFAULT_SMOOTHING: (kind, sigma, epochs, lr scale)."""
         out = []
         used = 0
-        for i, (kind, sigma, frac, lr_scale) in enumerate(self.smoothing):
-            if i == len(self.smoothing) - 1:
+        for i, (kind, sigma, frac, lr_scale) in enumerate(DEFAULT_SMOOTHING):
+            if i == len(DEFAULT_SMOOTHING) - 1:
                 n = self.epochs - used
             else:
                 n = int(round(frac * self.epochs))
@@ -672,7 +658,7 @@ def pretrain(
 ) -> Checkpoint:
     """Fit the network end to end on recorded waveforms.
 
-    Follows the coarse-to-fine schedule in cfg.smoothing: minibatch Adam for
+    Follows the coarse-to-fine schedule DEFAULT_SMOOTHING: minibatch Adam for
     the peaks and lowpass stages (moments reset at stage boundaries, each
     stage at its own scaled, hold-then-decay learning rate), then
     Levenberg-Marquardt on the exact loss, which stops before its epoch
@@ -734,7 +720,7 @@ def pretrain(
         "epochs": cfg.epochs,
         "lr": cfg.lr,
         "batch_size": cfg.batch_size,
-        "smoothing": [list(s) for s in cfg.smoothing],
+        "smoothing": [list(s) for s in DEFAULT_SMOOTHING],
         "dataset_count": dataset.count,
         "dataset_seed": dataset.seed,
         "initial_loss": initial_loss,

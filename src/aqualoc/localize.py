@@ -10,7 +10,7 @@ against a quadratic prior anchored at their trained values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -196,16 +196,29 @@ def toa_init(
 # Gradient-based localization
 # ---------------------------------------------------------------------------
 
+# Descent constants: the gradient exit (relative to the initial norm), the
+# base position and weight steps, and the Armijo backtracking line search.
+# Capture passes stop after CAPTURE_MAX_ITER iterations: the smoothed
+# landscapes contract in tens.
+GRAD_TOL_REL = 1e-8
+BASE_STEP_P = 0.1
+BASE_STEP_W = 1e-3
+ARMIJO_C1 = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 30
+CAPTURE_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class GblConfig:
     """Settings for the projected backtracking descent.
 
-    Position steps are preconditioned by the inverse square root of the
-    Gauss-Newton curvature of each coordinate (calibrated once at the start
-    unless `p_scales` is given), so `base_step_p` acts on coordinates with
-    comparable curvature. The weight step is normalized once by the initial
-    weight-gradient sup norm.
+    Every phase calibrates its position preconditioning at its starting
+    point: each coordinate's step is scaled by the inverse square root of
+    its Gauss-Newton curvature, so `BASE_STEP_P` acts on coordinates with
+    comparable curvature. A phase ends after `max_iter` iterations or once
+    an accepted position step is shorter than `step_tol_m`; with `region`
+    set, every candidate position is clipped into it.
 
     The exact misfit oscillates at the carrier scale, so its attraction
     basin is only about half a wavelength wide. Before the exact descent,
@@ -217,14 +230,7 @@ class GblConfig:
     """
 
     max_iter: int = 500
-    grad_tol_rel: float = 1e-8
     step_tol_m: float = 1e-4
-    base_step_p: float = 0.1
-    base_step_w: float = 1e-3
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 30
-    p_scales: tuple[float, float] | None = None
     region: Region | None = None
     smooth_sigmas: tuple[float, ...] = (2e-3, 1e-3, 5e-4)
 
@@ -243,15 +249,16 @@ class LocalizeResult:
 
     All fields describe the final exact-objective descent (capture passes
     only move the starting point). `converged` means that descent ended by
-    meeting a configured tolerance: either the preconditioned gradient norm
-    fell below `grad_tol_rel` times its initial value, or the accepted
+    meeting a tolerance: either the preconditioned gradient norm
+    fell below `GRAD_TOL_REL` times its initial value, or the accepted
     position step shrank below `step_tol_m` (the natural endpoint of a
     contracting iteration; the loss landscape's curvature puts the 1e-8
     gradient ratio below what float64 loss differences can resolve, so the
     step floor is the usual exit). Runs stopped by a failed line search or
     the iteration cap report `converged=False`; the trigger is always in
-    `exit_reason`. `p_scales` records the preconditioning actually used,
-    so the reported `grad_norm` can be recomputed from `p_hat`/`w_hat`.
+    `exit_reason`. `p_scales` records the preconditioning calibrated at the
+    start of the exact descent, so the reported `grad_norm` can be
+    recomputed from `p_hat`/`w_hat`.
     """
 
     p_hat: np.ndarray
@@ -330,9 +337,9 @@ def _p_curvature(adapter, w, p, grid) -> np.ndarray:
     return curv
 
 
-def _calibrate_p_scales(adapter, w, p, grid) -> tuple[float, float]:
+def _calibrate_p_scales(adapter, p, grid) -> tuple[float, float]:
     """Per-coordinate 1/sqrt(Gauss-Newton curvature) of the model signal."""
-    return tuple(1.0 / math.sqrt(c) if c > 0.0 else 1.0 for c in _p_curvature(adapter, w, p, grid))
+    return tuple(1.0 / math.sqrt(c) if c > 0.0 else 1.0 for c in _p_curvature(adapter, None, p, grid))
 
 
 def _signal_values(adapter, w: np.ndarray | None, p: np.ndarray, grid) -> np.ndarray:
@@ -340,30 +347,36 @@ def _signal_values(adapter, w: np.ndarray | None, p: np.ndarray, grid) -> np.nda
 
 
 def _descend(
-    objective, v0: np.ndarray, nw: int, cfg: GblConfig, p_scales, w_step_cap: float = math.inf
+    adapter, received: SampledSignal, p0: np.ndarray, gamma: float | None, max_iter: int,
+    cfg: GblConfig,
 ) -> LocalizeResult:
-    scales = np.ones_like(v0)
-    scales[nw] = p_scales[0]
-    scales[nw + 1] = p_scales[1]
+    """One projected backtracking descent from p0.
 
-    def value_at(v: np.ndarray) -> float:
-        return float(objective(v)[0])
+    It moves the position only, or with `gamma` given the adapter's weights
+    too, anchored at their trained values. The line search evaluates each
+    candidate once; the accepted one's gradient comes from that same
+    forward pass.
+    """
+    objective, nw = _make_objective(adapter, received, gamma or 0.0, gamma is not None)
+    p_scales = _calibrate_p_scales(adapter, p0, received.grid)
+    scales = np.ones(nw + 2)
+    scales[nw:] = p_scales
 
-    v = v0.astype(np.float64).copy()
+    v = np.concatenate([adapter.w_train, p0]) if nw else p0.astype(np.float64)
     loss, g = value_and_grad(objective, v)
-    g0 = float(np.linalg.norm(scales * g))
-    tol = cfg.grad_tol_rel * g0
+    tol = GRAD_TOL_REL * float(np.linalg.norm(scales * g))
     eta_w = 0.0
     if nw:
         gw_inf = float(np.max(np.abs(g[:nw])))
-        eta_w = cfg.base_step_w / gw_inf if gw_inf > 0.0 else 0.0
-        # the anchor term alone has curvature gamma, so steps beyond ~1/gamma
-        # only burn line-search halvings
-        eta_w = min(eta_w, w_step_cap)
+        eta_w = BASE_STEP_W / gw_inf if gw_inf > 0.0 else 0.0
+        if gamma > 0.0:
+            # the anchor term alone has curvature gamma, so steps beyond
+            # ~1/gamma only burn line-search halvings
+            eta_w = min(eta_w, 0.9 / gamma)
 
     exit_reason = "max_iter"
     n_iter = 0
-    for _ in range(cfg.max_iter):
+    for _ in range(max_iter):
         gn = float(np.linalg.norm(scales * g))
         if gn <= tol:
             exit_reason = "gradient"
@@ -371,29 +384,28 @@ def _descend(
         d = np.empty_like(v)
         if nw:
             d[:nw] = -eta_w * g[:nw]
-        d[nw] = -cfg.base_step_p * p_scales[0] ** 2 * g[nw]
-        d[nw + 1] = -cfg.base_step_p * p_scales[1] ** 2 * g[nw + 1]
+        d[nw] = -BASE_STEP_P * p_scales[0] ** 2 * g[nw]
+        d[nw + 1] = -BASE_STEP_P * p_scales[1] ** 2 * g[nw + 1]
         g_dot_d = float(g @ d)
         if g_dot_d >= 0.0:
             exit_reason = "stall"
             break
         t = 1.0
-        accepted = None
-        for _bt in range(cfg.max_backtracks + 1):
+        for _bt in range(MAX_BACKTRACKS + 1):
             cand = v + t * d
             if cfg.region is not None:
                 cand[nw], cand[nw + 1] = cfg.region.clip(cand[nw], cand[nw + 1])
-            cand_loss = value_at(cand)
-            if cand_loss <= loss + cfg.armijo_c1 * t * g_dot_d:
-                accepted = (cand, cand_loss)
+            evaluated = objective(cand)
+            if float(evaluated[0]) <= loss + ARMIJO_C1 * t * g_dot_d:
                 break
-            t *= cfg.backtrack
-        if accepted is None:
+            t *= BACKTRACK
+        else:
             exit_reason = "stall"
             break
-        step_p = float(np.max(np.abs(accepted[0][nw:] - v[nw:])))
-        v, loss = accepted
-        loss, g = value_and_grad(objective, v)
+        step_p = float(np.max(np.abs(cand[nw:] - v[nw:])))
+        v = cand
+        # reuse the candidate's forward pass: only the backward pass runs here
+        loss, g = value_and_grad(lambda _: evaluated, v)
         n_iter += 1
         if step_p < cfg.step_tol_m:
             exit_reason = "step"
@@ -402,43 +414,39 @@ def _descend(
     gn = float(np.linalg.norm(scales * g))
     if exit_reason == "max_iter" and gn <= tol:
         exit_reason = "gradient"
-    converged = exit_reason in ("gradient", "step")
     return LocalizeResult(
         p_hat=v[nw:].copy(),
         w_hat=v[:nw].copy() if nw else None,
-        converged=converged,
+        converged=exit_reason in ("gradient", "step"),
         n_iter=n_iter,
         loss=loss,
         grad_norm=gn,
         grad_tol=tol,
         exit_reason=exit_reason,
+        gamma=0.0 if gamma is None else gamma,
         p_scales=(float(p_scales[0]), float(p_scales[1])),
     )
 
 
-def _capture_seed(received: SampledSignal, adapter, p0: np.ndarray, cfg: GblConfig) -> np.ndarray:
-    """Walk the seed into the exact objective's carrier-scale basin.
+def _localize(
+    received: SampledSignal, adapter, p0: np.ndarray, gamma: float | None, cfg: GblConfig
+) -> LocalizeResult:
+    """The capture passes, then the exact descent that gives every diagnostic.
 
-    Runs one position-only descent per smoothing width, on the misfit
-    between the lowpassed recording and the adapter driven by the matching
-    lowpassed pulse. The weights stay at their trained values: weight
+    Each capture pass is a position-only descent of the misfit between the
+    lowpassed recording and the adapter driven by the matching lowpassed
+    pulse. The weights stay at their trained values there: weight
     corrections are a fine-scale refinement and belong to the exact phase.
-    Each pass is capped well below the exact descent's budget because the
-    smoothed landscapes contract in tens of iterations.
     """
-    p = p0
-    if not cfg.smooth_sigmas:
-        return p
-    phase_cfg = replace(cfg, max_iter=min(cfg.max_iter, 100))
+    p = np.asarray(p0, dtype=np.float64)
     for sigma in cfg.smooth_sigmas:
         rows = smooth_rows(received.values[np.newaxis, :], sigma, received.grid.dt)
-        r_s = SampledSignal(received.grid, rows[0])
-        a_s = adapter.with_pulse(lowpassed_pulse(adapter.pulse, sigma))
-        objective, _ = _make_objective(a_s, r_s, 0.0, adapt_weights=False)
-        w_ref = a_s.w_train if a_s.n_weights else None
-        scales = cfg.p_scales or _calibrate_p_scales(a_s, w_ref, p, received.grid)
-        p = _descend(objective, p, 0, phase_cfg, scales).p_hat
-    return p
+        smoothed = adapter.with_pulse(lowpassed_pulse(adapter.pulse, sigma))
+        p = _descend(
+            smoothed, SampledSignal(received.grid, rows[0]), p, None,
+            min(cfg.max_iter, CAPTURE_MAX_ITER), cfg,
+        ).p_hat
+    return _descend(adapter, received, p, gamma, cfg.max_iter, cfg)
 
 
 def gbl(
@@ -454,12 +462,7 @@ def gbl(
     capture passes (see GblConfig) and then descends the exact objective,
     which produces every reported diagnostic.
     """
-    p0 = np.asarray(p0, dtype=np.float64)
-    p_start = _capture_seed(received, adapter, p0, cfg)
-    objective, _ = _make_objective(adapter, received, 0.0, adapt_weights=False)
-    w_ref = adapter.w_train if adapter.n_weights else None
-    p_scales = cfg.p_scales or _calibrate_p_scales(adapter, w_ref, p_start, received.grid)
-    return _descend(objective, p_start, 0, cfg, p_scales)
+    return _localize(received, adapter, p0, None, cfg)
 
 
 def da_gbl(
@@ -473,21 +476,10 @@ def da_gbl(
 
     The position seed goes through the same capture passes as `gbl` (with
     the weights frozen) before the joint exact descent starts from the
-    trained weights and the captured position.
+    trained weights and the captured position. An adapter without weights
+    descends over position only, as `gbl` does.
     """
-    if adapter.n_weights == 0:
-        result = gbl(received, adapter, p0, cfg)
-        result.gamma = gamma
-        return result
-    p0 = np.asarray(p0, dtype=np.float64)
-    p_start = _capture_seed(received, adapter, p0, cfg)
-    objective, nw = _make_objective(adapter, received, gamma, adapt_weights=True)
-    v0 = np.concatenate([adapter.w_train, p_start])
-    p_scales = cfg.p_scales or _calibrate_p_scales(adapter, adapter.w_train, p_start, received.grid)
-    w_step_cap = 0.9 / gamma if gamma > 0.0 else math.inf
-    result = _descend(objective, v0, nw, cfg, p_scales, w_step_cap)
-    result.gamma = gamma
-    return result
+    return _localize(received, adapter, p0, gamma, cfg)
 
 
 # ---------------------------------------------------------------------------

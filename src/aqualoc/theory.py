@@ -48,6 +48,18 @@ class EnvPerturbation:
         )
 
 
+# Probe budgets of the verification run: points on the xi ray, the
+# finite-difference step relative to the cube radius, Hessian points in the
+# cube, depth offsets (m, each probed with both signs) and points of the
+# Lipschitz probe, and Newton polishing iterations.
+KAPPA_POINTS = 33
+FD_REL = 1e-2
+CUBE_SAMPLES = 8
+LIPSCHITZ_DEPTHS = (0.5, 1.0, 2.0, 4.0)
+LIPSCHITZ_POINTS = 3
+NEWTON_ITERS = 8
+
+
 @dataclass(frozen=True)
 class TheoremConfig:
     """Knobs for the verification run.
@@ -61,22 +73,14 @@ class TheoremConfig:
     """
 
     sigma: float = 0.1
-    kappa_points: int = 33
-    fd_rel: float = 1e-2
-    cube_samples: int = 8
-    lipschitz_depths: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-    lipschitz_points: int = 3
     curvature_target: float = 1.5
     path_shift_budget_m: float = 0.25
     gamma: float = 10.0
     seed: int = 0
-    newton_iters: int = 8
 
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.kappa_points < 8 or self.cube_samples < 8:
-            raise ValueError("kappa_points and cube_samples must be >= 8")
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +386,16 @@ def verify_theorem(
     slopes = np.max(np.abs([v0_raw[nw] / lengths, s_dz / lengths]), axis=1)
     shift_per_sigma = float(slopes @ u_p)
     sigma_used = min(cfg.sigma, cfg.path_shift_budget_m / shift_per_sigma)
-    h_fd = cfg.fd_rel * sigma_used
+    h_fd = FD_REL * sigma_used
 
     vt0 = v0_raw / scales
     vt0, polish_grad_norm = _newton_polish(
-        grad_norm_fn, vt0, h_fd, cfg.newton_iters, max_step=0.5 * sigma_used
+        grad_norm_fn, vt0, h_fd, NEWTON_ITERS, max_step=0.5 * sigma_used
     )
     v0_raw = to_raw(vt0)
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
-    lam = estimate_lambda(grad_norm_fn, vt0, sigma_used, h_fd, cfg.cube_samples, rng)
+    lam = estimate_lambda(grad_norm_fn, vt0, sigma_used, h_fd, CUBE_SAMPLES, rng)
     lambda_center = float(np.linalg.eigvalsh(lam.hessian_center)[0])
 
     def grad_fn_for_depth(d: float):
@@ -404,9 +408,9 @@ def verify_theorem(
 
     v_samples = [vt0] + [
         vt0 + sigma_used * rng.uniform(-1.0, 1.0, vt0.size)
-        for _ in range(cfg.lipschitz_points - 1)
+        for _ in range(LIPSCHITZ_POINTS - 1)
     ]
-    depth_steps = [s * d for d in cfg.lipschitz_depths for s in (1.0, -1.0)]
+    depth_steps = [s * d for d in LIPSCHITZ_DEPTHS for s in (1.0, -1.0)]
     lip = estimate_lipschitz(grad_fn_for_depth, v_samples, depth_steps)
 
     convexity_ok = lam.lambda_hat > 0.0 and lambda_center > 0.0
@@ -443,7 +447,7 @@ def verify_theorem(
         )
 
     direction = np.linalg.solve(lam.hessian_center, np.ones(n_total))
-    xi = estimate_xi(grad_norm_fn, vt0, direction, sigma_used, cfg.kappa_points)
+    xi = estimate_xi(grad_norm_fn, vt0, direction, sigma_used, KAPPA_POINTS)
 
     theta = min(sigma_used, 1.0 / xi.xi_hat) if xi.xi_hat > 0.0 else sigma_used
     rho_cube = theta * float(np.max(np.abs(direction)))
@@ -464,7 +468,7 @@ def verify_theorem(
         return scales * raw_grad_eps(to_raw(vt))
 
     vt_eps, _ = _newton_polish(
-        grad_norm_eps, v_eps_raw / scales, h_fd, cfg.newton_iters, max_step=0.5 * sigma_used
+        grad_norm_eps, v_eps_raw / scales, h_fd, NEWTON_ITERS, max_step=0.5 * sigma_used
     )
     displacement = float(np.linalg.norm(vt0 - vt_eps))
     dp_m = np.abs(to_raw(vt0)[nw:] - to_raw(vt_eps)[nw:])

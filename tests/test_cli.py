@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, config handling, artifacts, overrides."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -58,6 +59,41 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, "extra.json", {"snr_bd_list": [20.0]})
     assert main(["crlb", "--config", path]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crlb", "--trials", "3"],
+        ["crlb", "--seed", "1"],
+        ["crlb", "--out", "table.csv"],
+        ["selftest", "--seed", "1"],
+        ["localize", "--trials", "3"],
+        ["localize", "--out", "result.json"],
+    ],
+)
+def test_override_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert argv[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [("crlb", {"seed": 1}), ("crlb", {"out_dir": "x"}), ("localize", {"out_dir": "x"})],
+)
+def test_config_key_the_subcommand_does_not_read_exits_2(tmp_path, capsys, command, doc):
+    path = write_config(tmp_path, "c.json", doc)
+    assert main([command, "--config", path]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["localize", "gen-data"])
+def test_infinite_region_bound_exits_2(tmp_path, capsys, command):
+    region = {"x_min": 300.0, "x_max": math.inf, "z_min": 5.0, "z_max": 100.0}
+    doc = {"region": region, **({"out_dir": str(tmp_path / "ds")} if command == "gen-data" else {})}
+    path = write_config(tmp_path, "r.json", doc)
+    assert main([command, "--config", path]) == 2
+    assert "bad scene section" in capsys.readouterr().err
 
 
 # -- crlb ---------------------------------------------------------------------------

@@ -364,6 +364,15 @@ def test_region_validation_and_clip():
     assert r.clip(1000.0, 1.0) == (900.0, 5.0)
 
 
+@pytest.mark.parametrize(
+    "bound", [{"x_max": math.inf}, {"z_min": -math.inf}, {"x_min": math.nan}, {"z_max": True}],
+    ids=["inf", "-inf", "nan", "bool"],
+)
+def test_region_rejects_nonfinite_and_bool_bounds(bound):
+    with pytest.raises(ValueError, match="region .* must be a finite number"):
+        Region(**{"x_min": 300.0, "x_max": 900.0, "z_min": 5.0, "z_max": 100.0, **bound})
+
+
 def test_dataset_shape_validation(env, pulse, grid):
     with pytest.raises(ValueError):
         Dataset(env, pulse, grid, 0, np.zeros((3, 2)), np.zeros((2, grid.n_samples)))

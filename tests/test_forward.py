@@ -321,18 +321,6 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(smoothing=(("mystery", 0.0, 1.0, 1.0),))
-    with pytest.raises(ValueError):
-        TrainConfig(smoothing=((STAGE_PEAKS, 1e-3, 1.0, 1.0),))
-    with pytest.raises(ValueError):
-        TrainConfig(smoothing=((STAGE_LOWPASS, 0.0, 0.5, 1.0), (STAGE_EXACT, 0.0, 0.5, 1.0)))
-    with pytest.raises(ValueError):
-        TrainConfig(smoothing=((STAGE_EXACT, 0.0, 0.9, 1.0),))
-    with pytest.raises(ValueError):
-        TrainConfig(smoothing=((STAGE_PEAKS, 0.0, 0.5, 1.0), (STAGE_EXACT, 0.0, 0.5, 0.0)))
-    with pytest.raises(ValueError):
-        TrainConfig(smoothing=((STAGE_EXACT, 0.0, 0.5, 1.0), (STAGE_PEAKS, 0.0, 0.5, 1.0)))
 
 
 def test_stage_epochs_partition():

@@ -186,6 +186,33 @@ def test_gbl_config_rejects_bad_smoothing():
         GblConfig(smooth_sigmas=(1e-3, 2e-3))
 
 
+def test_descent_evaluates_each_point_once(env, pulse, oracle_received):
+    # near the optimum every first line-search candidate is accepted, so the
+    # forward passes are 4 for the curvature calibration, 1 for the initial
+    # point and 1 per candidate, and only accepted points are differentiated
+    model = MatchedModel(env, pulse)
+    signal_t = model.signal_t
+    points, backward = [], []
+
+    def counted(w, x, z, grid):
+        points.append((x, z))
+        f, vjp = signal_t(w, x, z, grid)
+
+        def counted_vjp(g_f):
+            backward.append((x, z))
+            return vjp(g_f)
+
+        return f, counted_vjp
+
+    model.signal_t = counted
+    cfg = GblConfig(smooth_sigmas=(), max_iter=3)
+    res = gbl(oracle_received, model, TRUE_P + [0.01, 0.005], cfg)
+    assert res.n_iter == 3
+    assert len(backward) == 1 + res.n_iter
+    assert len(points) == 4 + 1 + res.n_iter
+    assert len(set(points)) == len(points)
+
+
 def test_gbl_argmin_consistency(matched, oracle_received, rng):
     res = gbl(oracle_received, matched, TRUE_P + [5.0, 2.0])
     best = da_loss(matched, oracle_received, None, res.p_hat, 0.0)

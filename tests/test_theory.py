@@ -64,10 +64,6 @@ def test_perturbation_rejects_nonfinite():
 def test_config_validation():
     with pytest.raises(ValueError):
         TheoremConfig(sigma=0.0)
-    with pytest.raises(ValueError):
-        TheoremConfig(kappa_points=4)
-    with pytest.raises(ValueError):
-        TheoremConfig(cube_samples=4)
 
 
 # -- gradient of the adaptation objective --------------------------------------
