@@ -4,8 +4,10 @@ Position -> path lengths -> (alpha, tau) -> pulse superposition -> loss is
 differentiated link by link: each link returns its value together with a
 vector-Jacobian product (vjp) that maps a cotangent of its output back to its
 inputs. A loss function takes a flat parameter vector and returns its value
-and a closure computing the gradient, so value-only callers (line searches,
-finite differences) never run the backward part.
+and a closure computing the gradient, so value-only callers (finite
+differences) never run the backward part. Every waveform fit runs the one
+Levenberg-Marquardt loop `lm_trials` through the lengths, with the
+waveform's length Jacobian on the arrival windows.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .environment import RHOS
 from .signals import AnalyticPulse, TimeGrid, eval_pulse_dt, superpose_arrivals
+
+# Levenberg-Marquardt relative damping: where every fit starts, and the
+# ceiling above which a step is a vanishing gradient step (a fit failing there has stalled)
+LAM_INIT = 1e-3
+LAM_MAX = 1e8
 
 
 class NumericOverflowError(ArithmeticError):
@@ -28,17 +36,19 @@ def window_dt(pulse: AnalyticPulse, u: np.ndarray) -> np.ndarray:
     return eval_pulse_dt(pulse, u + pulse.center_time)
 
 
-def superpose(alpha: np.ndarray, tau: np.ndarray, pulse: AnalyticPulse, grid: TimeGrid):
+def superpose(alpha: np.ndarray, tau: np.ndarray, pulse: AnalyticPulse, grid: TimeGrid,
+              return_parts: bool = False):
     """signals.superpose_arrivals plus its vjp to (alpha, tau).
 
     Forward arithmetic is shared bit-for-bit with the plain synthesis kernel.
     The vjp reads the output cotangent on each arrival's window: its dot
     product with the pulse window gives d/d alpha, and with the analytic
-    pulse derivative (times -alpha) gives d/d tau.
+    pulse derivative (times -alpha) gives d/d tau. With return_parts=True
+    the arrival windows (pad, start, u, window) come back third.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)
-    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(tau))):
+    if not (np.isfinite(alpha).all() and np.isfinite(tau).all()):
         raise NumericOverflowError("non-finite arrival parameters entering superpose")
     out, (pad, start, u, window) = superpose_arrivals(
         alpha, tau, pulse, grid, return_parts=True
@@ -55,7 +65,89 @@ def superpose(alpha: np.ndarray, tau: np.ndarray, pulse: AnalyticPulse, grid: Ti
         g_tau = -np.atleast_2d(alpha) * np.einsum("bim,bim->bi", g_win, window_dt(pulse, u))
         return g_alpha.reshape(alpha.shape), g_tau.reshape(tau.shape)
 
+    if return_parts:
+        return out, vjp, (pad, start, u, window)
     return out, vjp
+
+
+def alpha_tau(lengths, rhos, sound_speed):
+    """Amplitude rho / l and delay l / c for path lengths."""
+    return rhos / lengths, lengths / sound_speed
+
+
+def alpha_tau_vjp(lengths, rhos, sound_speed, g_alpha, g_tau):
+    """Cotangents of (alpha, tau) pulled back to the lengths."""
+    return -g_alpha * rhos / lengths**2 + g_tau / sound_speed
+
+
+def arrival_signal(lengths: np.ndarray, sound_speed: float, pulse: AnalyticPulse, grid: TimeGrid):
+    """The chain lengths -> (alpha, tau) -> waveform: (f, (alphas, pad, start, u, window))."""
+    alphas, taus = alpha_tau(lengths, RHOS, sound_speed)
+    f, _, parts = superpose(alphas, taus, pulse, grid, return_parts=True)
+    return f, (alphas, *parts)
+
+
+def window_index(pad: int, start: np.ndarray, w_len: int, n: int):
+    """Grid index of every arrival-window sample, clipped into the grid, and whether it is on it."""
+    at = start[:, :, None] + np.arange(w_len) - pad
+    inside = (at >= 0) & (at < n)
+    # np.minimum/np.maximum rather than np.clip, whose wrapper costs more than this work
+    return np.minimum(np.maximum(at, 0), n - 1), inside
+
+
+def on_windows(x: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Each item's window samples x[k, j] read on the samples of its window i.
+
+    x is (count, paths, w_len) with window j starting at start[k, j]; entry
+    [k, i, j, m] is x[k, j] at window i's sample m, zero where the windows do
+    not overlap (the zero padding absorbs offsets of a whole window or more).
+    """
+    count, n_paths, w_len = x.shape
+    padded = np.zeros((count * n_paths, 3 * w_len))
+    padded[:, w_len : 2 * w_len] = x.reshape(count * n_paths, w_len)
+    # window j's lag after window i; a lag of a whole window or more reads only padding
+    offset = np.minimum(np.maximum(start[:, None, :] - start[:, :, None], -w_len), w_len)
+    shifted = np.arange(w_len) - offset[..., None] + w_len
+    rows = np.arange(count * n_paths).reshape(count, 1, n_paths, 1) * (3 * w_len)
+    return padded.ravel()[rows + shifted]
+
+
+def length_normal_equations(pulse, sound_speed, lengths, alphas, u, window, inside, e_win, start):
+    """G^T e (count, 3; None without e_win) and G^T G (count, 3, 3) per item, e on the windows.
+
+    G = df / dl on the arrival windows, d(alpha s(t - tau)) / dl through
+    alpha = rho / l and tau = l / c, zero on window samples off the grid.
+    """
+    dwindow = window_dt(pulse, u)
+    g_win = -(alphas / lengths)[:, :, None] * window
+    g_win -= (alphas / sound_speed)[:, :, None] * dwindow
+    g_win *= inside
+    gte = None if e_win is None else np.einsum("kim,kim->ki", g_win, e_win)
+    return gte, np.einsum("kim,kijm->kij", g_win, on_windows(g_win, start))
+
+
+def lm_trials(fit, lin: dict):
+    """Levenberg-Marquardt trial steps from the linearized point `lin`, without end.
+
+    fit.step(lin, lam) gives the step at relative damping lam and its
+    predicted loss drop, fit.evaluate(v) a point (its vector point["v"] and
+    loss) and fit.linearize(point) what the next step needs. The damping
+    follows the gain ratio (Marquardt 1963; Nielsen 1999). Yields
+    (lin, lam, accepted) after each trial, lin the trial's if accepted.
+    """
+    lam, nu = LAM_INIT, 2.0
+    while True:
+        dv, predicted = fit.step(lin, lam)
+        trial = fit.evaluate(lin["v"] + dv)
+        gain = (lin["loss"] - trial["loss"]) / predicted if predicted > 0.0 else -1.0
+        if gain > 0.0:
+            lin = fit.linearize(trial)
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+        else:
+            lam *= nu
+            nu *= 2.0
+        yield lin, lam, gain > 0.0
 
 
 @dataclass(frozen=True)
@@ -111,7 +203,7 @@ def value_and_grad(loss_fn, at: np.ndarray) -> tuple[float, np.ndarray]:
     if not math.isfinite(value):
         raise NumericOverflowError("non-finite value during forward pass")
     g = grad()
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericOverflowError("non-finite gradient during backward pass")
     return value, g
 

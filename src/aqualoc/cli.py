@@ -45,7 +45,7 @@ from .harness import (
     parse_scene,
     run_and_write,
 )
-from .localize import ToaInitError, crlb, da_gbl, gbl, toa_init
+from .localize import ToaInitError, crlb, da_gbl, gbl, require_gamma, toa_init
 from .pln import DEFAULT_HIDDEN, REDUCED_HIDDEN, PlnArchitecture
 from .signals import NoiseSpec, TimeGrid, add_awgn, make_pulse, snr_to_n0
 from .theory import EnvPerturbation, TheoremConfig, verify_theorem
@@ -167,7 +167,7 @@ def _cmd_localize(args, doc: dict) -> int:
         doc["checkpoint"] = args.checkpoint
     env_train, source, pulse, grid, region = _scene_from(doc)
     method = doc.get("method", METHOD_GBL_MATCHED)
-    gamma = float(doc.get("gamma", 0.0))
+    gamma = require_gamma(doc.get("gamma", 0.0), ConfigError)
     snr_db = doc.get("snr_db", 20.0)
     mismatch = float(doc.get("mismatch_m", 0.0))
     seed = int(doc.get("seed", 0))
@@ -282,7 +282,11 @@ def _cmd_verify_theorem(args, doc: dict) -> int:
             cfg_kwargs[key] = float(doc[key])
     if "seed" in doc:
         cfg_kwargs["seed"] = int(doc["seed"])
-    report = verify_theorem(model, env, source, eps, TheoremConfig(**cfg_kwargs), grid=grid)
+    try:
+        theorem_cfg = TheoremConfig(**cfg_kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    report = verify_theorem(model, env, source, eps, theorem_cfg, grid=grid)
     out = _resolve(doc.get("out_dir", "theorem_report.json"))
     report.save(out)
     print(

@@ -10,6 +10,7 @@ signals; the loss never sees per-path labels, only whole waveforms.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 import warnings
@@ -19,10 +20,18 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff
-from .autodiff import value_and_grad
-from .environment import (
-    RHOS, THREE_PATHS, Dataset, Environment, SourceLocation, path_geometry,
+from .autodiff import (
+    LAM_MAX,
+    alpha_tau,
+    alpha_tau_vjp,
+    arrival_signal,
+    length_normal_equations,
+    lm_trials,
+    on_windows,
+    value_and_grad,
+    window_index,
 )
+from .environment import RHOS, THREE_PATHS, Dataset, Environment, SourceLocation, path_geometry
 from .localize import detect_arrivals
 from .pln import (
     InputNormalization,
@@ -46,10 +55,6 @@ from .signals import (
     smooth_rows,
 )
 
-# One unit of the adaptable sound-speed coordinate equals this many m/s, which
-# keeps that coordinate commensurate with the O(1) network weights.
-SOUND_SPEED_SCALE = 100.0
-
 PLN_ERROR_TARGET = 0.005  # worst in-region relative path-length error
 
 
@@ -69,7 +74,6 @@ class ModelParams:
     sound_speed: float
     receiver_depth: float
     pulse: AnalyticPulse
-    adapt_sound_speed: bool = False
 
     def __post_init__(self) -> None:
         require_finite("model", sound_speed=self.sound_speed, receiver_depth=self.receiver_depth)
@@ -79,100 +83,78 @@ class ModelParams:
             raise ValueError(f"receiver_depth must be positive, got {self.receiver_depth}")
 
 
-def alpha_tau(lengths, rhos, sound_speed):
-    """Amplitude rho / l and delay l / c for path lengths."""
-    return rhos / lengths, lengths / sound_speed
+class _LengthModel:
+    """A signal model through its three path lengths; subclasses give `lengths`.
 
-
-def alpha_tau_vjp(lengths, rhos, sound_speed, g_alpha, g_tau):
-    """Cotangents of (alpha, tau) pulled back to the lengths and the sound speed."""
-    g_lengths = -g_alpha * rhos / lengths**2 + g_tau / sound_speed
-    return g_lengths, float(np.sum(-g_tau * lengths / sound_speed**2))
-
-
-class NetworkModel:
-    """Adapter exposing the trained network as a differentiable signal model.
-
-    The adaptable weight vector is the flat network weights, plus one trailing
-    sound-speed coordinate (c / SOUND_SPEED_SCALE) when adapt_sound_speed is on.
-    signal_t(w, x, z, grid) returns the model signal and its vjp, which maps
-    a signal cotangent to (weights, x, z) cotangents; w = None means w_train.
+    lengths(w, x, z) returns the path lengths at (x, z) under weights w
+    (None means w_train) and a closure giving their Jacobian: d l / d(x, z)
+    as (3, 2) and d l / dw as (3, n_weights), or (3, 0) when called with
+    weights=False. signal_t(w, x, z, grid) runs the lengths through the
+    lengths -> (alpha, tau) -> waveform chain and returns the model signal
+    and what it was made from: (lengths, their Jacobian closure, the
+    superposed arrivals of autodiff.arrival_signal).
     """
-
-    def __init__(self, model: ModelParams):
-        self.model = model
-        if model.adapt_sound_speed:
-            self.w_train = np.append(model.pln.values, model.sound_speed / SOUND_SPEED_SCALE)
-        else:
-            self.w_train = model.pln.values.copy()
 
     @property
     def n_weights(self) -> int:
         return self.w_train.size
 
-    @property
-    def pulse(self) -> AnalyticPulse:
-        return self.model.pulse
+    def signal_t(self, w: np.ndarray | None, x, z, grid: TimeGrid):
+        lengths, jacobian = self.lengths(w, x, z)
+        f, arrivals = arrival_signal(lengths, self.sound_speed, self.pulse, grid)
+        return f, (lengths, jacobian, arrivals)
+
+
+class NetworkModel(_LengthModel):
+    """The trained network as a signal model; its weights are the flat network weights."""
+
+    def __init__(self, model: ModelParams):
+        self.model, self.pulse, self.sound_speed = model, model.pulse, model.sound_speed
+        self.w_train = model.pln.values.copy()
 
     def with_pulse(self, pulse: AnalyticPulse) -> "NetworkModel":
         """Same network and medium, different source waveform."""
         return NetworkModel(replace(self.model, pulse=pulse))
 
-    def signal_t(self, w: np.ndarray | None, x, z, grid: TimeGrid):
+    def lengths(self, w: np.ndarray | None, x, z):
         pln = self.model.pln
         w = self.w_train if w is None else w
-        w_pln = w[: pln.n_weights]
         feats = path_features(x, z, self.model.receiver_depth, pln.norm)
-        lengths, backward = length_forward(pln, w_pln, feats)
-        adapt_c = self.model.adapt_sound_speed
-        c = w[pln.n_weights] * SOUND_SPEED_SCALE if adapt_c else self.model.sound_speed
-        alphas, taus = alpha_tau(lengths, RHOS, c)
-        f, superpose_vjp = autodiff.superpose(alphas, taus, self.model.pulse, grid)
+        lengths, backward = length_forward(pln, w, feats)
 
-        def vjp(g_f: np.ndarray):
-            g_l, g_c = alpha_tau_vjp(lengths, RHOS, c, *superpose_vjp(g_f))
+        def jacobian(weights: bool = True):
             inputs, deltas = backward()
-            g_w = length_vjp(pln.layout, inputs, deltas, g_l)
-            if adapt_c:
-                g_w = np.append(g_w, g_c * SOUND_SPEED_SCALE)
-            g_x, g_z = g_l @ length_position_jacobian(pln, w_pln, deltas)
-            return g_w, g_x, g_z
+            d_p = length_position_jacobian(pln, w, deltas)
+            if not weights:
+                return d_p, np.empty((len(lengths), 0))
+            return d_p, np.stack([length_vjp(pln.layout, inputs, deltas, e) for e in np.eye(len(lengths))])
 
-        return f, vjp
+        return lengths, jacobian
 
 
-class MatchedModel:
+class MatchedModel(_LengthModel):
     """Analytic image-method lengths in a known environment; no weights.
 
     Plugging this in place of the network reproduces the synthesis oracle
-    bit-for-bit (identical floating-point operations throughout). signal_t
-    has NetworkModel's signature; its vjp gives an empty weight cotangent.
+    bit-for-bit (identical floating-point operations throughout). Its
+    weight Jacobian has no columns.
     """
 
     def __init__(self, env: Environment, pulse: AnalyticPulse):
-        self.env = env
-        self.pulse = pulse
+        self.env, self.pulse, self.sound_speed = env, pulse, env.sound_speed
         self.w_train = np.empty(0)
-
-    @property
-    def n_weights(self) -> int:
-        return 0
 
     def with_pulse(self, pulse: AnalyticPulse) -> "MatchedModel":
         """Same environment, different source waveform."""
         return MatchedModel(self.env, pulse)
 
-    def signal_t(self, w, x, z, grid: TimeGrid):
-        c = self.env.sound_speed
+    def lengths(self, w, x, z):
         lengths, s_dz = path_geometry(self.env, x, z)
-        alphas, taus = alpha_tau(lengths, RHOS, c)
-        f, superpose_vjp = autodiff.superpose(alphas, taus, self.pulse, grid)
 
-        def vjp(g_f: np.ndarray):
-            g_l, _ = alpha_tau_vjp(lengths, RHOS, c, *superpose_vjp(g_f))
-            return self.w_train, g_l @ (x / lengths), g_l @ (s_dz / lengths)
+        def jacobian(weights: bool = True):
+            return np.array([x / lengths, s_dz / lengths]).T, np.empty((len(lengths), 0))
 
-        return f, vjp
+        return lengths, jacobian
 
 
 def model_output(model: ModelParams, src: SourceLocation, grid: TimeGrid) -> SampledSignal:
@@ -210,6 +192,7 @@ def make_train_loss_fn(
     r = signals[idx]
     grid = dataset.grid
     scale = grid.dt / batch
+
     c = model.sound_speed
 
     def loss_fn(w: np.ndarray):
@@ -221,7 +204,7 @@ def make_train_loss_fn(
         del f  # a whole-dataset batch holds 16 MB here; free it before resid * resid
 
         def grad() -> np.ndarray:
-            g_l, _ = alpha_tau_vjp(lengths, RHOS, c, *superpose_vjp(-2.0 * scale * resid))
+            g_l = alpha_tau_vjp(lengths, RHOS, c, *superpose_vjp(-2.0 * scale * resid))
             return length_vjp(model.pln.layout, *backward(), g_l.ravel())
 
         return (resid * resid).sum() * scale, grad
@@ -335,22 +318,6 @@ def _length_gram(inputs: list[np.ndarray], deltas: list[np.ndarray]) -> np.ndarr
     return out
 
 
-def _on_windows(x: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Each item's window samples x[k, j] read on the samples of its window i.
-
-    x is (count, paths, w_len) with window j starting at start[k, j]; entry
-    [k, i, j, m] is x[k, j] at window i's sample m, zero where the windows do
-    not overlap (the zero padding absorbs offsets of a whole window or more).
-    """
-    count, n_paths, w_len = x.shape
-    padded = np.zeros((count, n_paths, 3 * w_len))
-    padded[:, :, w_len : 2 * w_len] = x
-    offset = start[:, None, :] - start[:, :, None]  # window j's lag after window i
-    shifted = np.clip(np.arange(w_len) - offset[..., None] + w_len, 0, 3 * w_len - 1)
-    items = np.arange(count)[:, None, None, None]
-    return padded[items, np.arange(n_paths)[:, None], shifted]
-
-
 class _ExactFit:
     """Levenberg-Marquardt on the exact waveform loss, through the lengths.
 
@@ -366,12 +333,8 @@ class _ExactFit:
     M = R J, is solved multiplied through by R^{-1}: dw = J^T z with
     (J J^T + mu H^{-1}) z = H^{-1} G^T e. That is 3 * count rows whatever
     the network's size, J J^T comes from _length_gram, and R is never formed.
+    The damping is mu = lam * mean diagonal of M M^T.
     """
-
-    # damping mu = lam * mean diagonal of M M^T; above LAM_MAX a step is a
-    # vanishing gradient step, and _lm_stage stops when one fails there
-    LAM_INIT = 1e-3
-    LAM_MAX = 1e8
 
     def __init__(self, model: ModelParams, dataset: Dataset):
         self.model = model
@@ -398,20 +361,18 @@ class _ExactFit:
         n_paths = len(THREE_PATHS)
         n = self.grid.n_samples
         lengths, backward = length_forward(self.model.pln, w, self.feats)
-        point = {"w": w, "loss": math.inf, "backward": backward}
+        point = {"v": w, "loss": math.inf, "backward": backward}
         if not np.all(np.isfinite(lengths)):
             return point
         lengths = lengths.reshape(self.count, n_paths)
         alphas, taus = alpha_tau(lengths, RHOS, self.model.sound_speed)
         pad, start, u, window = arrival_windows(taus, self.pulse, self.grid)
         # window samples off the recording are dropped, as superpose does
-        w_len = window.shape[-1]
-        at = start[:, :, None] + np.arange(w_len) - pad
-        inside = (at >= 0) & (at < n)
+        at, inside = window_index(pad, start, window.shape[-1], n)
         window = window * inside
         items = np.arange(self.count)[:, None, None]
-        r_win = self.signals[items, np.clip(at, 0, n - 1)] * inside
-        e_win = r_win - np.einsum("kj,kijm->kim", alphas, _on_windows(window, start))
+        r_win = self.signals[items, at] * inside
+        e_win = r_win - np.einsum("kj,kijm->kim", alphas, on_windows(window, start))
         loss = self.energy - np.einsum("ki,kim,kim->", alphas, window, r_win + e_win)
         point.update(
             loss=float(loss) * self.scale, lengths=lengths, alphas=alphas, u=u,
@@ -426,14 +387,10 @@ class _ExactFit:
         leaves to here so that a rejected trial step never runs it.
         """
         n_paths = len(THREE_PATHS)
-        lengths, alphas = point["lengths"], point["alphas"]
-        # G on the arrival windows: d(alpha s(t - tau)) / dl
-        dwindow = autodiff.window_dt(self.pulse, point["u"])
-        g_win = -(alphas / lengths)[:, :, None] * point["window"]
-        g_win -= (alphas / self.model.sound_speed)[:, :, None] * dwindow
-        g_win *= point["inside"]
-        gte = np.einsum("kim,kim->ki", g_win, point["e_win"])
-        gtg = np.einsum("kim,kijm->kij", g_win, _on_windows(g_win, point["start"]))
+        gte, gtg = length_normal_equations(
+            self.pulse, self.model.sound_speed, point["lengths"], point["alphas"],
+            point["u"], point["window"], point["inside"], point["e_win"], point["start"],
+        )
         # merged arrivals make G^T G near singular; the relative jitter keeps
         # it invertible without moving the well-posed directions
         gtg += 1e-12 * np.trace(gtg, axis1=1, axis2=2)[:, None, None] * np.eye(n_paths)
@@ -466,31 +423,18 @@ class _ExactFit:
 
 
 def _lm_stage(fit: _ExactFit, w: np.ndarray, n_iter: int) -> tuple[np.ndarray, list[float]]:
-    """Up to n_iter Levenberg-Marquardt trial steps; the loss after each.
+    """Up to n_iter Levenberg-Marquardt trial steps (autodiff.lm_trials); the loss after each.
 
-    Damping follows the gain ratio of actual to predicted loss drop
-    (Nielsen 1999). The stage ends early once a step is rejected with the
-    damping above its ceiling, where not even a vanishing gradient step
-    lowers the loss.
+    The stage ends early once a step is rejected with the damping above
+    LAM_MAX, where not even a vanishing gradient step lowers the loss.
     """
     lin = fit.linearize(fit.evaluate(w))
-    lam, nu = fit.LAM_INIT, 2.0
     losses: list[float] = []
-    for _ in range(n_iter):
-        dw, predicted = fit.step(lin, lam)
-        trial = fit.evaluate(lin["w"] + dw)
-        gain = (lin["loss"] - trial["loss"]) / predicted if predicted > 0.0 else -1.0
-        if gain > 0.0:
-            lin = fit.linearize(trial)
-            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            nu = 2.0
-        else:
-            lam *= nu
-            nu *= 2.0
+    for lin, lam, _ in itertools.islice(lm_trials(fit, lin), n_iter):
         losses.append(lin["loss"])
-        if lam > fit.LAM_MAX:
+        if lam > LAM_MAX:
             break
-    return lin["w"], losses
+    return lin["v"], losses
 
 
 # Coarse-to-fine pretraining schedule: (stage kind, smoothing kernel sigma in
@@ -772,7 +716,8 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> Path:
         },
         "sound_speed": model.sound_speed,
         "receiver_depth": model.receiver_depth,
-        "adapt_sound_speed": model.adapt_sound_speed,
+        # the format keeps this key; only False (no sound-speed coordinate) loads
+        "adapt_sound_speed": False,
         "pulse": asdict(model.pulse),
         "metadata": ck.metadata,
     }
@@ -809,12 +754,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         segments = {name: _decode(doc["weights"][name], layout.shape_of(name))
                     for name in layout.names}
         params = PlnParams(arch, norm, layout.pack(segments))
+        if doc["adapt_sound_speed"] is not False:
+            raise CheckpointError(
+                f"adapt_sound_speed is {doc['adapt_sound_speed']!r}; "
+                "sound-speed adaptation is not supported"
+            )
         model = ModelParams(
             pln=params,
             sound_speed=doc["sound_speed"],
             receiver_depth=doc["receiver_depth"],
             pulse=AnalyticPulse(**doc["pulse"]),
-            adapt_sound_speed=doc["adapt_sound_speed"],
         )
     except (KeyError, ValueError, TypeError) as exc:
         if isinstance(exc, CheckpointError):

@@ -29,7 +29,9 @@ from .environment import (
     synthesize_received,
 )
 from .forward import Checkpoint, ModelParams, NetworkModel, MatchedModel, load_checkpoint
-from .localize import GblConfig, SingularFisherError, ToaInitError, crlb, da_gbl, gbl, toa_init
+from .localize import (
+    GblConfig, SingularFisherError, ToaInitError, crlb, da_gbl, gbl, require_gamma, toa_init,
+)
 from .signals import AnalyticPulse, NoiseSpec, TimeGrid, add_awgn, make_pulse, snr_to_n0
 
 
@@ -84,6 +86,8 @@ class ExperimentConfig:
         for name in ("snr_db_list", "mismatch_m_list", "gamma_list", "methods"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be non-empty")
+        for gamma in self.gamma_list:
+            require_gamma(gamma, ConfigError)
 
     def to_dict(self) -> dict:
         """JSON form; each scene section is its dataclass's fields in order."""

@@ -2,9 +2,10 @@
 
 The TOA front end matched-filters the recording, picks arrival-time peaks, and
 inverts the image-method delay equations; it only needs an assumed (possibly
-wrong) environment. Gradient-based localization then descends the integrated
-squared waveform residual; the adapted variant also lets the model weights move
-against a quadratic prior anchored at their trained values.
+wrong) environment. Gradient-based localization then fits the integrated
+squared waveform residual by Levenberg-Marquardt; the adapted variant also lets
+the model weights move against a quadratic prior anchored at their trained
+values.
 """
 
 from __future__ import annotations
@@ -15,12 +16,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import value_and_grad
+from .autodiff import (
+    LAM_MAX,
+    NumericOverflowError,
+    arrival_signal,
+    length_normal_equations,
+    lm_trials,
+    value_and_grad,
+    window_index,
+)
 from .environment import (
     BOTTOM,
     DEFAULT_REGION,
     DIRECT,
-    RHOS,
     Environment,
     PathSpec,
     Region,
@@ -32,8 +40,6 @@ from .signals import (
     AnalyticPulse,
     SampledSignal,
     correlation_envelope,
-    eval_pulse,
-    eval_pulse_dt,
     lowpassed_pulse,
     pick_envelope_peaks,
     refine_envelope_peak,
@@ -196,37 +202,42 @@ def toa_init(
 # Gradient-based localization
 # ---------------------------------------------------------------------------
 
-# Descent constants: the gradient exit (relative to the initial norm), the
-# base position and weight steps, and the Armijo backtracking line search.
-# Capture passes stop after CAPTURE_MAX_ITER iterations: the smoothed
-# landscapes contract in tens.
+# The gradient exit, relative to the gradient norm where a pass starts, and
+# the trial-step cap of a capture pass: from a good seed the smoothed
+# landscapes converge in tens of steps.
 GRAD_TOL_REL = 1e-8
-BASE_STEP_P = 0.1
-BASE_STEP_W = 1e-3
-ARMIJO_C1 = 1e-4
-BACKTRACK = 0.5
-MAX_BACKTRACKS = 30
 CAPTURE_MAX_ITER = 100
+
+
+def require_gamma(gamma, error: type[Exception] = ValueError) -> float:
+    """The anchor weight gamma as a float; raises `error` unless it is a finite number >= 0."""
+    try:
+        value = float(gamma)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise error(f"gamma must be finite and >= 0, got {gamma!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class GblConfig:
-    """Settings for the projected backtracking descent.
+    """Settings for the Levenberg-Marquardt localization passes (see _WaveformFit).
 
-    Every phase calibrates its position preconditioning at its starting
-    point: each coordinate's step is scaled by the inverse square root of
-    its Gauss-Newton curvature, so `BASE_STEP_P` acts on coordinates with
-    comparable curvature. A phase ends after `max_iter` iterations or once
-    an accepted position step is shorter than `step_tol_m`; with `region`
-    set, every candidate position is clipped into it.
+    A pass ends once the gradient norm falls to GRAD_TOL_REL times its
+    starting value, once an accepted step moves the position by less than
+    `step_tol_m` in each coordinate, once a step fails with the damping
+    above autodiff.LAM_MAX, or after `max_iter` trial steps. With `region`
+    set, every position a pass evaluates, its start included, is projected
+    into it.
 
     The exact misfit oscillates at the carrier scale, so its attraction
-    basin is only about half a wavelength wide. Before the exact descent,
+    basin is only about half a wavelength wide. Before the exact pass,
     the solvers run one short capture pass per entry of `smooth_sigmas`
-    (widest kernel first), descending the same misfit with the recording
+    (widest kernel first), fitting the same misfit with the recording
     and the model pulse both lowpassed; each pass widens the basin to the
     smoothed carrier's half wavelength and hands its endpoint to the next.
-    Set `smooth_sigmas=()` to descend the exact objective directly.
+    Set `smooth_sigmas=()` to fit the exact objective directly.
     """
 
     max_iter: int = 500
@@ -245,20 +256,17 @@ class GblConfig:
 
 @dataclass
 class LocalizeResult:
-    """Outcome of a descent run.
+    """Outcome of a localization.
 
-    All fields describe the final exact-objective descent (capture passes
-    only move the starting point). `converged` means that descent ended by
-    meeting a tolerance: either the preconditioned gradient norm
-    fell below `GRAD_TOL_REL` times its initial value, or the accepted
-    position step shrank below `step_tol_m` (the natural endpoint of a
-    contracting iteration; the loss landscape's curvature puts the 1e-8
-    gradient ratio below what float64 loss differences can resolve, so the
-    step floor is the usual exit). Runs stopped by a failed line search or
-    the iteration cap report `converged=False`; the trigger is always in
-    `exit_reason`. `p_scales` records the preconditioning calibrated at the
-    start of the exact descent, so the reported `grad_norm` can be
-    recomputed from `p_hat`/`w_hat`.
+    All fields describe the final exact-objective pass (capture passes only
+    move its start). `n_iter` counts its trial steps, accepted or not;
+    `grad_norm` is the Euclidean norm of the objective's gradient over
+    [w; x; z] ([x; z] without adaptation) at the estimate. `converged`
+    means the pass met a tolerance: the gradient norm fell to `grad_tol`,
+    or an accepted position step was shorter than `step_tol_m` (the usual
+    exit, as float64 loss differences cannot resolve a 1e-8 gradient
+    ratio). A stall or the iteration cap gives `converged=False`; the
+    trigger is always in `exit_reason`.
     """
 
     p_hat: np.ndarray
@@ -270,183 +278,199 @@ class LocalizeResult:
     grad_tol: float
     exit_reason: str
     gamma: float = 0.0
-    p_scales: tuple[float, float] = (1.0, 1.0)
+
+
+class _WaveformFit:
+    """Levenberg-Marquardt on the localization objective, through the 3 path lengths.
+
+    The objective dt ||r - f||^2 + (gamma / 2) ||w - w_train||^2 runs over
+    v = [w; x; z] ([x; z] unless adapting); f depends on v only through
+    the lengths l, whose Jacobian [L_w, L_p] the adapter gives. With G =
+    df/dl on the arrival windows, A = 2 dt G^T G and b = 2 dt G^T (r - f),
+    the data term's Gauss-Newton model is -b.dl + dl.A.dl / 2, dl = L_w dw
+    + L_p dp. Each position coordinate is damped by lam times its own
+    curvature (Marquardt), every weight by lam mu, mu their mean curvature,
+    plus the anchor's gamma. With beta = gamma + lam mu, Woodbury eliminates
+    the weights through the 3x3 Q = (beta I + A L_w L_w^T)^-1, whatever n_w
+    is, and leaves 2 position equations.
+    """
+
+    def __init__(self, adapter, received: SampledSignal, gamma: float, adapt: bool, region):
+        self.adapter, self.r, self.grid, self.gamma, self.region = (
+            adapter, received.values, received.grid, gamma, region)
+        self.nw = adapter.n_weights if adapt else 0
+        self.point: dict | None = None  # the last point linearized through the objective
+
+    def __call__(self, v: np.ndarray):
+        """The objective as v -> (value, gradient closure), the form value_and_grad takes."""
+        return self._objective(self.evaluate(np.asarray(v, dtype=np.float64)))
+
+    def _objective(self, point: dict):
+        """(value, gradient closure) of an evaluated point; the closure linearizes it in place."""
+        def grad() -> np.ndarray:
+            self._linearize(point)
+            self.point = point
+            return point["grad"]
+
+        return point["loss"], grad
+
+    def evaluate(self, v: np.ndarray) -> dict:
+        """The objective at v through the adapter's signal_t, its position projected into the region.
+
+        The loss is inf where the model's lengths are not finite and positive.
+        """
+        nw = self.nw
+        if self.region is not None:
+            v = v.copy()
+            v[nw], v[nw + 1] = self.region.clip(v[nw], v[nw + 1])
+        point = {"v": v, "loss": math.inf}
+        try:
+            f, (lengths, jacobian, arrivals) = self.adapter.signal_t(
+                v[:nw] if nw else None, v[nw], v[nw + 1], self.grid)
+        except NumericOverflowError:
+            return point
+        if not all(0.0 < length < math.inf for length in lengths.tolist()):
+            return point
+        e = np.subtract(self.r, f, out=f)  # f is a fresh buffer, not needed again
+        loss = (e @ e) * self.grid.dt
+        if nw and self.gamma != 0.0:
+            a = v[:nw] - self.adapter.w_train
+            loss += (0.5 * self.gamma) * (a @ a)
+        point.update(loss=float(loss), e=e, lengths=lengths, jacobian=jacobian, arrivals=arrivals)
+        return point
+
+    def linearize(self, point: dict) -> dict:
+        """Linearize an evaluated point, its value and gradient checked by value_and_grad."""
+        value_and_grad(lambda _: self._objective(point), point["v"])
+        return point
+
+    def _linearize(self, point: dict) -> None:
+        """Add A, b, the length Jacobian, the gradient and the damping scales to a point."""
+        alphas, pad, start, u, window = point["arrivals"]
+        at, inside = window_index(pad, start, window.shape[-1], len(self.r))
+        # G is zero on window samples off the grid, so e's clipped samples there add nothing
+        gte, gtg = length_normal_equations(
+            self.adapter.pulse, self.adapter.sound_speed, point["lengths"][None],
+            alphas[None], u, window, inside, point["e"][at], start,
+        )
+        b, a_len = 2.0 * self.grid.dt * gte[0], 2.0 * self.grid.dt * gtg[0]
+        d_p, d_w = point["jacobian"](weights=self.nw > 0)
+        grad, s_pp = -(b @ d_p), d_p.T @ a_len @ d_p
+        point.update(b=b, a_len=a_len, d_p=d_p, s_pp=s_pp, curv_p=np.diag(s_pp))
+        if self.nw:
+            anchor = point["v"][:self.nw] - self.adapter.w_train
+            gram = d_w @ d_w.T
+            point.update(d_w=d_w, anchor=anchor, gram=gram, anchor_lengths=d_w @ anchor,
+                         mu=float((a_len * gram).sum()) / self.nw)
+            grad = np.concatenate([self.gamma * anchor - b @ d_w, grad])
+        point.update(grad=grad, grad_norm=math.sqrt(grad @ grad))
+
+    def step(self, lin: dict, lam: float) -> tuple[np.ndarray, float]:
+        """Damped step at relative damping lam, and the drop the Gauss-Newton model predicts.
+
+        The drop is the one of the step with its position projected into the
+        region; a singular system gives no step and no drop, which is rejected.
+        """
+        nw, gamma = self.nw, self.gamma
+        a_len, b, d_p = lin["a_len"], lin["b"], lin["d_p"]
+        s_pp, r_p = lin["s_pp"], lin["grad"][nw:]
+        if nw:
+            beta = gamma + lam * lin["mu"]
+            q = np.linalg.inv(beta * np.eye(len(b)) + a_len @ lin["gram"])
+            s_pp = d_p.T @ (beta * a_len @ q.T) @ d_p
+            r_p = -(beta * (q @ b) + gamma * (a_len @ q.T @ lin["anchor_lengths"])) @ d_p
+        # the 2 position equations (s_pp + lam diag(curv_p)) dp = -r_p, by Cramer's rule
+        (s_xx, s_xz), (s_zx, s_zz) = s_pp.tolist()
+        s_xx, s_zz = s_xx + lam * lin["curv_p"][0], s_zz + lam * lin["curv_p"][1]
+        det = s_xx * s_zz - s_xz * s_zx
+        if det == 0.0 or not math.isfinite(det):
+            return np.zeros_like(lin["v"]), 0.0
+        r_x, r_z = r_p.tolist()
+        dp = np.array([s_xz * r_z - s_zz * r_x, s_zx * r_x - s_xx * r_z]) / det
+        v = lin["v"]
+        moved = dp
+        if self.region is not None:
+            moved = np.subtract(self.region.clip(v[nw] + dp[0], v[nw + 1] + dp[1]), v[nw:])
+        dl = d_p @ moved
+        predicted = 0.0
+        if nw:
+            y = q @ (b - a_len @ (d_p @ dp) + (gamma / beta) * (a_len @ lin["anchor_lengths"]))
+            dw = y @ lin["d_w"] - (gamma / beta) * lin["anchor"]
+            dl = dl + lin["gram"] @ y - (gamma / beta) * lin["anchor_lengths"]
+            predicted = -gamma * (lin["anchor"] @ dw + 0.5 * (dw @ dw))
+            dp = np.concatenate([dw, dp])
+        return dp, float(predicted + b @ dl - 0.5 * (dl @ a_len @ dl))
 
 
 def _make_objective(adapter, received: SampledSignal, gamma: float, adapt_weights: bool):
-    """Integrated squared residual, plus the weight anchor when adapting.
+    """The unconstrained fit, called as v -> (value, gradient closure), and its weight count."""
+    fit = _WaveformFit(adapter, received, gamma, adapt_weights, None)
+    return fit, fit.nw
 
-    The objective maps v = [w; x; z] (just [x; z] unless adapting) to its
-    value and a gradient closure.
+
+def da_loss(adapter, received: SampledSignal, w: np.ndarray | None, p: np.ndarray,
+            gamma: float) -> float:
+    """Adaptation objective value at weights `w` (None: position only) and position `p`."""
+    v = np.asarray(p, dtype=np.float64) if w is None else np.concatenate([w, p])
+    return _make_objective(adapter, received, gamma, w is not None)[0](v)[0]
+
+
+def _lm_pass(fit: _WaveformFit, v: np.ndarray, max_iter: int, step_tol_m: float):
+    """One Levenberg-Marquardt pass from v: (last point, trial steps, exit reason, gradient tolerance).
+
+    Each trial point is evaluated once, through the adapter's signal_t. The
+    start and each accepted point are linearized once, their value and
+    gradient passing through value_and_grad, the one finiteness check. The
+    gradient exit is checked before every step: a stationary start exits at once.
     """
-    rv = received.values
-    grid = received.grid
-    dt = grid.dt
-    nw = adapter.n_weights if adapt_weights else 0
-    w_train = adapter.w_train if nw else None
-
-    def objective(v: np.ndarray):
-        w = v[:nw] if nw else None
-        f, vjp = adapter.signal_t(w, v[nw], v[nw + 1], grid)
-        resid = f - rv
-        total = (resid * resid).sum() * dt
-        anchored = nw > 0 and gamma != 0.0
-        if anchored:
-            dw = w - w_train
-            total = total + (0.5 * gamma) * (dw * dw).sum()
-
-        def grad() -> np.ndarray:
-            g_w, g_x, g_z = vjp(2.0 * dt * resid)
-            if not nw:
-                return np.array([g_x, g_z])
-            if anchored:
-                g_w = g_w + gamma * dw
-            return np.concatenate([g_w, [g_x, g_z]])
-
-        return total, grad
-
-    return objective, nw
-
-
-def da_loss(
-    adapter,
-    received: SampledSignal,
-    w: np.ndarray | None,
-    p: np.ndarray,
-    gamma: float,
-) -> float:
-    """Adaptation objective value at weights `w` and position `p`."""
-    adapt = w is not None
-    objective, nw = _make_objective(adapter, received, gamma, adapt)
-    v = np.concatenate([np.asarray(w, dtype=np.float64), np.asarray(p, dtype=np.float64)]) if adapt else np.asarray(p, dtype=np.float64)
-    return float(objective(v)[0])
-
-
-def _p_curvature(adapter, w, p, grid) -> np.ndarray:
-    """Gauss-Newton data curvature 2 dt |df/dp_j|^2 per raw position coordinate."""
-    curv = np.empty(2)
-    for j, h in ((0, 1e-2), (1, 1e-2)):
-        hi = p.copy()
-        lo = p.copy()
-        hi[j] += h
-        lo[j] -= h
-        f_hi = _signal_values(adapter, w, hi, grid)
-        f_lo = _signal_values(adapter, w, lo, grid)
-        dfdp = (f_hi - f_lo) / (2.0 * h)
-        curv[j] = 2.0 * grid.dt * float(dfdp @ dfdp)
-    return curv
-
-
-def _calibrate_p_scales(adapter, p, grid) -> tuple[float, float]:
-    """Per-coordinate 1/sqrt(Gauss-Newton curvature) of the model signal."""
-    return tuple(1.0 / math.sqrt(c) if c > 0.0 else 1.0 for c in _p_curvature(adapter, None, p, grid))
-
-
-def _signal_values(adapter, w: np.ndarray | None, p: np.ndarray, grid) -> np.ndarray:
-    return adapter.signal_t(w, p[0], p[1], grid)[0]
-
-
-def _descend(
-    adapter, received: SampledSignal, p0: np.ndarray, gamma: float | None, max_iter: int,
-    cfg: GblConfig,
-) -> LocalizeResult:
-    """One projected backtracking descent from p0.
-
-    It moves the position only, or with `gamma` given the adapter's weights
-    too, anchored at their trained values. The line search evaluates each
-    candidate once; the accepted one's gradient comes from that same
-    forward pass.
-    """
-    objective, nw = _make_objective(adapter, received, gamma or 0.0, gamma is not None)
-    p_scales = _calibrate_p_scales(adapter, p0, received.grid)
-    scales = np.ones(nw + 2)
-    scales[nw:] = p_scales
-
-    v = np.concatenate([adapter.w_train, p0]) if nw else p0.astype(np.float64)
-    loss, g = value_and_grad(objective, v)
-    tol = GRAD_TOL_REL * float(np.linalg.norm(scales * g))
-    eta_w = 0.0
-    if nw:
-        gw_inf = float(np.max(np.abs(g[:nw])))
-        eta_w = BASE_STEP_W / gw_inf if gw_inf > 0.0 else 0.0
-        if gamma > 0.0:
-            # the anchor term alone has curvature gamma, so steps beyond
-            # ~1/gamma only burn line-search halvings
-            eta_w = min(eta_w, 0.9 / gamma)
-
-    exit_reason = "max_iter"
-    n_iter = 0
-    for _ in range(max_iter):
-        gn = float(np.linalg.norm(scales * g))
-        if gn <= tol:
-            exit_reason = "gradient"
+    value_and_grad(fit, v)  # evaluates and linearizes the start as fit.point
+    lin = fit.point
+    tol = GRAD_TOL_REL * lin["grad_norm"]
+    trials = lm_trials(fit, lin)
+    n_iter, exit_reason = 0, "gradient"
+    while lin["grad_norm"] > tol:
+        if n_iter == max_iter:
+            exit_reason = "max_iter"
             break
-        d = np.empty_like(v)
-        if nw:
-            d[:nw] = -eta_w * g[:nw]
-        d[nw] = -BASE_STEP_P * p_scales[0] ** 2 * g[nw]
-        d[nw + 1] = -BASE_STEP_P * p_scales[1] ** 2 * g[nw + 1]
-        g_dot_d = float(g @ d)
-        if g_dot_d >= 0.0:
-            exit_reason = "stall"
-            break
-        t = 1.0
-        for _bt in range(MAX_BACKTRACKS + 1):
-            cand = v + t * d
-            if cfg.region is not None:
-                cand[nw], cand[nw + 1] = cfg.region.clip(cand[nw], cand[nw + 1])
-            evaluated = objective(cand)
-            if float(evaluated[0]) <= loss + ARMIJO_C1 * t * g_dot_d:
-                break
-            t *= BACKTRACK
-        else:
-            exit_reason = "stall"
-            break
-        step_p = float(np.max(np.abs(cand[nw:] - v[nw:])))
-        v = cand
-        # reuse the candidate's forward pass: only the backward pass runs here
-        loss, g = value_and_grad(lambda _: evaluated, v)
+        new, lam, accepted = next(trials)
         n_iter += 1
-        if step_p < cfg.step_tol_m:
-            exit_reason = "step"
+        if accepted:
+            moved = max(abs(a - b) for a, b in zip(new["v"][-2:].tolist(), lin["v"][-2:].tolist()))
+            lin = new
+            if moved < step_tol_m:
+                exit_reason = "step"
+                break
+        elif lam > LAM_MAX:
+            exit_reason = "stall"
             break
-
-    gn = float(np.linalg.norm(scales * g))
-    if exit_reason == "max_iter" and gn <= tol:
-        exit_reason = "gradient"
-    return LocalizeResult(
-        p_hat=v[nw:].copy(),
-        w_hat=v[:nw].copy() if nw else None,
-        converged=exit_reason in ("gradient", "step"),
-        n_iter=n_iter,
-        loss=loss,
-        grad_norm=gn,
-        grad_tol=tol,
-        exit_reason=exit_reason,
-        gamma=0.0 if gamma is None else gamma,
-        p_scales=(float(p_scales[0]), float(p_scales[1])),
-    )
+    return lin, n_iter, exit_reason, tol
 
 
 def _localize(
     received: SampledSignal, adapter, p0: np.ndarray, gamma: float | None, cfg: GblConfig
 ) -> LocalizeResult:
-    """The capture passes, then the exact descent that gives every diagnostic.
+    """The capture passes, then the exact pass that gives every diagnostic.
 
-    Each capture pass is a position-only descent of the misfit between the
-    lowpassed recording and the adapter driven by the matching lowpassed
-    pulse. The weights stay at their trained values there: weight
-    corrections are a fine-scale refinement and belong to the exact phase.
+    Each capture pass fits, over position only, the lowpassed recording with
+    the adapter driven by the matching lowpassed pulse; weight corrections
+    are a fine-scale refinement and belong to the exact pass.
     """
     p = np.asarray(p0, dtype=np.float64)
     for sigma in cfg.smooth_sigmas:
         rows = smooth_rows(received.values[np.newaxis, :], sigma, received.grid.dt)
         smoothed = adapter.with_pulse(lowpassed_pulse(adapter.pulse, sigma))
-        p = _descend(
-            smoothed, SampledSignal(received.grid, rows[0]), p, None,
-            min(cfg.max_iter, CAPTURE_MAX_ITER), cfg,
-        ).p_hat
-    return _descend(adapter, received, p, gamma, cfg.max_iter, cfg)
+        fit = _WaveformFit(smoothed, SampledSignal(received.grid, rows[0]), 0.0, False, cfg.region)
+        p = _lm_pass(fit, p, min(cfg.max_iter, CAPTURE_MAX_ITER), cfg.step_tol_m)[0]["v"]
+    fit = _WaveformFit(adapter, received, gamma or 0.0, gamma is not None, cfg.region)
+    nw = fit.nw
+    v = np.concatenate([adapter.w_train, p]) if nw else p
+    lin, n_iter, exit_reason, tol = _lm_pass(fit, v, cfg.max_iter, cfg.step_tol_m)
+    return LocalizeResult(
+        p_hat=lin["v"][nw:].copy(), w_hat=lin["v"][:nw].copy() if nw else None,
+        converged=exit_reason in ("gradient", "step"), n_iter=n_iter, loss=lin["loss"],
+        grad_norm=lin["grad_norm"], grad_tol=tol, exit_reason=exit_reason,
+        gamma=0.0 if gamma is None else gamma,
+    )
 
 
 def gbl(
@@ -455,12 +479,12 @@ def gbl(
     p0: np.ndarray,
     cfg: GblConfig = GblConfig(),
 ) -> LocalizeResult:
-    """Descend the waveform misfit over source position only.
+    """Fit the waveform misfit over source position only.
 
     Seeds more than about half a wavelength out sit among carrier-scale
-    ripples of the misfit, so the descent first runs the coarse-to-fine
-    capture passes (see GblConfig) and then descends the exact objective,
-    which produces every reported diagnostic.
+    ripples of the misfit, so the fit first runs the coarse-to-fine
+    capture passes (see GblConfig) and then the exact pass, which produces
+    every reported diagnostic.
     """
     return _localize(received, adapter, p0, None, cfg)
 
@@ -472,14 +496,14 @@ def da_gbl(
     gamma: float,
     cfg: GblConfig = GblConfig(),
 ) -> LocalizeResult:
-    """Jointly descend over model weights and position, anchored at training.
+    """Jointly fit model weights and position, anchored at training with weight gamma.
 
     The position seed goes through the same capture passes as `gbl` (with
-    the weights frozen) before the joint exact descent starts from the
+    the weights frozen) before the joint exact pass starts from the
     trained weights and the captured position. An adapter without weights
-    descends over position only, as `gbl` does.
+    fits position only, as `gbl` does. gamma must be finite and >= 0.
     """
-    return _localize(received, adapter, p0, gamma, cfg)
+    return _localize(received, adapter, p0, require_gamma(gamma), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -507,29 +531,22 @@ def crlb(
 ) -> CrlbResult:
     """Position CRLB for the three-path model in white noise of density n0.
 
-    Uses the analytic sensitivity of each arrival's amplitude and delay to the
-    source coordinates; the bound is the root of the trace of the inverse
-    Fisher information.
+    The Fisher information is (2 / n0) dt (df/dp)^T (df/dp), with df/dp the
+    waveform's length Jacobian G on the arrival windows (as the fits use it)
+    times the image-method d l / d(x, z); the bound is the root of the trace
+    of its inverse.
     """
     if n0 <= 0.0:
         raise ValueError("noise density must be positive")
-    c = env.sound_speed
     lengths, s_dz = path_geometry(env, x, z)
-    ell = lengths[:, np.newaxis]
-    rho = RHOS[:, np.newaxis]
-    u = grid.times() - ell / c
-    s, s_dot = eval_pulse(pulse, u), eval_pulse_dt(pulse, u)
-    # df/dl through both the amplitude (-rho/l^2) and the delay (1/c), per path
-    df_dl = (-rho / (ell * ell)) * s - (rho / ell) * s_dot / c
-    dfdx = np.sum(df_dl * (x / ell), axis=0)
-    dfdz = np.sum(df_dl * (s_dz[:, np.newaxis] / ell), axis=0)
-    dt = grid.dt
-    fim = (2.0 / n0) * dt * np.array(
-        [
-            [dfdx @ dfdx, dfdx @ dfdz],
-            [dfdz @ dfdx, dfdz @ dfdz],
-        ]
+    _, (alphas, pad, start, u, window) = arrival_signal(lengths, env.sound_speed, pulse, grid)
+    _, inside = window_index(pad, start, window.shape[-1], grid.n_samples)
+    _, gtg = length_normal_equations(
+        pulse, env.sound_speed, lengths[None], alphas[None], u, window, inside, None, start
     )
+    d_p = np.array([x / lengths, s_dz / lengths]).T
+    fim = (2.0 / n0) * grid.dt * (d_p.T @ gtg[0] @ d_p)
+    fim = 0.5 * (fim + fim.T)
     det = fim[0, 0] * fim[1, 1] - fim[0, 1] * fim[1, 0]
     if not np.isfinite(det) or abs(det) < 1e-300 or fim[0, 0] <= 0.0 or fim[1, 1] <= 0.0:
         raise SingularFisherError("Fisher information is singular for this geometry")

@@ -229,7 +229,7 @@ def arrival_windows(taus: np.ndarray, pulse: AnalyticPulse, grid: TimeGrid):
 
     # Integer start of each arrival's window in padded-buffer coordinates.
     centers = np.rint((taus + pulse.center_time) * fs).astype(np.int64)
-    start = np.clip(centers - half + pad, 0, n + 2 * pad - w_len)
+    start = np.minimum(np.maximum(centers - half + pad, 0), n + 2 * pad - w_len)
 
     offsets = np.arange(w_len, dtype=np.int64)
     k = start[:, :, None] + offsets[None, None, :] - pad  # unpadded sample index
@@ -264,7 +264,7 @@ def superpose_arrivals(
     taus = np.asarray(taus, dtype=np.float64)
     if alphas.shape != taus.shape:
         raise ValueError(f"alphas shape {alphas.shape} != taus shape {taus.shape}")
-    if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(taus))):
+    if not (np.isfinite(alphas).all() and np.isfinite(taus).all()):
         raise ValueError("non-finite arrival amplitude or delay")
 
     squeeze = alphas.ndim == 1

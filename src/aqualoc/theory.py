@@ -21,7 +21,7 @@ import numpy as np
 from .autodiff import value_and_grad
 from .environment import Environment, SourceLocation, path_geometry, synthesize_received
 from .forward import ModelParams, NetworkModel
-from .localize import GblConfig, _make_objective, _p_curvature, da_gbl, toa_init
+from .localize import GblConfig, _make_objective, da_gbl, require_gamma, toa_init
 from .signals import SampledSignal, TimeGrid
 
 
@@ -81,6 +81,7 @@ class TheoremConfig:
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        require_gamma(self.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +366,10 @@ def verify_theorem(
     v0_raw, gbl_grad_norm = _fit(adapter, r_train, p0, cfg.gamma, gbl_cfg)
 
     # Normalized coordinates: unit weight scale, position scales chosen so the
-    # data-term curvature per position coordinate equals curvature_target.
-    curv = _p_curvature(adapter, v0_raw[:nw], v0_raw[nw:], grid)
+    # data-term curvature per position coordinate, 2 dt |df/dp_j|^2 in the
+    # Gauss-Newton model, equals curvature_target.
+    fit, _ = _make_objective(adapter, r_train, 0.0, adapt_weights=True)
+    curv = fit.linearize(fit.evaluate(v0_raw))["curv_p"]
     curv = np.maximum(curv, 1e-300)
     u_p = np.sqrt(cfg.curvature_target / curv)
     scales = np.ones(nw + 2)

@@ -8,6 +8,7 @@ from aqualoc.autodiff import (
     Layout,
     NumericOverflowError,
     fd_check,
+    on_windows,
     superpose,
     value_and_grad,
 )
@@ -118,3 +119,21 @@ def test_layout_roundtrip(rng):
     assert back["c"] == 7.0
     with pytest.raises(KeyError):
         layout.slice_of("missing")
+
+
+def test_on_windows_matches_loop(rng):
+    # window j read on window i's samples, against a per-sample loop; the
+    # starts give overlaps by part of a window, none, and exactly a window
+    w_len = 7
+    x = rng.normal(size=(2, 3, w_len))
+    start = np.array([[10, 13, 40], [5, 5 + w_len, 2]])
+    got = on_windows(x, start)
+    want = np.zeros((2, 3, 3, w_len))
+    for k in range(2):
+        for i in range(3):
+            for j in range(3):
+                for m in range(w_len):
+                    lag = start[k, i] + m - start[k, j]
+                    if 0 <= lag < w_len:
+                        want[k, i, j, m] = x[k, j, lag]
+    np.testing.assert_array_equal(got, want)

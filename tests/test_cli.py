@@ -222,6 +222,60 @@ def test_verify_theorem_needs_checkpoint(capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+# -- the adaptation anchor gamma --------------------------------------------------------
+
+BAD_GAMMAS = [-1.0, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("gamma", BAD_GAMMAS)
+def test_sweep_bad_gamma_exits_2(tmp_path, capsys, gamma):
+    cfg = write_config(
+        tmp_path, "s.json",
+        {"methods": ["crlb"], "snr_db_list": [20.0], "gamma_list": [gamma], "trials": 1,
+         "out_dir": str(tmp_path / "o")},
+    )
+    assert main(["sweep-snr", "--config", cfg]) == 2
+    assert "gamma" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("gamma", BAD_GAMMAS)
+def test_localize_bad_gamma_exits_2(tmp_path, capsys, gamma):
+    cfg = write_config(tmp_path, "l.json", {"method": "gbl-matched", "gamma": gamma})
+    assert main(["localize", "--config", cfg]) == 2
+    assert "gamma" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def untrained_checkpoint(tmp_path_factory):
+    from aqualoc.environment import DEFAULT_ENVIRONMENT, DEFAULT_REGION
+    from aqualoc.forward import Checkpoint, ModelParams, save_checkpoint
+    from aqualoc.pln import REDUCED_HIDDEN, InputNormalization, PlnArchitecture, pln_init
+    from aqualoc.signals import make_pulse
+
+    norm = InputNormalization.from_region(DEFAULT_REGION, DEFAULT_ENVIRONMENT)
+    params = pln_init(PlnArchitecture(hidden=REDUCED_HIDDEN), norm, 0)
+    model = ModelParams(params, DEFAULT_ENVIRONMENT.sound_speed,
+                        DEFAULT_ENVIRONMENT.receiver_depth, make_pulse())
+    return save_checkpoint(Checkpoint(model), tmp_path_factory.mktemp("ck") / "ck.json")
+
+
+@pytest.mark.parametrize("gamma", BAD_GAMMAS)
+def test_verify_theorem_bad_gamma_exits_2(tmp_path, capsys, untrained_checkpoint, gamma):
+    cfg = write_config(tmp_path, "t.json", {"checkpoint": str(untrained_checkpoint), "gamma": gamma})
+    assert main(["verify-theorem", "--config", cfg]) == 2
+    assert "gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", BAD_GAMMAS)
+def test_theorem_config_rejects_bad_gamma(gamma):
+    from aqualoc.theory import TheoremConfig
+
+    with pytest.raises(ValueError, match="gamma"):
+        TheoremConfig(gamma=gamma)
+    assert TheoremConfig(gamma=0.0).gamma == 0.0
+
+
 # -- data dir resolution ---------------------------------------------------------------
 
 

@@ -95,9 +95,8 @@ def test_alpha_tau_vjp_closed_form():
     np.testing.assert_allclose(taus, lengths / 1500.0, rtol=1e-15)
     g_alpha = np.array([0.3, -0.7, 1.1])
     g_tau = np.array([2.0, 0.5, -1.5])
-    g_l, g_c = alpha_tau_vjp(lengths, rhos, 1500.0, g_alpha, g_tau)
+    g_l = alpha_tau_vjp(lengths, rhos, 1500.0, g_alpha, g_tau)
     np.testing.assert_allclose(g_l, -g_alpha * rhos / lengths**2 + g_tau / 1500.0, rtol=1e-15)
-    assert g_c == pytest.approx(-float(g_tau @ lengths) / 1500.0**2, rel=1e-15)
 
 
 def test_matched_model_reproduces_synthesis(env, pulse, grid, oracle_received):
@@ -489,17 +488,21 @@ def test_load_checkpoint_fails_only_with_checkpoint_error(saved_checkpoint_doc, 
         assert _finite_numbers(ck.model)
 
 
+def test_load_checkpoint_rejects_sound_speed_adaptation(saved_checkpoint_doc, tmp_path):
+    # the format keeps the key, always written false; no other value loads
+    assert saved_checkpoint_doc["adapt_sound_speed"] is False
+    doc = copy.deepcopy(saved_checkpoint_doc)
+    doc["adapt_sound_speed"] = True
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="adapt_sound_speed"):
+        load_checkpoint(path)
+
+
 def test_network_model_weight_layouts(init_model):
     plain = NetworkModel(init_model)
     assert plain.n_weights == init_model.pln.values.size
-
-    adapt = NetworkModel(
-        ModelParams(
-            init_model.pln, 1500.0, 120.0, init_model.pulse, adapt_sound_speed=True
-        )
-    )
-    assert adapt.n_weights == init_model.pln.values.size + 1
-    assert adapt.w_train[-1] == pytest.approx(15.0)
+    np.testing.assert_array_equal(plain.w_train, init_model.pln.values)
 
 
 def test_trained_model_matches_oracle_waveform(trained_checkpoint, grid, oracle_received):

@@ -94,6 +94,18 @@ def test_config_rejects_bad_values():
         ExperimentConfig(snr_db_list=())
 
 
+@pytest.mark.parametrize("gamma", [-1.0, math.nan, math.inf])
+def test_config_rejects_bad_gamma(gamma):
+    with pytest.raises(ConfigError, match="gamma"):
+        ExperimentConfig(gamma_list=(0.0, gamma))
+    with pytest.raises(ConfigError, match="gamma"):
+        config_from_dict({"gamma_list": [gamma]})
+
+
+def test_config_accepts_zero_gamma():
+    assert ExperimentConfig(gamma_list=(0.0,)).gamma_list == (0.0,)
+
+
 def test_config_from_dict_unknown_key():
     with pytest.raises(ConfigError):
         config_from_dict({"snr_list": [20.0]})
