@@ -87,6 +87,14 @@ def _check_keys(doc: dict, allowed: set, command: str) -> None:
         raise ConfigError(f"unknown config keys for {command}: {sorted(extra)}")
 
 
+def _cast(key: str, value, cast):
+    """`cast(value)`; a value it cannot convert is a ConfigError naming the config key."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: bad value {value!r} ({exc})") from exc
+
+
 def _scene_from(doc: dict):
     """(environment, source, pulse, grid, region), defaulting as ExperimentConfig does."""
     cfg = ExperimentConfig(**parse_scene(doc))
@@ -113,9 +121,11 @@ def _cmd_gen_data(args, doc: dict) -> int:
     _check_keys(doc, _SCENE_KEYS | {"count", "snr_db", "seed", "out_dir"}, "gen-data")
     doc = _apply_overrides(doc, args)
     env, _, pulse, grid, region = _scene_from(doc)
-    count = int(doc.get("count", 256))
+    count = _cast("count", doc.get("count", 256), int)
     snr_db = doc.get("snr_db")
-    seed = int(doc.get("seed", 0))
+    if snr_db is not None:
+        snr_db = _cast("snr_db", snr_db, float)
+    seed = _cast("seed", doc.get("seed", 0), int)
     out = _resolve(doc.get("out_dir", "dataset"))
     ds = gen_dataset(env, region, count, pulse, grid, seed, snr_db=snr_db)
     save_dataset(ds, out)
@@ -138,13 +148,13 @@ def _cmd_train(args, doc: dict) -> int:
     if args.reduced or doc.get("preset") == "reduced":
         hidden = REDUCED_HIDDEN
     elif "hidden" in doc:
-        hidden = tuple(int(h) for h in doc["hidden"])
+        hidden = _cast("hidden", doc["hidden"], lambda hs: tuple(int(h) for h in hs))
     else:
         hidden = DEFAULT_HIDDEN
     kw: dict = {}
     for key, cast in (("lr", float), ("batch_size", int), ("epochs", int), ("seed", int)):
         if key in doc:
-            kw[key] = cast(doc[key])
+            kw[key] = _cast(key, doc[key], cast)
     cfg = TrainConfig(**kw)
     ck = pretrain(ds, PlnArchitecture(hidden=hidden), cfg, region=region)
     out = _resolve(doc.get("out_dir", "checkpoint.json"))
@@ -169,8 +179,10 @@ def _cmd_localize(args, doc: dict) -> int:
     method = doc.get("method", METHOD_GBL_MATCHED)
     gamma = require_gamma(doc.get("gamma", 0.0), ConfigError)
     snr_db = doc.get("snr_db", 20.0)
-    mismatch = float(doc.get("mismatch_m", 0.0))
-    seed = int(doc.get("seed", 0))
+    if snr_db is not None:
+        snr_db = _cast("snr_db", snr_db, float)
+    mismatch = _cast("mismatch_m", doc.get("mismatch_m", 0.0), float)
+    seed = _cast("seed", doc.get("seed", 0), int)
     env_true = Environment(
         env_train.depth + mismatch, env_train.sound_speed, env_train.receiver_depth
     )
@@ -178,7 +190,7 @@ def _cmd_localize(args, doc: dict) -> int:
     if snr_db is None:
         received = clean
     else:
-        n0 = snr_to_n0(clean, float(snr_db), pulse.bandwidth)
+        n0 = snr_to_n0(clean, snr_db, pulse.bandwidth)
         received = add_awgn(clean, NoiseSpec(n0, seed))
     env_assumed = env_true if method == METHOD_GBL_MATCHED else env_train
     if method == METHOD_GBL_MATCHED:
@@ -244,13 +256,14 @@ def _cmd_sweep_mismatch(args, doc: dict) -> int:
 def _cmd_crlb(args, doc: dict) -> int:
     _check_keys(doc, _SCENE_KEYS | {"snr_db_list"}, "crlb")
     env, source, pulse, grid, _ = _scene_from(doc)
-    snrs = doc.get("snr_db_list", [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+    snrs = _cast("snr_db_list", doc.get("snr_db_list", [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]),
+                 lambda values: [float(v) for v in values])
     clean = synthesize_received(env, source, pulse, grid)
     print("snr_db,rmse_bound_m")
     for snr_db in snrs:
-        n0 = snr_to_n0(clean, float(snr_db), pulse.bandwidth)
+        n0 = snr_to_n0(clean, snr_db, pulse.bandwidth)
         bound = crlb(env, source.x, source.z, pulse, grid, n0).rmse_bound
-        print(f"{float(snr_db):.10g},{bound:.10g}")
+        print(f"{snr_db:.10g},{bound:.10g}")
     return 0
 
 
@@ -273,15 +286,15 @@ def _cmd_verify_theorem(args, doc: dict) -> int:
             f"environment receiver depth {env.receiver_depth}"
         )
     eps = EnvPerturbation(
-        depth_m=float(doc.get("eps_depth_m", -0.05)),
-        sound_speed_ms=float(doc.get("eps_sound_speed_ms", 0.0)),
+        depth_m=_cast("eps_depth_m", doc.get("eps_depth_m", -0.05), float),
+        sound_speed_ms=_cast("eps_sound_speed_ms", doc.get("eps_sound_speed_ms", 0.0), float),
     )
     cfg_kwargs = {}
     for key in ("sigma", "gamma", "curvature_target", "path_shift_budget_m"):
         if key in doc:
-            cfg_kwargs[key] = float(doc[key])
+            cfg_kwargs[key] = _cast(key, doc[key], float)
     if "seed" in doc:
-        cfg_kwargs["seed"] = int(doc["seed"])
+        cfg_kwargs["seed"] = _cast("seed", doc["seed"], int)
     try:
         theorem_cfg = TheoremConfig(**cfg_kwargs)
     except ValueError as exc:
@@ -337,9 +350,9 @@ def _cmd_selftest(args, doc: dict) -> int:
 
         clean = synthesize_received(env, source, pulse, grid)
         adapter = MatchedModel(env, pulse)
-        from .localize import _make_objective
+        from .localize import _WaveformFit
 
-        objective, _ = _make_objective(adapter, clean, 0.0, adapt_weights=False)
+        objective = _WaveformFit(adapter, clean, 0.0, False)
         # h: small enough that central-difference curvature error stays below
         # tolerance on the carrier-oscillatory loss
         report = fd_check(objective, np.array([source.x + 0.2, source.z - 0.1]), h=1e-6)

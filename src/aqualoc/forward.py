@@ -112,6 +112,7 @@ class NetworkModel(_LengthModel):
         self.model, self.pulse, self.sound_speed = model, model.pulse, model.sound_speed
         self.w_train = model.pln.values.copy()
 
+    # not called here; kept because the bench tracer's instrument_adapter requires it
     def with_pulse(self, pulse: AnalyticPulse) -> "NetworkModel":
         """Same network and medium, different source waveform."""
         return NetworkModel(replace(self.model, pulse=pulse))
@@ -144,6 +145,7 @@ class MatchedModel(_LengthModel):
         self.env, self.pulse, self.sound_speed = env, pulse, env.sound_speed
         self.w_train = np.empty(0)
 
+    # not called here; kept because the bench tracer's instrument_adapter requires it
     def with_pulse(self, pulse: AnalyticPulse) -> "MatchedModel":
         """Same environment, different source waveform."""
         return MatchedModel(self.env, pulse)

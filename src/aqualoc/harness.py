@@ -32,7 +32,9 @@ from .forward import Checkpoint, ModelParams, NetworkModel, MatchedModel, load_c
 from .localize import (
     GblConfig, SingularFisherError, ToaInitError, crlb, da_gbl, gbl, require_gamma, toa_init,
 )
-from .signals import AnalyticPulse, NoiseSpec, TimeGrid, add_awgn, make_pulse, snr_to_n0
+from .signals import (
+    AnalyticPulse, NoiseSpec, TimeGrid, add_awgn, make_pulse, require_finite, snr_to_n0,
+)
 
 
 class ConfigError(ValueError):
@@ -88,6 +90,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be non-empty")
         for gamma in self.gamma_list:
             require_gamma(gamma, ConfigError)
+        try:
+            require_finite("config", snr_db=self.snr_db, **{
+                f"{name}[{i}]": v for name in ("snr_db_list", "mismatch_m_list")
+                for i, v in enumerate(getattr(self, name))})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> dict:
         """JSON form; each scene section is its dataclass's fields in order."""
@@ -125,6 +133,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     kwargs = parse_scene(doc)
     for name in ("snr_db_list", "mismatch_m_list", "gamma_list", "methods"):
         if name in doc:
+            if not isinstance(doc[name], (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {doc[name]!r}")
             kwargs[name] = tuple(doc[name])
     for name in ("trials", "seed", "snr_db", "out_dir", "checkpoint", "timing"):
         if name in doc:

@@ -40,10 +40,9 @@ from .signals import (
     AnalyticPulse,
     SampledSignal,
     correlation_envelope,
-    lowpassed_pulse,
     pick_envelope_peaks,
     refine_envelope_peak,
-    smooth_rows,
+    smooth_rows,  # not called here; kept as a global the bench tracer patches
 )
 
 
@@ -202,11 +201,8 @@ def toa_init(
 # Gradient-based localization
 # ---------------------------------------------------------------------------
 
-# The gradient exit, relative to the gradient norm where a pass starts, and
-# the trial-step cap of a capture pass: from a good seed the smoothed
-# landscapes converge in tens of steps.
+# The gradient exit, relative to the gradient norm where the fit starts.
 GRAD_TOL_REL = 1e-8
-CAPTURE_MAX_ITER = 100
 
 
 def require_gamma(gamma, error: type[Exception] = ValueError) -> float:
@@ -222,47 +218,31 @@ def require_gamma(gamma, error: type[Exception] = ValueError) -> float:
 
 @dataclass(frozen=True)
 class GblConfig:
-    """Settings for the Levenberg-Marquardt localization passes (see _WaveformFit).
+    """Settings for the Levenberg-Marquardt localization fit (see _WaveformFit).
 
-    A pass ends once the gradient norm falls to GRAD_TOL_REL times its
+    The fit ends once the gradient norm falls to GRAD_TOL_REL times its
     starting value, once an accepted step moves the position by less than
     `step_tol_m` in each coordinate, once a step fails with the damping
-    above autodiff.LAM_MAX, or after `max_iter` trial steps. With `region`
-    set, every position a pass evaluates, its start included, is projected
-    into it.
+    above autodiff.LAM_MAX, or after `max_iter` trial steps.
 
-    The exact misfit oscillates at the carrier scale, so its attraction
-    basin is only about half a wavelength wide. Before the exact pass,
-    the solvers run one short capture pass per entry of `smooth_sigmas`
-    (widest kernel first), fitting the same misfit with the recording
-    and the model pulse both lowpassed; each pass widens the basin to the
-    smoothed carrier's half wavelength and hands its endpoint to the next.
-    Set `smooth_sigmas=()` to fit the exact objective directly.
+    The misfit oscillates at the carrier scale, so the fit's attraction
+    basin is only about half a carrier wavelength wide: the seed must lie
+    within it.
     """
 
     max_iter: int = 500
     step_tol_m: float = 1e-4
-    region: Region | None = None
-    smooth_sigmas: tuple[float, ...] = (2e-3, 1e-3, 5e-4)
-
-    def __post_init__(self) -> None:
-        if any(s <= 0.0 for s in self.smooth_sigmas):
-            raise ValueError("smooth_sigmas must be positive")
-        if any(
-            a <= b for a, b in zip(self.smooth_sigmas, self.smooth_sigmas[1:])
-        ):
-            raise ValueError("smooth_sigmas must be strictly decreasing")
 
 
 @dataclass
 class LocalizeResult:
     """Outcome of a localization.
 
-    All fields describe the final exact-objective pass (capture passes only
-    move its start). `n_iter` counts its trial steps, accepted or not;
+    All fields describe the one Levenberg-Marquardt fit from the seed.
+    `n_iter` counts its trial steps, accepted or not;
     `grad_norm` is the Euclidean norm of the objective's gradient over
     [w; x; z] ([x; z] without adaptation) at the estimate. `converged`
-    means the pass met a tolerance: the gradient norm fell to `grad_tol`,
+    means the fit met a tolerance: the gradient norm fell to `grad_tol`,
     or an accepted position step was shorter than `step_tol_m` (the usual
     exit, as float64 loss differences cannot resolve a 1e-8 gradient
     ratio). A stall or the iteration cap gives `converged=False`; the
@@ -295,9 +275,8 @@ class _WaveformFit:
     is, and leaves 2 position equations.
     """
 
-    def __init__(self, adapter, received: SampledSignal, gamma: float, adapt: bool, region):
-        self.adapter, self.r, self.grid, self.gamma, self.region = (
-            adapter, received.values, received.grid, gamma, region)
+    def __init__(self, adapter, received: SampledSignal, gamma: float, adapt: bool):
+        self.adapter, self.r, self.grid, self.gamma = adapter, received.values, received.grid, gamma
         self.nw = adapter.n_weights if adapt else 0
         self.point: dict | None = None  # the last point linearized through the objective
 
@@ -315,14 +294,11 @@ class _WaveformFit:
         return point["loss"], grad
 
     def evaluate(self, v: np.ndarray) -> dict:
-        """The objective at v through the adapter's signal_t, its position projected into the region.
+        """The objective at v through the adapter's signal_t.
 
         The loss is inf where the model's lengths are not finite and positive.
         """
         nw = self.nw
-        if self.region is not None:
-            v = v.copy()
-            v[nw], v[nw + 1] = self.region.clip(v[nw], v[nw + 1])
         point = {"v": v, "loss": math.inf}
         try:
             f, (lengths, jacobian, arrivals) = self.adapter.signal_t(
@@ -368,8 +344,7 @@ class _WaveformFit:
     def step(self, lin: dict, lam: float) -> tuple[np.ndarray, float]:
         """Damped step at relative damping lam, and the drop the Gauss-Newton model predicts.
 
-        The drop is the one of the step with its position projected into the
-        region; a singular system gives no step and no drop, which is rejected.
+        A singular system gives no step and no drop, which is rejected.
         """
         nw, gamma = self.nw, self.gamma
         a_len, b, d_p = lin["a_len"], lin["b"], lin["d_p"]
@@ -387,11 +362,7 @@ class _WaveformFit:
             return np.zeros_like(lin["v"]), 0.0
         r_x, r_z = r_p.tolist()
         dp = np.array([s_xz * r_z - s_zz * r_x, s_zx * r_x - s_xx * r_z]) / det
-        v = lin["v"]
-        moved = dp
-        if self.region is not None:
-            moved = np.subtract(self.region.clip(v[nw] + dp[0], v[nw + 1] + dp[1]), v[nw:])
-        dl = d_p @ moved
+        dl = d_p @ dp
         predicted = 0.0
         if nw:
             y = q @ (b - a_len @ (d_p @ dp) + (gamma / beta) * (a_len @ lin["anchor_lengths"]))
@@ -402,21 +373,15 @@ class _WaveformFit:
         return dp, float(predicted + b @ dl - 0.5 * (dl @ a_len @ dl))
 
 
-def _make_objective(adapter, received: SampledSignal, gamma: float, adapt_weights: bool):
-    """The unconstrained fit, called as v -> (value, gradient closure), and its weight count."""
-    fit = _WaveformFit(adapter, received, gamma, adapt_weights, None)
-    return fit, fit.nw
-
-
 def da_loss(adapter, received: SampledSignal, w: np.ndarray | None, p: np.ndarray,
             gamma: float) -> float:
     """Adaptation objective value at weights `w` (None: position only) and position `p`."""
     v = np.asarray(p, dtype=np.float64) if w is None else np.concatenate([w, p])
-    return _make_objective(adapter, received, gamma, w is not None)[0](v)[0]
+    return _WaveformFit(adapter, received, gamma, w is not None)(v)[0]
 
 
 def _lm_pass(fit: _WaveformFit, v: np.ndarray, max_iter: int, step_tol_m: float):
-    """One Levenberg-Marquardt pass from v: (last point, trial steps, exit reason, gradient tolerance).
+    """The Levenberg-Marquardt fit from v: (last point, trial steps, exit reason, gradient tolerance).
 
     Each trial point is evaluated once, through the adapter's signal_t. The
     start and each accepted point are linearized once, their value and
@@ -449,19 +414,9 @@ def _lm_pass(fit: _WaveformFit, v: np.ndarray, max_iter: int, step_tol_m: float)
 def _localize(
     received: SampledSignal, adapter, p0: np.ndarray, gamma: float | None, cfg: GblConfig
 ) -> LocalizeResult:
-    """The capture passes, then the exact pass that gives every diagnostic.
-
-    Each capture pass fits, over position only, the lowpassed recording with
-    the adapter driven by the matching lowpassed pulse; weight corrections
-    are a fine-scale refinement and belong to the exact pass.
-    """
+    """One Levenberg-Marquardt fit from the seed p0 (and the trained weights when adapting)."""
     p = np.asarray(p0, dtype=np.float64)
-    for sigma in cfg.smooth_sigmas:
-        rows = smooth_rows(received.values[np.newaxis, :], sigma, received.grid.dt)
-        smoothed = adapter.with_pulse(lowpassed_pulse(adapter.pulse, sigma))
-        fit = _WaveformFit(smoothed, SampledSignal(received.grid, rows[0]), 0.0, False, cfg.region)
-        p = _lm_pass(fit, p, min(cfg.max_iter, CAPTURE_MAX_ITER), cfg.step_tol_m)[0]["v"]
-    fit = _WaveformFit(adapter, received, gamma or 0.0, gamma is not None, cfg.region)
+    fit = _WaveformFit(adapter, received, gamma or 0.0, gamma is not None)
     nw = fit.nw
     v = np.concatenate([adapter.w_train, p]) if nw else p
     lin, n_iter, exit_reason, tol = _lm_pass(fit, v, cfg.max_iter, cfg.step_tol_m)
@@ -479,12 +434,10 @@ def gbl(
     p0: np.ndarray,
     cfg: GblConfig = GblConfig(),
 ) -> LocalizeResult:
-    """Fit the waveform misfit over source position only.
+    """Fit the waveform misfit over source position only, from the seed p0.
 
-    Seeds more than about half a wavelength out sit among carrier-scale
-    ripples of the misfit, so the fit first runs the coarse-to-fine
-    capture passes (see GblConfig) and then the exact pass, which produces
-    every reported diagnostic.
+    One Levenberg-Marquardt fit; it reaches the optimum from a seed within
+    about half a carrier wavelength of it (see GblConfig).
     """
     return _localize(received, adapter, p0, None, cfg)
 
@@ -498,10 +451,9 @@ def da_gbl(
 ) -> LocalizeResult:
     """Jointly fit model weights and position, anchored at training with weight gamma.
 
-    The position seed goes through the same capture passes as `gbl` (with
-    the weights frozen) before the joint exact pass starts from the
-    trained weights and the captured position. An adapter without weights
-    fits position only, as `gbl` does. gamma must be finite and >= 0.
+    One Levenberg-Marquardt fit over [w; x; z] from the trained weights
+    and the seed p0. An adapter without weights fits position only, as
+    `gbl` does. gamma must be finite and >= 0.
     """
     return _localize(received, adapter, p0, require_gamma(gamma), cfg)
 

@@ -38,7 +38,7 @@ class AnalyticPulse:
 
     The envelope width is tied to the nominal bandwidth by sigma = 1 / (pi * B).
     The family is closed under Gaussian lowpassing (see lowpassed_pulse), which
-    the coarse-to-fine schedules in training and localization rely on.
+    the coarse-to-fine pretraining schedule relies on.
     """
 
     center_freq: float

@@ -21,7 +21,7 @@ import numpy as np
 from .autodiff import value_and_grad
 from .environment import Environment, SourceLocation, path_geometry, synthesize_received
 from .forward import ModelParams, NetworkModel
-from .localize import GblConfig, _make_objective, da_gbl, require_gamma, toa_init
+from .localize import GblConfig, _WaveformFit, da_gbl, require_gamma, toa_init
 from .signals import SampledSignal, TimeGrid
 
 
@@ -91,7 +91,7 @@ class TheoremConfig:
 
 def make_grad_fn(adapter, received: SampledSignal, gamma: float):
     """Return v_raw -> gradient of the adaptation objective at v = [w; p]."""
-    objective, _ = _make_objective(adapter, received, gamma, adapt_weights=True)
+    objective = _WaveformFit(adapter, received, gamma, True)
 
     def grad_fn(v: np.ndarray) -> np.ndarray:
         _, g = value_and_grad(objective, np.asarray(v, dtype=np.float64))
@@ -368,7 +368,7 @@ def verify_theorem(
     # Normalized coordinates: unit weight scale, position scales chosen so the
     # data-term curvature per position coordinate, 2 dt |df/dp_j|^2 in the
     # Gauss-Newton model, equals curvature_target.
-    fit, _ = _make_objective(adapter, r_train, 0.0, adapt_weights=True)
+    fit = _WaveformFit(adapter, r_train, 0.0, True)
     curv = fit.linearize(fit.evaluate(v0_raw))["curv_p"]
     curv = np.maximum(curv, 1e-300)
     u_p = np.sqrt(cfg.curvature_target / curv)

@@ -96,6 +96,32 @@ def test_infinite_region_bound_exits_2(tmp_path, capsys, command):
     assert "bad scene section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("localize", {"snr_db": "loud"}, "snr_db"),
+        ("localize", {"mismatch_m": "deep"}, "mismatch_m"),
+        ("gen-data", {"count": "many"}, "count"),
+        ("gen-data", {"snr_db": "x"}, "snr_db"),
+        ("crlb", {"snr_db_list": ["x"]}, "snr_db_list"),
+        ("sweep-snr", {"snr_db_list": ["x"], "methods": ["crlb"]}, "snr_db_list"),
+        ("sweep-snr", {"snr_db_list": [math.nan], "methods": ["crlb"]}, "snr_db_list"),
+        ("sweep-snr", {"snr_db_list": 5, "methods": ["crlb"]}, "snr_db_list"),
+        ("sweep-mismatch", {"snr_db": "x", "methods": ["gbl-matched"]}, "snr_db"),
+        ("sweep-mismatch", {"mismatch_m_list": [math.inf], "methods": ["gbl-matched"]},
+         "mismatch_m_list"),
+    ],
+)
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, doc, key):
+    if command not in ("localize", "crlb"):  # the others write under out_dir
+        doc = {**doc, "out_dir": str(tmp_path / "out")}
+    path = write_config(tmp_path, "v.json", doc)
+    assert main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
 # -- crlb ---------------------------------------------------------------------------
 
 

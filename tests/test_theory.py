@@ -14,7 +14,7 @@ from aqualoc.environment import (
     synthesize_received,
 )
 from aqualoc.forward import ModelParams, NetworkModel
-from aqualoc.localize import _make_objective
+from aqualoc.localize import _WaveformFit
 from aqualoc.pln import InputNormalization, PlnArchitecture, pln_init
 from aqualoc.signals import SampledSignal, TimeGrid, make_pulse
 from aqualoc.theory import (
@@ -89,7 +89,7 @@ def test_grad_matches_double_evaluation(small_adapter, oracle_received):
     v = np.concatenate([small_adapter.w_train, TRUE_P + [0.3, -0.2]])
     gamma = 2.5
     g_theory = make_grad_fn(small_adapter, oracle_received, gamma)(v)
-    objective, _ = _make_objective(small_adapter, oracle_received, gamma, adapt_weights=True)
+    objective = _WaveformFit(small_adapter, oracle_received, gamma, True)
     _, g_localize = value_and_grad(objective, v)
     assert np.allclose(g_theory, g_localize, rtol=1e-10, atol=1e-14)
 
