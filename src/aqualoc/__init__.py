@@ -42,7 +42,6 @@ from .environment import (
 from .forward import (
     Checkpoint,
     CheckpointError,
-    GridMismatchError,
     MatchedModel,
     ModelParams,
     NetworkModel,
@@ -102,7 +101,6 @@ from .signals import (
     eval_pulse,
     eval_pulse_dt,
     gaussian_kernel,
-    lowpassed_pulse,
     make_pulse,
     snr_to_n0,
     superpose_arrivals,
@@ -115,7 +113,6 @@ from .theory import (
     estimate_lipschitz,
     estimate_xi,
     fd_hessian,
-    grad_G,
     make_grad_fn,
     verify_theorem,
 )

@@ -44,6 +44,7 @@ from .harness import (
     config_from_dict,
     parse_scene,
     run_and_write,
+    whole_number,
 )
 from .localize import ToaInitError, crlb, da_gbl, gbl, require_gamma, toa_init
 from .pln import DEFAULT_HIDDEN, REDUCED_HIDDEN, PlnArchitecture
@@ -121,11 +122,11 @@ def _cmd_gen_data(args, doc: dict) -> int:
     _check_keys(doc, _SCENE_KEYS | {"count", "snr_db", "seed", "out_dir"}, "gen-data")
     doc = _apply_overrides(doc, args)
     env, _, pulse, grid, region = _scene_from(doc)
-    count = _cast("count", doc.get("count", 256), int)
+    count = _cast("count", doc.get("count", 256), whole_number)
     snr_db = doc.get("snr_db")
     if snr_db is not None:
         snr_db = _cast("snr_db", snr_db, float)
-    seed = _cast("seed", doc.get("seed", 0), int)
+    seed = _cast("seed", doc.get("seed", 0), whole_number)
     out = _resolve(doc.get("out_dir", "dataset"))
     ds = gen_dataset(env, region, count, pulse, grid, seed, snr_db=snr_db)
     save_dataset(ds, out)
@@ -144,18 +145,19 @@ def _cmd_train(args, doc: dict) -> int:
     if "dataset" not in doc:
         raise ConfigError("train needs a dataset path (config key 'dataset' or --dataset)")
     _, _, _, _, region = _scene_from(doc)
-    ds = load_dataset(_resolve(doc["dataset"]))
     if args.reduced or doc.get("preset") == "reduced":
         hidden = REDUCED_HIDDEN
     elif "hidden" in doc:
-        hidden = _cast("hidden", doc["hidden"], lambda hs: tuple(int(h) for h in hs))
+        hidden = _cast("hidden", doc["hidden"], lambda hs: tuple(whole_number(h) for h in hs))
     else:
         hidden = DEFAULT_HIDDEN
     kw: dict = {}
-    for key, cast in (("lr", float), ("batch_size", int), ("epochs", int), ("seed", int)):
+    for key, cast in (("lr", float), ("batch_size", whole_number), ("epochs", whole_number),
+                      ("seed", whole_number)):
         if key in doc:
             kw[key] = _cast(key, doc[key], cast)
     cfg = TrainConfig(**kw)
+    ds = load_dataset(_resolve(doc["dataset"]))
     ck = pretrain(ds, PlnArchitecture(hidden=hidden), cfg, region=region)
     out = _resolve(doc.get("out_dir", "checkpoint.json"))
     save_checkpoint(ck, out)
@@ -182,7 +184,7 @@ def _cmd_localize(args, doc: dict) -> int:
     if snr_db is not None:
         snr_db = _cast("snr_db", snr_db, float)
     mismatch = _cast("mismatch_m", doc.get("mismatch_m", 0.0), float)
-    seed = _cast("seed", doc.get("seed", 0), int)
+    seed = _cast("seed", doc.get("seed", 0), whole_number)
     env_true = Environment(
         env_train.depth + mismatch, env_train.sound_speed, env_train.receiver_depth
     )
@@ -279,12 +281,6 @@ def _cmd_verify_theorem(args, doc: dict) -> int:
     if "checkpoint" not in doc:
         raise ConfigError("verify-theorem needs a reduced-model checkpoint")
     env, source, pulse, grid, _ = _scene_from(doc)
-    model = load_checkpoint(_resolve(doc["checkpoint"])).model
-    if model.receiver_depth != env.receiver_depth:
-        raise ConfigError(
-            f"checkpoint receiver depth {model.receiver_depth} does not match "
-            f"environment receiver depth {env.receiver_depth}"
-        )
     eps = EnvPerturbation(
         depth_m=_cast("eps_depth_m", doc.get("eps_depth_m", -0.05), float),
         sound_speed_ms=_cast("eps_sound_speed_ms", doc.get("eps_sound_speed_ms", 0.0), float),
@@ -294,11 +290,17 @@ def _cmd_verify_theorem(args, doc: dict) -> int:
         if key in doc:
             cfg_kwargs[key] = _cast(key, doc[key], float)
     if "seed" in doc:
-        cfg_kwargs["seed"] = _cast("seed", doc["seed"], int)
+        cfg_kwargs["seed"] = _cast("seed", doc["seed"], whole_number)
     try:
         theorem_cfg = TheoremConfig(**cfg_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    model = load_checkpoint(_resolve(doc["checkpoint"])).model
+    if model.receiver_depth != env.receiver_depth:
+        raise ConfigError(
+            f"checkpoint receiver depth {model.receiver_depth} does not match "
+            f"environment receiver depth {env.receiver_depth}"
+        )
     report = verify_theorem(model, env, source, eps, theorem_cfg, grid=grid)
     out = _resolve(doc.get("out_dir", "theorem_report.json"))
     report.save(out)

@@ -50,9 +50,8 @@ from .signals import (
     TimeGrid,
     arrival_windows,
     correlation_envelope,  # not called here; kept as a global the bench tracer patches
-    lowpassed_pulse,
     require_finite,
-    smooth_rows,
+    smooth_rows,  # not called here; kept as a global the bench tracer patches
 )
 
 PLN_ERROR_TARGET = 0.005  # worst in-region relative path-length error
@@ -60,10 +59,6 @@ PLN_ERROR_TARGET = 0.005  # worst in-region relative path-length error
 
 class CheckpointError(ValueError):
     """Raised for unreadable, truncated, or wrong-version checkpoints."""
-
-
-class GridMismatchError(ValueError):
-    """Raised when a signal's grid does not match the model's expectation."""
 
 
 @dataclass
@@ -165,24 +160,8 @@ def model_output(model: ModelParams, src: SourceLocation, grid: TimeGrid) -> Sam
     return SampledSignal(grid, values)
 
 
-def make_train_loss_fn(
-    model: ModelParams,
-    dataset: Dataset,
-    indices: np.ndarray | None = None,
-    pulse: AnalyticPulse | None = None,
-    signals: np.ndarray | None = None,
-):
-    """Build w -> (mean integrated squared residual over the chosen items, gradient).
-
-    `pulse` and `signals` exist so the pretraining schedule can substitute the
-    lowpassed pulse and correspondingly smoothed recordings; by default the
-    exact dataset and transmit pulse are used.
-    """
-    if dataset.grid.n_samples != (signals.shape[1] if signals is not None
-                                  else dataset.signals.shape[1]):
-        raise GridMismatchError("signals do not match the dataset grid")
-    pulse = pulse if pulse is not None else dataset.pulse
-    signals = signals if signals is not None else dataset.signals
+def make_train_loss_fn(model: ModelParams, dataset: Dataset, indices: np.ndarray | None = None):
+    """Build w -> (mean integrated squared residual over the chosen items, gradient)."""
     idx = np.arange(dataset.count) if indices is None else np.asarray(indices)
     batch = len(idx)
     if batch == 0:
@@ -191,7 +170,7 @@ def make_train_loss_fn(
         dataset.locations[idx, 0], dataset.locations[idx, 1],
         model.receiver_depth, model.pln.norm,
     ).reshape(batch * len(THREE_PATHS), -1)
-    r = signals[idx]
+    r = dataset.signals[idx]
     grid = dataset.grid
     scale = grid.dt / batch
 
@@ -201,7 +180,7 @@ def make_train_loss_fn(
         flat, backward = length_forward(model.pln, w, feats)
         lengths = flat.reshape(batch, len(THREE_PATHS))
         alphas, taus = alpha_tau(lengths, RHOS, c)
-        f, superpose_vjp = autodiff.superpose(alphas, taus, pulse, grid)
+        f, superpose_vjp = autodiff.superpose(alphas, taus, dataset.pulse, grid)
         resid = r - f
         del f  # a whole-dataset batch holds 16 MB here; free it before resid * resid
 
@@ -439,39 +418,31 @@ def _lm_stage(fit: _ExactFit, w: np.ndarray, n_iter: int) -> tuple[np.ndarray, l
     return lin["v"], losses
 
 
-# Coarse-to-fine pretraining schedule: (stage kind, smoothing kernel sigma in
-# seconds, fraction of the epoch budget, learning-rate scale). Random init
-# puts predicted arrivals up to ~0.2 s from the recorded ones, far outside the
-# correlation basin of any waveform misfit (smoothing the bandpass waveform
-# cannot widen it: a kernel wide enough to matter just annihilates the
-# carrier), so the schedule works in three regimes:
+# Two-stage pretraining schedule: (stage kind, sigma, fraction of the epoch
+# budget, learning-rate scale). Neither stage smooths, so sigma is 0; the
+# entries keep their four fields for callers that unpack them. Random init puts
+# predicted arrivals up to ~0.2 s from the recorded ones, far outside the
+# correlation basin of any waveform misfit, so the schedule works in two
+# regimes:
 #   peaks - regress predicted lengths onto matched-filter peak times of each
 #     recording, waveform statistics with global capture range. The direct
 #     arrival comes first, and the sign of the correlation tells the surface
 #     bounce (rho = -1) from the bottom one, so the targets come in path
 #     order; the entries a recording leaves unsettled (merged arrivals) drop
-#     out of the loss.
-#   lowpass - fit the Gaussian-smoothed waveform quadratically: smoothing
-#     pulls the effective carrier down to f0 sigma_p^2 / (sigma_p^2 + k^2),
-#     widening the cycle basin so the phase locks onto the right carrier
-#     cycle and the reflection signs calibrate.
+#     out of the loss. It leaves every arrival inside its carrier-cycle
+#     basin (full network: RMS length misfit about 0.2 m against a 1 m
+#     half-wavelength), so the exact stage follows directly.
 #   exact - the true training loss, minimized by Levenberg-Marquardt over the
 #     whole dataset (one trial step per epoch, see _ExactFit) rather than by
 #     Adam: once every arrival sits in its basin, minibatch Adam stalls with
 #     lengths about 0.1 m off, 20 times what a 2% waveform error allows.
-# The Adam stages run at scaled-down rates: the lowpass basins span about
-# +/- one effective carrier cycle, and Adam steps at the peaks-stage rate
-# move predictions by meters, which would throw every item off its basin.
 # The exact stage takes no rate; its damping adapts to each step's outcome.
 STAGE_PEAKS = "peaks"
-STAGE_LOWPASS = "lowpass"
 STAGE_EXACT = "exact"
 
 DEFAULT_SMOOTHING: tuple[tuple[str, float, float, float], ...] = (
-    (STAGE_PEAKS, 0.0, 0.625, 1.0),
-    (STAGE_LOWPASS, 2e-3, 0.0625, 0.2),
-    (STAGE_LOWPASS, 1e-3, 0.09375, 0.1),
-    (STAGE_EXACT, 0.0, 0.21875, 0.03),
+    (STAGE_PEAKS, 0.0, 8000 / 10800, 1.0),
+    (STAGE_EXACT, 0.0, 2800 / 10800, 0.03),
 )
 
 
@@ -479,18 +450,17 @@ DEFAULT_SMOOTHING: tuple[tuple[str, float, float, float], ...] = (
 class TrainConfig:
     """Pretraining settings.
 
-    lr is the peaks-stage Adam rate; each schedule entry scales it for the
-    peaks and lowpass stages. Within such a stage the rate holds for the
-    first half of the epochs, then follows a cosine decay to 1% so the
-    minibatch noise floor drops as the stage settles. The exact stage runs
-    full-batch Levenberg-Marquardt, one trial step per epoch, so it uses
-    neither its rate scale nor batch_size; lr = 0 still freezes it along
-    with every other stage.
+    lr is the peaks-stage Adam rate. It holds for the first half of the
+    stage's epochs, then follows a cosine decay to 1% so the minibatch noise
+    floor drops as the stage settles. The exact stage runs full-batch
+    Levenberg-Marquardt, one trial step per epoch, so it uses neither its
+    rate scale nor batch_size; lr = 0 still freezes it along with the peaks
+    stage.
     """
 
     lr: float = 1e-3
     batch_size: int = 32
-    epochs: int = 12800
+    epochs: int = 10800
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -523,20 +493,6 @@ class Checkpoint:
     metadata: dict = field(default_factory=dict)
 
 
-def _stage_pulse(pulse: AnalyticPulse, kind: str, sigma: float) -> AnalyticPulse:
-    """The model-side pulse whose superposition matches the stage's targets."""
-    if kind == STAGE_LOWPASS:
-        return lowpassed_pulse(pulse, sigma)
-    return pulse
-
-
-def _stage_signals(signals: np.ndarray, kind: str, sigma: float, dt: float) -> np.ndarray:
-    """The data-side targets transformed to match _stage_pulse's domain."""
-    if kind == STAGE_LOWPASS:
-        return smooth_rows(signals, sigma, dt)
-    return signals
-
-
 def _stage_lr(epoch: int, n_epochs: int, lr0: float) -> float:
     """Hold lr0 for the first half of a stage, then cosine-decay to 1%."""
     half = n_epochs // 2
@@ -546,26 +502,20 @@ def _stage_lr(epoch: int, n_epochs: int, lr0: float) -> float:
     return lr0 * (0.01 + 0.99 * ramp)
 
 
-def _adam_stage(
+def _peaks_stage(
     model: ModelParams,
     dataset: Dataset,
     w: np.ndarray,
-    kind: str,
-    sigma: float,
     n_epochs: int,
     lr0: float,
     batch_size: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, list[float]]:
-    """Minibatch Adam over a peaks or lowpass stage; the mean loss of each epoch.
+    """Minibatch Adam on the peaks loss; the mean loss of each epoch.
 
     Moments start from zero; the rate follows _stage_lr from lr0.
     """
-    if kind == STAGE_PEAKS:
-        targets = _peak_length_targets(dataset)
-    else:
-        stage_pulse = _stage_pulse(dataset.pulse, kind, sigma)
-        stage_signals = _stage_signals(dataset.signals, kind, sigma, dataset.grid.dt)
+    targets = _peak_length_targets(dataset)
     w = w.copy()
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m = np.zeros_like(w)
@@ -578,13 +528,7 @@ def _adam_stage(
         losses = []
         for lo in range(0, dataset.count, batch_size):
             idx = perm[lo : lo + batch_size]
-            if kind == STAGE_PEAKS:
-                loss_fn = _make_peaks_loss_fn(model, dataset, idx, targets)
-            else:
-                loss_fn = make_train_loss_fn(
-                    model, dataset, indices=idx, pulse=stage_pulse, signals=stage_signals,
-                )
-            loss, g = value_and_grad(loss_fn, w)
+            loss, g = value_and_grad(_make_peaks_loss_fn(model, dataset, idx, targets), w)
             losses.append(loss)
             step += 1
             m = beta1 * m + (1.0 - beta1) * g
@@ -604,14 +548,13 @@ def pretrain(
 ) -> Checkpoint:
     """Fit the network end to end on recorded waveforms.
 
-    Follows the coarse-to-fine schedule DEFAULT_SMOOTHING: minibatch Adam for
-    the peaks and lowpass stages (moments reset at stage boundaries, each
-    stage at its own scaled, hold-then-decay learning rate), then
-    Levenberg-Marquardt on the exact loss, which stops before its epoch
-    budget once no step lowers the loss. Logs one loss value per epoch run
-    (the minibatch mean for Adam, the whole-dataset loss for the exact
-    stage) plus the in-region path-length error at each stage end, and
-    warns if the trained network misses the in-region accuracy target.
+    Follows the schedule DEFAULT_SMOOTHING: minibatch Adam on the peaks loss
+    at a hold-then-decay learning rate, then Levenberg-Marquardt on the
+    exact loss, which stops before its epoch budget once no step lowers the
+    loss. Logs one loss value per epoch run (the minibatch mean for Adam,
+    the whole-dataset loss for the exact stage) plus the in-region
+    path-length error at each stage end, and warns if the trained network
+    misses the in-region accuracy target.
     """
     from .environment import DEFAULT_REGION
 
@@ -638,9 +581,8 @@ def pretrain(
             n_iter = n_epochs if cfg.lr > 0.0 else 0
             w, losses = _lm_stage(_ExactFit(model, dataset), w, n_iter)
         else:
-            w, losses = _adam_stage(
-                model, dataset, w, kind, sigma, n_epochs, cfg.lr * lr_scale,
-                cfg.batch_size, rng,
+            w, losses = _peaks_stage(
+                model, dataset, w, n_epochs, cfg.lr * lr_scale, cfg.batch_size, rng,
             )
         for loss in losses:
             curve.append((epoch, kind, sigma, loss))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -39,6 +40,14 @@ from .signals import (
 
 class ConfigError(ValueError):
     """Raised for invalid or inconsistent experiment configuration."""
+
+
+def whole_number(value) -> int:
+    """`value` as an int; ValueError unless it is a whole number (bools excluded)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
 
 
 METHOD_CRLB = "crlb"
@@ -80,6 +89,13 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("trials", "seed"):
+            try:
+                setattr(self, name, whole_number(getattr(self, name)))
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
+        if not isinstance(self.timing, bool):
+            raise ConfigError(f"timing must be true or false, got {self.timing!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         for m in self.methods:

@@ -120,8 +120,8 @@ def pln_init(arch: PlnArchitecture, norm: InputNormalization, seed: int) -> PlnP
     """Glorot-uniform weights, zero hidden biases.
 
     The output bias is set to softplus^{-1}(1) so untrained predictions start
-    near length_scale, inside the span of plausible path lengths; that keeps
-    the initial arrivals within pull range of the coarse training stages.
+    near length_scale, inside the span of plausible path lengths, where the
+    peaks training stage starts.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     layout = arch.layout()

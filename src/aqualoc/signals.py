@@ -37,8 +37,6 @@ class AnalyticPulse:
     """Gaussian-windowed cosine s(t) = A exp(-(t-t_c)^2 / (2 sigma^2)) cos(2 pi f0 (t-t_c)).
 
     The envelope width is tied to the nominal bandwidth by sigma = 1 / (pi * B).
-    The family is closed under Gaussian lowpassing (see lowpassed_pulse), which
-    the coarse-to-fine pretraining schedule relies on.
     """
 
     center_freq: float
@@ -85,33 +83,6 @@ def eval_pulse_dt(pulse: AnalyticPulse, t: np.ndarray | float) -> np.ndarray:
     envelope = np.exp(-(u * u) / (2.0 * pulse.sigma**2))
     return pulse.amplitude * envelope * (
         -(u / pulse.sigma**2) * np.cos(omega * u) - omega * np.sin(omega * u)
-    )
-
-
-def lowpassed_pulse(pulse: AnalyticPulse, kernel_sigma: float) -> AnalyticPulse:
-    """Pulse after convolution with a unit-area Gaussian of width kernel_sigma.
-
-    Convolving a Gaussian-windowed cosine with a Gaussian kernel yields another
-    Gaussian-windowed cosine: the envelope widens to sqrt(sigma^2 + k^2), the
-    carrier is pulled down to f0 * sigma^2 / (sigma^2 + k^2), and the amplitude
-    shrinks by (sigma / sigma') * exp(-omega^2 sigma^2 k^2 / (2 sigma'^2)).
-    Used by the coarse-to-fine pretraining schedule.
-    """
-    if kernel_sigma < 0.0:
-        raise ValueError(f"kernel_sigma must be >= 0, got {kernel_sigma}")
-    if kernel_sigma == 0.0:
-        return pulse
-    sigma = pulse.sigma
-    var = sigma**2 + kernel_sigma**2
-    omega = 2.0 * math.pi * pulse.center_freq
-    gain = (sigma / math.sqrt(var)) * math.exp(
-        -(omega**2) * sigma**2 * kernel_sigma**2 / (2.0 * var)
-    )
-    return AnalyticPulse(
-        center_freq=pulse.center_freq * sigma**2 / var,
-        bandwidth=1.0 / (math.pi * math.sqrt(var)),
-        center_time=pulse.center_time,
-        amplitude=pulse.amplitude * gain,
     )
 
 

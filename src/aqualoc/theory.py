@@ -100,23 +100,6 @@ def make_grad_fn(adapter, received: SampledSignal, gamma: float):
     return grad_fn
 
 
-def grad_G(
-    v: np.ndarray,
-    env: Environment,
-    source: SourceLocation,
-    model: ModelParams,
-    gamma: float,
-) -> np.ndarray:
-    """Gradient of the adaptation objective on noiseless data from (env, source).
-
-    The anchor weights are the model's stored (trained) weights.
-    """
-    grid = TimeGrid()
-    received = synthesize_received(env, source, model.pulse, grid)
-    adapter = NetworkModel(model)
-    return make_grad_fn(adapter, received, gamma)(v)
-
-
 # ---------------------------------------------------------------------------
 # Constant estimation (generic over a gradient oracle)
 # ---------------------------------------------------------------------------

@@ -1,12 +1,8 @@
 """Shared fixtures.
 
 The expensive artifacts (training datasets, the full and reduced trained
-checkpoints) are built once per session; wall-clock times are recorded so the
-acceptance tests can assert their runtime budgets against the same run they
-take results from.
+checkpoints, the theorem report) are built once per session.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -24,7 +20,7 @@ from aqualoc.signals import TimeGrid, make_pulse
 
 
 # Tests that need a trained network take minutes; `pytest -m "not slow"` skips them.
-SLOW_FIXTURES = {"trained", "trained_checkpoint", "reduced_checkpoint", "theorem", "theorem_report"}
+SLOW_FIXTURES = {"trained_checkpoint", "reduced_checkpoint", "theorem_report"}
 
 
 def pytest_collection_modifyitems(config, items):
@@ -60,46 +56,29 @@ def train_dataset(pulse, grid, env):
 
 
 @pytest.fixture(scope="session")
-def trained(train_dataset):
-    """Full-size checkpoint trained with default config, plus its wall time."""
-    t0 = time.time()
-    ck = pretrain(train_dataset, PlnArchitecture(hidden=DEFAULT_HIDDEN), TrainConfig())
-    return ck, time.time() - t0
-
-
-@pytest.fixture(scope="session")
-def trained_checkpoint(trained):
-    return trained[0]
+def trained_checkpoint(train_dataset):
+    """Full-size checkpoint trained with default config."""
+    return pretrain(train_dataset, PlnArchitecture(hidden=DEFAULT_HIDDEN), TrainConfig())
 
 
 @pytest.fixture(scope="session")
 def reduced_checkpoint(train_dataset):
     """Small-network checkpoint for the dense-Hessian theorem machinery."""
-    ck = pretrain(
-        train_dataset, PlnArchitecture(hidden=REDUCED_HIDDEN), TrainConfig()
-    )
-    return ck
+    return pretrain(train_dataset, PlnArchitecture(hidden=REDUCED_HIDDEN), TrainConfig())
 
 
 @pytest.fixture(scope="session")
-def theorem(reduced_checkpoint):
-    """Robustness report at the reference depth perturbation, plus wall time."""
+def theorem_report(reduced_checkpoint):
+    """Robustness report at the reference depth perturbation."""
     from aqualoc.theory import EnvPerturbation, TheoremConfig, verify_theorem
 
-    t0 = time.time()
-    report = verify_theorem(
+    return verify_theorem(
         reduced_checkpoint.model,
         DEFAULT_ENVIRONMENT,
         DEFAULT_SOURCE,
         EnvPerturbation(depth_m=-0.05),
         TheoremConfig(),
     )
-    return report, time.time() - t0
-
-
-@pytest.fixture(scope="session")
-def theorem_report(theorem):
-    return theorem[0]
 
 
 @pytest.fixture()

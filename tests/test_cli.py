@@ -110,6 +110,18 @@ def test_infinite_region_bound_exits_2(tmp_path, capsys, command):
         ("sweep-mismatch", {"snr_db": "x", "methods": ["gbl-matched"]}, "snr_db"),
         ("sweep-mismatch", {"mismatch_m_list": [math.inf], "methods": ["gbl-matched"]},
          "mismatch_m_list"),
+        ("sweep-snr", {"trials": 2.5, "methods": ["crlb"]}, "trials"),
+        ("sweep-snr", {"trials": True, "methods": ["crlb"]}, "trials"),
+        ("sweep-snr", {"seed": 1.5, "methods": ["crlb"]}, "seed"),
+        ("sweep-snr", {"timing": "no", "methods": ["crlb"]}, "timing"),
+        ("localize", {"seed": 1.5}, "seed"),
+        ("gen-data", {"count": 2.5}, "count"),
+        ("gen-data", {"seed": True}, "seed"),
+        ("train", {"dataset": "absent", "batch_size": 2.5}, "batch_size"),
+        ("train", {"dataset": "absent", "epochs": 2.5}, "epochs"),
+        ("train", {"dataset": "absent", "seed": 1.5}, "seed"),
+        ("train", {"dataset": "absent", "hidden": [8.5]}, "hidden"),
+        ("verify-theorem", {"checkpoint": "absent.json", "seed": 1.5}, "seed"),
     ],
 )
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, doc, key):

@@ -16,8 +16,6 @@ from aqualoc.signals import (
     energy,
     eval_pulse,
     eval_pulse_dt,
-    gaussian_kernel,
-    lowpassed_pulse,
     make_pulse,
     snr_to_n0,
     superpose_arrivals,
@@ -180,17 +178,6 @@ def test_time_grid_shape_and_mapping():
 def test_sampled_signal_length_checked(grid):
     with pytest.raises(ValueError):
         SampledSignal(grid, np.zeros(grid.n_samples - 1))
-
-
-def test_lowpassed_pulse_matches_discrete_convolution(pulse):
-    # closed form vs direct numerical convolution with the sampled kernel
-    k = 1e-3
-    fs = 40000.0
-    t = np.arange(int(fs * 0.1)) / fs
-    kernel = gaussian_kernel(k, 1.0 / fs)
-    smoothed = np.convolve(eval_pulse(pulse, t), kernel, mode="same")
-    lp = lowpassed_pulse(pulse, k)
-    np.testing.assert_allclose(eval_pulse(lp, t), smoothed, atol=2e-6)
 
 
 def test_superpose_matches_direct_evaluation(pulse, grid):

@@ -24,7 +24,6 @@ from aqualoc.theory import (
     estimate_lipschitz,
     estimate_xi,
     fd_hessian,
-    grad_G,
     make_grad_fn,
     verify_theorem,
 )
@@ -92,14 +91,6 @@ def test_grad_matches_double_evaluation(small_adapter, oracle_received):
     objective = _WaveformFit(small_adapter, oracle_received, gamma, True)
     _, g_localize = value_and_grad(objective, v)
     assert np.allclose(g_theory, g_localize, rtol=1e-10, atol=1e-14)
-
-
-def test_grad_G_entry_point(small_model, grid):
-    nw = small_model.pln.values.size
-    v = np.concatenate([small_model.pln.values, TRUE_P])
-    g = grad_G(v, DEFAULT_ENVIRONMENT, DEFAULT_SOURCE, small_model, 0.0)
-    assert g.shape == (nw + 2,)
-    assert np.all(np.isfinite(g))
 
 
 # -- strong convexity estimate --------------------------------------------------
