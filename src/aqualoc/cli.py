@@ -48,7 +48,7 @@ from .harness import (
 )
 from .localize import ToaInitError, crlb, da_gbl, gbl, require_gamma, toa_init
 from .pln import DEFAULT_HIDDEN, REDUCED_HIDDEN, PlnArchitecture
-from .signals import NoiseSpec, TimeGrid, add_awgn, make_pulse, snr_to_n0
+from .signals import NoiseSpec, TimeGrid, add_awgn, finite_float, make_pulse, snr_to_n0
 from .theory import EnvPerturbation, TheoremConfig, verify_theorem
 
 _SCENE_KEYS = set(SCENE_TYPES)
@@ -125,7 +125,7 @@ def _cmd_gen_data(args, doc: dict) -> int:
     count = _cast("count", doc.get("count", 256), whole_number)
     snr_db = doc.get("snr_db")
     if snr_db is not None:
-        snr_db = _cast("snr_db", snr_db, float)
+        snr_db = _cast("snr_db", snr_db, finite_float)
     seed = _cast("seed", doc.get("seed", 0), whole_number)
     out = _resolve(doc.get("out_dir", "dataset"))
     ds = gen_dataset(env, region, count, pulse, grid, seed, snr_db=snr_db)
@@ -152,8 +152,8 @@ def _cmd_train(args, doc: dict) -> int:
     else:
         hidden = DEFAULT_HIDDEN
     kw: dict = {}
-    for key, cast in (("lr", float), ("batch_size", whole_number), ("epochs", whole_number),
-                      ("seed", whole_number)):
+    for key, cast in (("lr", finite_float), ("batch_size", whole_number),
+                      ("epochs", whole_number), ("seed", whole_number)):
         if key in doc:
             kw[key] = _cast(key, doc[key], cast)
     cfg = TrainConfig(**kw)
@@ -182,8 +182,8 @@ def _cmd_localize(args, doc: dict) -> int:
     gamma = require_gamma(doc.get("gamma", 0.0), ConfigError)
     snr_db = doc.get("snr_db", 20.0)
     if snr_db is not None:
-        snr_db = _cast("snr_db", snr_db, float)
-    mismatch = _cast("mismatch_m", doc.get("mismatch_m", 0.0), float)
+        snr_db = _cast("snr_db", snr_db, finite_float)
+    mismatch = _cast("mismatch_m", doc.get("mismatch_m", 0.0), finite_float)
     seed = _cast("seed", doc.get("seed", 0), whole_number)
     env_true = Environment(
         env_train.depth + mismatch, env_train.sound_speed, env_train.receiver_depth
@@ -259,7 +259,7 @@ def _cmd_crlb(args, doc: dict) -> int:
     _check_keys(doc, _SCENE_KEYS | {"snr_db_list"}, "crlb")
     env, source, pulse, grid, _ = _scene_from(doc)
     snrs = _cast("snr_db_list", doc.get("snr_db_list", [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]),
-                 lambda values: [float(v) for v in values])
+                 lambda values: [finite_float(v) for v in values])
     clean = synthesize_received(env, source, pulse, grid)
     print("snr_db,rmse_bound_m")
     for snr_db in snrs:
@@ -282,13 +282,14 @@ def _cmd_verify_theorem(args, doc: dict) -> int:
         raise ConfigError("verify-theorem needs a reduced-model checkpoint")
     env, source, pulse, grid, _ = _scene_from(doc)
     eps = EnvPerturbation(
-        depth_m=_cast("eps_depth_m", doc.get("eps_depth_m", -0.05), float),
-        sound_speed_ms=_cast("eps_sound_speed_ms", doc.get("eps_sound_speed_ms", 0.0), float),
+        depth_m=_cast("eps_depth_m", doc.get("eps_depth_m", -0.05), finite_float),
+        sound_speed_ms=_cast(
+            "eps_sound_speed_ms", doc.get("eps_sound_speed_ms", 0.0), finite_float),
     )
     cfg_kwargs = {}
     for key in ("sigma", "gamma", "curvature_target", "path_shift_budget_m"):
         if key in doc:
-            cfg_kwargs[key] = _cast(key, doc[key], float)
+            cfg_kwargs[key] = _cast(key, doc[key], finite_float)
     if "seed" in doc:
         cfg_kwargs["seed"] = _cast("seed", doc["seed"], whole_number)
     try:

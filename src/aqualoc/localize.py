@@ -40,6 +40,7 @@ from .signals import (
     AnalyticPulse,
     SampledSignal,
     correlation_envelope,
+    finite_float,
     pick_envelope_peaks,
     refine_envelope_peak,
     smooth_rows,  # not called here; kept as a global the bench tracer patches
@@ -203,15 +204,18 @@ def toa_init(
 
 # The gradient exit, relative to the gradient norm where the fit starts.
 GRAD_TOL_REL = 1e-8
+# The crawl exit: a fit stalls once its gradient norm is still above half
+# its value this many accepted steps earlier.
+CRAWL_STEPS = 10
 
 
 def require_gamma(gamma, error: type[Exception] = ValueError) -> float:
     """The anchor weight gamma as a float; raises `error` unless it is a finite number >= 0."""
     try:
-        value = float(gamma)
-    except (TypeError, ValueError):
+        value = finite_float(gamma)
+    except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
+    if not value >= 0.0:
         raise error(f"gamma must be finite and >= 0, got {gamma!r}")
     return value
 
@@ -223,7 +227,9 @@ class GblConfig:
     The fit ends once the gradient norm falls to GRAD_TOL_REL times its
     starting value, once an accepted step moves the position by less than
     `step_tol_m` in each coordinate, once a step fails with the damping
-    above autodiff.LAM_MAX, or after `max_iter` trial steps.
+    above autodiff.LAM_MAX, once an accepted point's gradient norm is
+    still above half its value CRAWL_STEPS accepted steps earlier (a
+    crawl), or after `max_iter` trial steps.
 
     The misfit oscillates at the carrier scale, so the fit's attraction
     basin is only about half a carrier wavelength wide: the seed must lie
@@ -245,8 +251,9 @@ class LocalizeResult:
     means the fit met a tolerance: the gradient norm fell to `grad_tol`,
     or an accepted position step was shorter than `step_tol_m` (the usual
     exit, as float64 loss differences cannot resolve a 1e-8 gradient
-    ratio). A stall or the iteration cap gives `converged=False`; the
-    trigger is always in `exit_reason`.
+    ratio). A stall (the damping above its cap, or a crawl: the gradient
+    norm not halved over CRAWL_STEPS accepted steps) or the iteration cap
+    gives `converged=False`; the trigger is always in `exit_reason`.
     """
 
     p_hat: np.ndarray
@@ -387,11 +394,17 @@ def _lm_pass(fit: _WaveformFit, v: np.ndarray, max_iter: int, step_tol_m: float)
     start and each accepted point are linearized once, their value and
     gradient passing through value_and_grad, the one finiteness check. The
     gradient exit is checked before every step: a stationary start exits at once.
+    The fit stalls when a step fails with the damping above LAM_MAX, or when it
+    crawls: an accepted point's gradient norm is still above half its value
+    CRAWL_STEPS accepted steps earlier, the start counting as accepted. A
+    converging fit's gradient falls geometrically; a crawl's holds flat while
+    the damping underflows and each step stays above `step_tol_m`.
     """
     value_and_grad(fit, v)  # evaluates and linearizes the start as fit.point
     lin = fit.point
     tol = GRAD_TOL_REL * lin["grad_norm"]
     trials = lm_trials(fit, lin)
+    norms = [lin["grad_norm"]]  # at the start and each accepted point
     n_iter, exit_reason = 0, "gradient"
     while lin["grad_norm"] > tol:
         if n_iter == max_iter:
@@ -404,6 +417,10 @@ def _lm_pass(fit: _WaveformFit, v: np.ndarray, max_iter: int, step_tol_m: float)
             lin = new
             if moved < step_tol_m:
                 exit_reason = "step"
+                break
+            norms.append(lin["grad_norm"])
+            if len(norms) > CRAWL_STEPS and norms[-1] > max(tol, 0.5 * norms[-1 - CRAWL_STEPS]):
+                exit_reason = "stall"
                 break
         elif lam > LAM_MAX:
             exit_reason = "stall"

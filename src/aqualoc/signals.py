@@ -24,12 +24,25 @@ DEFAULT_DURATION = 2.0  # s
 WINDOW_SIGMAS = 12.0
 
 
+def finite_float(value) -> float:
+    """`value` as a float; ValueError unless it is a finite real number (bools excluded)."""
+    try:
+        finite = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                  and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
 def require_finite(owner: str, **values) -> None:
     """Raise ValueError unless every value is a finite real number (bools excluded)."""
     for name, value in values.items():
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)):
-            raise ValueError(f"{owner} {name} must be a finite number, got {value!r}")
+        try:
+            finite_float(value)
+        except ValueError:
+            raise ValueError(f"{owner} {name} must be a finite number, got {value!r}") from None
 
 
 @dataclass(frozen=True)

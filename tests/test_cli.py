@@ -122,6 +122,23 @@ def test_infinite_region_bound_exits_2(tmp_path, capsys, command):
         ("train", {"dataset": "absent", "seed": 1.5}, "seed"),
         ("train", {"dataset": "absent", "hidden": [8.5]}, "hidden"),
         ("verify-theorem", {"checkpoint": "absent.json", "seed": 1.5}, "seed"),
+        ("localize", {"snr_db": True}, "snr_db"),
+        ("localize", {"gamma": True}, "gamma"),
+        ("localize", {"mismatch_m": True}, "mismatch_m"),
+        ("localize", {"snr_db": 10**400}, "snr_db"),
+        ("gen-data", {"snr_db": True}, "snr_db"),
+        ("crlb", {"snr_db_list": [True]}, "snr_db_list"),
+        ("sweep-snr", {"gamma_list": [True], "methods": ["crlb"]}, "gamma"),
+        ("train", {"dataset": "absent", "lr": True}, "lr"),
+        ("verify-theorem", {"checkpoint": "absent.json", "eps_depth_m": True}, "eps_depth_m"),
+        ("verify-theorem", {"checkpoint": "absent.json", "eps_sound_speed_ms": True},
+         "eps_sound_speed_ms"),
+        ("verify-theorem", {"checkpoint": "absent.json", "sigma": True}, "sigma"),
+        ("verify-theorem", {"checkpoint": "absent.json", "gamma": True}, "gamma"),
+        ("verify-theorem", {"checkpoint": "absent.json", "curvature_target": True},
+         "curvature_target"),
+        ("verify-theorem", {"checkpoint": "absent.json", "path_shift_budget_m": True},
+         "path_shift_budget_m"),
     ],
 )
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, doc, key):

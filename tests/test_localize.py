@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aqualoc import localize
-from aqualoc.autodiff import LAM_INIT, fd_check, value_and_grad
+from aqualoc.autodiff import LAM_INIT, fd_check, lm_trials, value_and_grad
 from aqualoc.environment import (
     DEFAULT_ENVIRONMENT,
     DEFAULT_REGION,
@@ -18,6 +18,7 @@ from aqualoc.environment import (
 )
 from aqualoc.forward import MatchedModel, ModelParams, NetworkModel
 from aqualoc.localize import (
+    CRAWL_STEPS,
     CrlbResult,
     GblConfig,
     SingularFisherError,
@@ -172,6 +173,47 @@ def test_gbl_stalls_off_basin(matched, oracle_received):
     assert np.linalg.norm(res.p_hat - TRUE_P) > 1.0
 
 
+def test_gbl_stalls_when_it_crawls(env, pulse, oracle_received):
+    # 150 m from the source the fit crawls across the misfit's ripples: each
+    # step is accepted and moves millimetres while the gradient holds flat,
+    # so neither the step nor the gradient exit fires before max_iter
+    n0 = snr_to_n0(oracle_received, 20.0, pulse.bandwidth)
+    noisy = add_awgn(oracle_received, NoiseSpec(n0, 7))
+    matched = MatchedModel(env, pulse)
+    p0 = TRUE_P + [150.0, 0.0]
+    res = gbl(noisy, matched, p0)
+    assert res.exit_reason == "stall"
+    assert res.converged is False
+    assert res.n_iter <= 2 * CRAWL_STEPS
+    assert res.loss <= da_loss(matched, noisy, None, p0, 0.0)
+
+
+def test_crawl_exit_spares_a_slow_converging_fit(env, pulse, grid, monkeypatch):
+    # under a 10 m depth mismatch, a 1e-7 m step tolerance takes the fit
+    # through more than CRAWL_STEPS accepted steps; its gradient falls
+    # geometrically, so it ends by the step exit, as with the crawl exit off
+    received = synthesize_received(
+        Environment(env.depth - 10.0, env.sound_speed, env.receiver_depth), DEFAULT_SOURCE,
+        pulse, grid)
+    matched, p0, cfg = MatchedModel(env, pulse), TRUE_P + [0.4, 0.15], GblConfig(step_tol_m=1e-7)
+    accepted = []
+
+    def counted(fit, lin):
+        for trial in lm_trials(fit, lin):
+            accepted.append(trial[2])
+            yield trial
+
+    with monkeypatch.context() as patch:
+        patch.setattr(localize, "lm_trials", counted)
+        res = gbl(received, matched, p0, cfg)
+    monkeypatch.setattr(localize, "CRAWL_STEPS", 10**9)
+    off = gbl(received, matched, p0, cfg)
+    assert res.exit_reason == "step"
+    assert sum(accepted) > CRAWL_STEPS
+    assert np.array_equal(res.p_hat, off.p_hat)
+    assert (res.n_iter, res.loss, res.grad_norm) == (off.n_iter, off.loss, off.grad_norm)
+
+
 def test_descent_evaluates_each_point_once(env, pulse, oracle_received, monkeypatch):
     # every trial point runs the adapter's signal_t once; the start and each
     # accepted point pass once through value_and_grad, which linearizes them,
@@ -209,12 +251,15 @@ def test_gbl_reaches_estimator_optimum(env, pulse, grid, oracle_received, snr_db
     n0 = snr_to_n0(oracle_received, snr_db, pulse.bandwidth)
     bound = crlb(env, TRUE_P[0], TRUE_P[1], pulse, grid, n0).rmse_bound
     matched = MatchedModel(env, pulse)
-    errs = np.empty(400)
+    errs, exits = np.empty(400), set()
     for trial in range(len(errs)):
         noisy = add_awgn(oracle_received, NoiseSpec(n0, 1000 * int(snr_db) + trial))
         p0 = toa_init(noisy, pulse, env).p0
-        errs[trial] = np.linalg.norm(gbl(noisy, matched, p0).p_hat - TRUE_P)
+        res = gbl(noisy, matched, p0)
+        errs[trial] = np.linalg.norm(res.p_hat - TRUE_P)
+        exits.add(res.exit_reason)
     assert errs.max() <= 1.0
+    assert "stall" not in exits
     assert np.sqrt(np.mean(errs**2)) <= 1.15 * bound
 
 
