@@ -48,7 +48,6 @@ from .forward import (
     PLN_ERROR_TARGET,
     TrainConfig,
     load_checkpoint,
-    make_train_loss_fn,
     model_output,
     pretrain,
     save_checkpoint,

@@ -1,13 +1,14 @@
 """Explicit derivatives for the forward model's one fixed chain.
 
 Position -> path lengths -> (alpha, tau) -> pulse superposition -> loss is
-differentiated link by link: each link returns its value together with a
-vector-Jacobian product (vjp) that maps a cotangent of its output back to its
-inputs. A loss function takes a flat parameter vector and returns its value
-and a closure computing the gradient, so value-only callers (finite
-differences) never run the backward part. Every waveform fit runs the one
-Levenberg-Marquardt loop `lm_trials` through the lengths, with the
-waveform's length Jacobian on the arrival windows.
+differentiated only as far as the lengths. On one side the network's
+backward pass (or the image-method geometry) gives the lengths' Jacobian;
+on the other, length_normal_equations takes the waveform's length Jacobian
+G on the three arrival windows. A loss function takes a flat parameter
+vector and returns its value and a closure computing the gradient, so
+value-only callers (finite differences) never run the backward part. Every
+waveform fit runs the one Levenberg-Marquardt loop `lm_trials` through the
+lengths.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import RHOS
+from .environment import alpha_tau
 from .signals import AnalyticPulse, TimeGrid, eval_pulse_dt, superpose_arrivals
 
 # Levenberg-Marquardt relative damping: where every fit starts, and the
@@ -36,54 +37,23 @@ def window_dt(pulse: AnalyticPulse, u: np.ndarray) -> np.ndarray:
     return eval_pulse_dt(pulse, u + pulse.center_time)
 
 
-def superpose(alpha: np.ndarray, tau: np.ndarray, pulse: AnalyticPulse, grid: TimeGrid,
-              return_parts: bool = False):
-    """signals.superpose_arrivals plus its vjp to (alpha, tau).
+def superpose(alpha: np.ndarray, tau: np.ndarray, pulse: AnalyticPulse, grid: TimeGrid):
+    """signals.superpose_arrivals on checked float64 input: (out, (pad, start, u, window)).
 
-    Forward arithmetic is shared bit-for-bit with the plain synthesis kernel.
-    The vjp reads the output cotangent on each arrival's window: its dot
-    product with the pulse window gives d/d alpha, and with the analytic
-    pulse derivative (times -alpha) gives d/d tau. With return_parts=True
-    the arrival windows (pad, start, u, window) come back third.
+    Forward arithmetic is shared bit-for-bit with the plain synthesis kernel;
+    the arrival windows come back with the waveform.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)
     if not (np.isfinite(alpha).all() and np.isfinite(tau).all()):
         raise NumericOverflowError("non-finite arrival parameters entering superpose")
-    out, (pad, start, u, window) = superpose_arrivals(
-        alpha, tau, pulse, grid, return_parts=True
-    )
-    n = grid.n_samples
-
-    def vjp(g_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g2 = np.atleast_2d(g_out)
-        gpad = np.zeros((len(g2), n + 2 * pad))
-        gpad[:, pad : pad + n] = g2
-        at = start[:, :, None] + np.arange(window.shape[-1])
-        g_win = gpad[np.arange(len(g2))[:, None, None], at]
-        g_alpha = np.einsum("bim,bim->bi", g_win, window)
-        g_tau = -np.atleast_2d(alpha) * np.einsum("bim,bim->bi", g_win, window_dt(pulse, u))
-        return g_alpha.reshape(alpha.shape), g_tau.reshape(tau.shape)
-
-    if return_parts:
-        return out, vjp, (pad, start, u, window)
-    return out, vjp
-
-
-def alpha_tau(lengths, rhos, sound_speed):
-    """Amplitude rho / l and delay l / c for path lengths."""
-    return rhos / lengths, lengths / sound_speed
-
-
-def alpha_tau_vjp(lengths, rhos, sound_speed, g_alpha, g_tau):
-    """Cotangents of (alpha, tau) pulled back to the lengths."""
-    return -g_alpha * rhos / lengths**2 + g_tau / sound_speed
+    return superpose_arrivals(alpha, tau, pulse, grid, return_parts=True)
 
 
 def arrival_signal(lengths: np.ndarray, sound_speed: float, pulse: AnalyticPulse, grid: TimeGrid):
     """The chain lengths -> (alpha, tau) -> waveform: (f, (alphas, pad, start, u, window))."""
-    alphas, taus = alpha_tau(lengths, RHOS, sound_speed)
-    f, _, parts = superpose(alphas, taus, pulse, grid, return_parts=True)
+    alphas, taus = alpha_tau(lengths, sound_speed)
+    f, parts = superpose(alphas, taus, pulse, grid)
     return f, (alphas, *parts)
 
 
@@ -169,11 +139,6 @@ class Layout:
         """Each segment's slice of the flat vector, in order."""
         ends = list(itertools.accumulate(self.sizes, initial=0))
         return [slice(a, b) for a, b in zip(ends, ends[1:])]
-
-    def slice_of(self, name: str) -> slice:
-        if name not in self.names:
-            raise KeyError(f"no segment named {name!r}")
-        return self.slices()[self.names.index(name)]
 
     def shape_of(self, name: str) -> tuple[int, ...]:
         return self.shapes[self.names.index(name)]

@@ -123,6 +123,8 @@ def _cmd_gen_data(args, doc: dict) -> int:
     doc = _apply_overrides(doc, args)
     env, _, pulse, grid, region = _scene_from(doc)
     count = _cast("count", doc.get("count", 256), whole_number)
+    if count < 0:
+        raise ConfigError(f"config key 'count' must be >= 0, got {count}")
     snr_db = doc.get("snr_db")
     if snr_db is not None:
         snr_db = _cast("snr_db", snr_db, finite_float)
@@ -156,9 +158,13 @@ def _cmd_train(args, doc: dict) -> int:
                       ("epochs", whole_number), ("seed", whole_number)):
         if key in doc:
             kw[key] = _cast(key, doc[key], cast)
-    cfg = TrainConfig(**kw)
+    try:
+        cfg = TrainConfig(**kw)
+        arch = PlnArchitecture(hidden=hidden)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     ds = load_dataset(_resolve(doc["dataset"]))
-    ck = pretrain(ds, PlnArchitecture(hidden=hidden), cfg, region=region)
+    ck = pretrain(ds, arch, cfg, region=region)
     out = _resolve(doc.get("out_dir", "checkpoint.json"))
     save_checkpoint(ck, out)
     meta = ck.metadata

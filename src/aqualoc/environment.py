@@ -148,10 +148,15 @@ def reflection_coeff(path: PathSpec) -> float:
 RHOS = np.array([reflection_coeff(p) for p in THREE_PATHS])
 
 
+def alpha_tau(lengths, sound_speed):
+    """Amplitudes rho_i / l_i and delays l_i / c for the three paths' lengths (last axis)."""
+    return RHOS / lengths, lengths / sound_speed
+
+
 def arrival_params(env: Environment, src: SourceLocation):
     """Amplitudes rho_i / l_i and delays l_i / c for the three paths."""
     lengths, _ = path_geometry(env, src.x, src.z)
-    return RHOS / lengths, lengths / env.sound_speed
+    return alpha_tau(lengths, env.sound_speed)
 
 
 def synthesize_received(

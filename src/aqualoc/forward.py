@@ -22,8 +22,6 @@ import numpy as np
 from . import autodiff
 from .autodiff import (
     LAM_MAX,
-    alpha_tau,
-    alpha_tau_vjp,
     arrival_signal,
     length_normal_equations,
     lm_trials,
@@ -31,7 +29,7 @@ from .autodiff import (
     value_and_grad,
     window_index,
 )
-from .environment import RHOS, THREE_PATHS, Dataset, Environment, SourceLocation, path_geometry
+from .environment import THREE_PATHS, Dataset, Environment, SourceLocation, alpha_tau, path_geometry
 from .localize import detect_arrivals
 from .pln import (
     InputNormalization,
@@ -160,37 +158,10 @@ def model_output(model: ModelParams, src: SourceLocation, grid: TimeGrid) -> Sam
     return SampledSignal(grid, values)
 
 
-def make_train_loss_fn(model: ModelParams, dataset: Dataset, indices: np.ndarray | None = None):
-    """Build w -> (mean integrated squared residual over the chosen items, gradient)."""
-    idx = np.arange(dataset.count) if indices is None else np.asarray(indices)
-    batch = len(idx)
-    if batch == 0:
-        raise ValueError("empty batch")
-    feats = path_features(
-        dataset.locations[idx, 0], dataset.locations[idx, 1],
-        model.receiver_depth, model.pln.norm,
-    ).reshape(batch * len(THREE_PATHS), -1)
-    r = dataset.signals[idx]
-    grid = dataset.grid
-    scale = grid.dt / batch
-
-    c = model.sound_speed
-
-    def loss_fn(w: np.ndarray):
-        flat, backward = length_forward(model.pln, w, feats)
-        lengths = flat.reshape(batch, len(THREE_PATHS))
-        alphas, taus = alpha_tau(lengths, RHOS, c)
-        f, superpose_vjp = autodiff.superpose(alphas, taus, dataset.pulse, grid)
-        resid = r - f
-        del f  # a whole-dataset batch holds 16 MB here; free it before resid * resid
-
-        def grad() -> np.ndarray:
-            g_l = alpha_tau_vjp(lengths, RHOS, c, *superpose_vjp(-2.0 * scale * resid))
-            return length_vjp(model.pln.layout, *backward(), g_l.ravel())
-
-        return (resid * resid).sum() * scale, grad
-
-    return loss_fn
+def _item_features(model: ModelParams, locations: np.ndarray) -> np.ndarray:
+    """The network's feature rows for items at locations (x, z): 3 per item, path by path."""
+    feats = path_features(locations[:, 0], locations[:, 1], model.receiver_depth, model.pln.norm)
+    return feats.reshape(-1, feats.shape[-1])
 
 
 def _peak_length_targets(dataset: Dataset) -> np.ndarray:
@@ -245,10 +216,7 @@ def _make_peaks_loss_fn(
     """
     idx = np.asarray(indices)
     batch = len(idx)
-    feats = path_features(
-        dataset.locations[idx, 0], dataset.locations[idx, 1],
-        model.receiver_depth, model.pln.norm,
-    ).reshape(batch * len(THREE_PATHS), -1)
+    feats = _item_features(model, dataset.locations[idx])
     settled = np.isfinite(targets[idx])
     t = np.where(settled, targets[idx], 0.0)
     weight = settled.astype(float)
@@ -268,7 +236,15 @@ def _make_peaks_loss_fn(
 
 def train_loss(model: ModelParams, dataset: Dataset) -> float:
     """Mean integrated squared residual of the model over a whole dataset."""
-    return float(make_train_loss_fn(model, dataset)(model.pln.values)[0])
+    count = dataset.count
+    if count == 0:
+        raise ValueError("empty dataset")
+    feats = _item_features(model, dataset.locations)
+    lengths = length_forward(model.pln, model.pln.values, feats)[0]
+    alphas, taus = alpha_tau(lengths.reshape(count, len(THREE_PATHS)), model.sound_speed)
+    # a whole-dataset waveform holds 16 MB here; it is freed before resid * resid
+    resid = dataset.signals - autodiff.superpose(alphas, taus, dataset.pulse, dataset.grid)[0]
+    return float((resid * resid).sum() * (dataset.grid.dt / count))
 
 
 def _length_gram(inputs: list[np.ndarray], deltas: list[np.ndarray]) -> np.ndarray:
@@ -324,14 +300,11 @@ class _ExactFit:
         self.signals = dataset.signals
         self.energy = np.einsum("ij,ij->", self.signals, self.signals)
         self.count = dataset.count
-        self.feats = path_features(
-            dataset.locations[:, 0], dataset.locations[:, 1],
-            model.receiver_depth, model.pln.norm,
-        ).reshape(self.count * len(THREE_PATHS), -1)
+        self.feats = _item_features(model, dataset.locations)
         self.scale = self.grid.dt / self.count
 
     def evaluate(self, w: np.ndarray) -> dict:
-        """The exact training loss (make_train_loss_fn over every item) at w.
+        """The exact training loss (train_loss) at w.
 
         Returns it as point["loss"], inf if a length is not finite, with what
         linearize needs. Only the arrival windows are touched: with f_i the
@@ -346,7 +319,7 @@ class _ExactFit:
         if not np.all(np.isfinite(lengths)):
             return point
         lengths = lengths.reshape(self.count, n_paths)
-        alphas, taus = alpha_tau(lengths, RHOS, self.model.sound_speed)
+        alphas, taus = alpha_tau(lengths, self.model.sound_speed)
         pad, start, u, window = arrival_windows(taus, self.pulse, self.grid)
         # window samples off the recording are dropped, as superpose does
         at, inside = window_index(pad, start, window.shape[-1], n)
@@ -464,6 +437,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_finite("train", lr=self.lr)
         if self.lr < 0.0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.batch_size < 1:

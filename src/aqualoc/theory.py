@@ -22,7 +22,7 @@ from .autodiff import value_and_grad
 from .environment import Environment, SourceLocation, path_geometry, synthesize_received
 from .forward import ModelParams, NetworkModel
 from .localize import GblConfig, _WaveformFit, da_gbl, require_gamma, toa_init
-from .signals import SampledSignal, TimeGrid
+from .signals import SampledSignal, TimeGrid, require_finite
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,12 @@ class TheoremConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        positive = {"sigma": self.sigma, "curvature_target": self.curvature_target,
+                    "path_shift_budget_m": self.path_shift_budget_m}
+        require_finite("theorem", **positive)
+        for name, value in positive.items():
+            if value <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
         require_gamma(self.gamma)
 
 

@@ -139,6 +139,17 @@ def test_infinite_region_bound_exits_2(tmp_path, capsys, command):
          "curvature_target"),
         ("verify-theorem", {"checkpoint": "absent.json", "path_shift_budget_m": True},
          "path_shift_budget_m"),
+        # out of range: rejected before the absent dataset or checkpoint is read
+        ("train", {"dataset": "absent", "lr": -1}, "lr"),
+        ("train", {"dataset": "absent", "epochs": 0}, "epochs"),
+        ("train", {"dataset": "absent", "batch_size": 0}, "batch_size"),
+        ("train", {"dataset": "absent", "hidden": [0]}, "hidden"),
+        ("train", {"dataset": "absent", "hidden": []}, "hidden"),
+        ("gen-data", {"count": -1}, "count"),
+        ("verify-theorem", {"checkpoint": "absent.json", "curvature_target": -1.0},
+         "curvature_target"),
+        ("verify-theorem", {"checkpoint": "absent.json", "path_shift_budget_m": 0.0},
+         "path_shift_budget_m"),
     ],
 )
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, doc, key):

@@ -4,7 +4,7 @@ import copy
 import json
 import math
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from aqualoc.environment import (
     DEFAULT_SOURCE,
     Dataset,
     SourceLocation,
+    alpha_tau,
     arrival_params,
     gen_dataset,
     path_geometry,
@@ -38,10 +39,7 @@ from aqualoc.forward import (
     _make_peaks_loss_fn,
     _peak_length_targets,
     _stage_lr,
-    alpha_tau,
-    alpha_tau_vjp,
     load_checkpoint,
-    make_train_loss_fn,
     model_output,
     pretrain,
     save_checkpoint,
@@ -72,26 +70,43 @@ def init_model(pulse):
     return ModelParams(params, 1500.0, 120.0, pulse)
 
 
+def _subset(dataset: Dataset, idx) -> Dataset:
+    """The dataset's items idx, in that order."""
+    return replace(dataset, locations=dataset.locations[idx], signals=dataset.signals[idx])
+
+
+def _with_weights(model: ModelParams, w: np.ndarray) -> ModelParams:
+    return replace(model, pln=PlnParams(model.pln.arch, model.pln.norm, w))
+
+
+def _exact_loss_fn(model: ModelParams, dataset: Dataset):
+    """w -> (train_loss, gradient closure), the gradient -2 scale J^T (G^T e) of _ExactFit.
+
+    G^T e is the waveform's length Jacobian against the residual on the
+    arrival windows (_ExactFit.linearize); J^T pulls it back to the weights.
+    """
+    fit = _ExactFit(model, dataset)
+
+    def loss_fn(w):
+        def grad():
+            lin = fit.linearize(fit.evaluate(w))
+            g_l = lin["gte"].ravel()
+            return -2.0 * fit.scale * length_vjp(model.pln.layout, lin["inputs"], lin["deltas"], g_l)
+
+        return train_loss(_with_weights(model, w), dataset), grad
+
+    return loss_fn
+
+
 def test_alpha_tau_reference_values():
     lengths = np.array([618.1423784210236, 625.8594091327541, 663.0987860040161])
     rhos = np.array([1.0, -1.0, 1.0])
-    alphas, taus = alpha_tau(lengths, rhos, 1500.0)
+    alphas, taus = alpha_tau(lengths, 1500.0)
     np.testing.assert_allclose(alphas, rhos / lengths, rtol=1e-15)
     np.testing.assert_allclose(
         taus, [0.41209491894734905, 0.41723960608850273, 0.44206585733601075],
         rtol=1e-15,
     )
-
-
-def test_alpha_tau_vjp_closed_form():
-    lengths = np.array([600.0, 620.0, 660.0])
-    rhos = np.array([1.0, -1.0, 1.0])
-    alphas, taus = alpha_tau(lengths, rhos, 1500.0)
-    np.testing.assert_allclose(taus, lengths / 1500.0, rtol=1e-15)
-    g_alpha = np.array([0.3, -0.7, 1.1])
-    g_tau = np.array([2.0, 0.5, -1.5])
-    g_l = alpha_tau_vjp(lengths, rhos, 1500.0, g_alpha, g_tau)
-    np.testing.assert_allclose(g_l, -g_alpha * rhos / lengths**2 + g_tau / 1500.0, rtol=1e-15)
 
 
 def test_matched_model_reproduces_synthesis(env, pulse, grid, oracle_received):
@@ -124,7 +139,7 @@ def test_train_loss_zero_for_self_consistent_signals(init_model, grid, small_dat
         ]
     )
     ds = Dataset(ds.environment, ds.pulse, grid, ds.seed, ds.locations, signals)
-    loss, g = value_and_grad(make_train_loss_fn(init_model, ds), init_model.pln.values)
+    loss, g = value_and_grad(_exact_loss_fn(init_model, ds), init_model.pln.values)
     # matmul kernels differ between the (3, 5) and batched feature shapes, so
     # the residual is zero only to rounding
     assert loss < 1e-28
@@ -140,21 +155,18 @@ def test_train_loss_hand_riemann(init_model, grid, small_dataset):
         r = ds.signals[k]
         total += grid.dt * float(np.sum((r - f) ** 2))
     want = total / len(idx)
-    loss_fn = make_train_loss_fn(init_model, ds, indices=idx)
-    got = float(loss_fn(init_model.pln.values)[0])
-    assert got == pytest.approx(want, rel=1e-12)
+    assert train_loss(init_model, _subset(ds, idx)) == pytest.approx(want, rel=1e-12)
 
 
 def test_train_loss_batch_order_invariant(init_model, small_dataset):
-    a = make_train_loss_fn(init_model, small_dataset, indices=np.array([1, 4, 7]))
-    b = make_train_loss_fn(init_model, small_dataset, indices=np.array([7, 1, 4]))
-    w = init_model.pln.values
-    assert float(a(w)[0]) == pytest.approx(float(b(w)[0]), rel=1e-14)
+    a = train_loss(init_model, _subset(small_dataset, [1, 4, 7]))
+    b = train_loss(init_model, _subset(small_dataset, [7, 1, 4]))
+    assert a == pytest.approx(b, rel=1e-14)
 
 
 def test_train_loss_rejects_bad_shapes(init_model, small_dataset):
     with pytest.raises(ValueError):
-        make_train_loss_fn(init_model, small_dataset, indices=np.array([], dtype=int))
+        train_loss(init_model, _subset(small_dataset, np.array([], dtype=int)))
 
 
 def test_initial_loss_reference_dataset(train_dataset, init_model):
@@ -166,8 +178,10 @@ def test_initial_loss_reference_dataset(train_dataset, init_model):
     assert train_loss(model, train_dataset) == pytest.approx(1.170889e-08, rel=1e-5)
 
 
-def test_gradient_matches_fd_end_to_end(init_model, small_dataset):
-    loss_fn = make_train_loss_fn(init_model, small_dataset, indices=np.array([0, 5]))
+def test_exact_fit_gradient_matches_fd(init_model, small_dataset):
+    # the gradient training uses, through G on the arrival windows, against
+    # central differences of the whole-waveform loss
+    loss_fn = _exact_loss_fn(init_model, _subset(small_dataset, [0, 5]))
     # h = 1e-6: larger steps hit the carrier's cubic term, smaller ones noise
     rep = fd_check(loss_fn, init_model.pln.values, h=1e-6, n_coords=40, seed=3)
     assert rep.max_rel_error < 1e-5
@@ -267,7 +281,7 @@ def test_length_gram_matches_autodiff_jacobian(pulse, small_dataset):
 
 def test_exact_fit_loss_matches_train_loss(init_model, small_dataset):
     fit = _ExactFit(init_model, small_dataset)
-    want = float(make_train_loss_fn(init_model, small_dataset)(init_model.pln.values)[0])
+    want = train_loss(init_model, small_dataset)
     assert fit.evaluate(init_model.pln.values)["loss"] == pytest.approx(want, rel=1e-12)
 
 
@@ -279,18 +293,21 @@ def test_lm_iteration_lowers_train_loss(init_model, small_dataset, grid):
         model_output(init_model, SourceLocation(x, z), grid).values for x, z in ds.locations
     ])
     ds = Dataset(ds.environment, ds.pulse, grid, ds.seed, ds.locations, signals)
-    loss_fn = make_train_loss_fn(init_model, ds)
+
+    def loss_at(w):
+        return train_loss(_with_weights(init_model, w), ds)
+
     w0 = w_true + 1e-3 * np.random.default_rng(1).normal(size=w_true.size)
     fit = _ExactFit(init_model, ds)
     lin = fit.linearize(fit.evaluate(w0))
     # a strongly damped step is a short gradient step: the Gauss-Newton
     # model's predicted drop must then match the actual one
     dw, predicted = fit.step(lin, 1e3)
-    actual = float(loss_fn(w0)[0]) - float(loss_fn(w0 + dw)[0])
+    actual = loss_at(w0) - loss_at(w0 + dw)
     assert actual == pytest.approx(predicted, rel=0.05)
     w1, losses = _lm_stage(fit, w0, 1)
-    before = float(loss_fn(w0)[0])
-    after = float(loss_fn(w1)[0])
+    before = loss_at(w0)
+    after = loss_at(w1)
     assert after < 0.9 * before
     assert losses == [pytest.approx(after, rel=1e-12)]
 
@@ -305,8 +322,9 @@ def test_stage_lr_profile():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(lr=-1.0)
+    for lr in (-1.0, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):

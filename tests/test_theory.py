@@ -63,6 +63,10 @@ def test_perturbation_rejects_nonfinite():
 def test_config_validation():
     with pytest.raises(ValueError):
         TheoremConfig(sigma=0.0)
+    for key in ("sigma", "curvature_target", "path_shift_budget_m"):
+        for value in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=key):
+                TheoremConfig(**{key: value})
 
 
 # -- gradient of the adaptation objective --------------------------------------
