@@ -46,7 +46,7 @@ from .harness import (
     run_and_write,
     whole_number,
 )
-from .localize import ToaInitError, crlb, da_gbl, gbl, require_gamma, toa_init
+from .localize import crlb, da_gbl, gbl, require_gamma, toa_init
 from .pln import DEFAULT_HIDDEN, REDUCED_HIDDEN, PlnArchitecture
 from .signals import NoiseSpec, TimeGrid, add_awgn, finite_float, make_pulse, snr_to_n0
 from .theory import EnvPerturbation, TheoremConfig, verify_theorem

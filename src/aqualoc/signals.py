@@ -251,20 +251,23 @@ def superpose_arrivals(
     if not (np.isfinite(alphas).all() and np.isfinite(taus).all()):
         raise ValueError("non-finite arrival amplitude or delay")
 
-    squeeze = alphas.ndim == 1
     a2 = np.atleast_2d(alphas)
     n_batch, n_paths = a2.shape
     n = grid.n_samples
     pad, start, u, window = arrival_windows(np.atleast_2d(taus), pulse, grid)
     w_len = window.shape[-1]
 
+    # one add per path over all rows (a window repeats no index, so each sample
+    # still sums its arrivals in path order); one row takes cheaper slices
     buf = np.zeros((n_batch, n + 2 * pad))
-    for b in range(n_batch):
-        for i in range(n_paths):
-            s0 = start[b, i]
-            buf[b, s0 : s0 + w_len] += a2[b, i] * window[b, i]
+    if n_batch > 1:
+        rows, cols = np.arange(n_batch)[:, None], start.T[:, :, None] + np.arange(w_len)
+    else:
+        rows, cols = slice(0, 1), [slice(s0, s0 + w_len) for s0 in start[0]]
+    for i in range(n_paths):
+        buf[rows, cols[i]] += a2[:, i, None] * window[:, i]
     out = buf[:, pad : pad + n]
-    if squeeze:
+    if alphas.ndim == 1:
         out = out[0]
     if return_parts:
         return out, (pad, start, u, window)
@@ -279,12 +282,13 @@ def correlation_envelope(
 ):
     """Matched-filter envelope against the pulse, with per-sample arrival times.
 
-    Full correlation index j pairs values[n] with template sample m at
-    n = j - (w - 1) + m, so an arrival at time tau (values[n] ~ s(n/fs - tau))
-    peaks at j = tau*fs + (kc - half) + (w - 1); the returned times invert
-    that mapping, giving the arrival time each envelope sample corresponds to.
-    With with_correlation=True the raw correlation comes back third: its sign
-    at an isolated arrival's envelope peak is the arrival's polarity.
+    The correlation is computed directly, its envelope by a real-FFT Hilbert
+    transform at the correlation's own length. Full correlation index j pairs
+    values[n] with template sample m at n = j - (w - 1) + m, so an arrival at
+    time tau (values[n] ~ s(n/fs - tau)) peaks at j = tau*fs + (kc - half) +
+    (w - 1); the returned times invert that mapping. With with_correlation=True
+    the raw correlation comes back third: its sign at an isolated arrival's
+    envelope peak is the arrival's polarity.
     """
     fs = sample_rate
     half = int(math.ceil(WINDOW_SIGMAS * pulse.sigma * fs))
@@ -334,14 +338,10 @@ def refine_envelope_peak(envelope: np.ndarray, idx: int) -> float:
 
 
 def analytic_envelope(values: np.ndarray) -> np.ndarray:
-    """Magnitude of the analytic signal (FFT Hilbert transform)."""
+    """Analytic-signal magnitude |values + i H(values)|, H by real FFT at their own length."""
     n = len(values)
-    spectrum = np.fft.fft(values)
-    h = np.zeros(n)
-    h[0] = 1.0
+    spectrum = -1j * np.fft.rfft(values)
+    spectrum[0] = 0.0
     if n % 2 == 0:
-        h[n // 2] = 1.0
-        h[1 : n // 2] = 2.0
-    else:
-        h[1 : (n + 1) // 2] = 2.0
-    return np.abs(np.fft.ifft(spectrum * h))
+        spectrum[-1] = 0.0
+    return np.hypot(values, np.fft.irfft(spectrum, n))

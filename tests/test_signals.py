@@ -4,8 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aqualoc.environment import DEFAULT_SOURCE, arrival_params
+from aqualoc import signals
+from aqualoc.environment import (
+    DEFAULT_ENVIRONMENT,
+    DEFAULT_REGION,
+    DEFAULT_SOURCE,
+    SourceLocation,
+    arrival_params,
+    stratified_locations,
+    synthesize_received,
+)
+from aqualoc.forward import _peak_length_targets
+from aqualoc.localize import detect_arrivals
 from aqualoc.signals import (
     AnalyticPulse,
     NoiseSpec,
@@ -196,3 +208,79 @@ def test_analytic_envelope_of_cosine_burst(grid):
     values = env_true * np.cos(2 * np.pi * 750.0 * (t - 1.0))
     est = analytic_envelope(values)
     assert np.max(np.abs(est - env_true)) < 5e-3
+
+
+def test_superpose_matches_per_arrival_loop(pulse, grid):
+    # overlapping arrivals within a row, and windows falling partly off both
+    # ends of the grid; every row adds its arrivals in path order
+    taus = np.array([
+        [0.412, 0.4125, 0.413],
+        [-0.05, -0.052, 0.3],
+        [1.948, 1.95, 1.9501],
+        [-0.06, 1.949, 0.7],
+        [0.2, 0.2, 0.2],
+    ])
+    alphas = np.random.default_rng(5).normal(size=taus.shape) * 1e-3
+    out = superpose_arrivals(alphas, taus, pulse, grid)
+    pad, start, _, window = signals.arrival_windows(taus, pulse, grid)
+    buf = np.zeros((len(taus), grid.n_samples + 2 * pad))
+    for b in range(taus.shape[0]):
+        for i in range(taus.shape[1]):
+            buf[b, start[b, i] : start[b, i] + window.shape[-1]] += alphas[b, i] * window[b, i]
+    assert np.array_equal(out, buf[:, pad : pad + grid.n_samples])
+    assert np.array_equal(superpose_arrivals(alphas[1], taus[1], pulse, grid), out[1])
+
+
+def complex_fft_envelope(values):
+    """|ifft(fft(values) * h)| with the one-sided weights h: the textbook definition."""
+    n = len(values)
+    h = np.zeros(n)
+    h[0] = 1.0
+    if n % 2 == 0:
+        h[n // 2] = 1.0
+        h[1 : n // 2] = 2.0
+    else:
+        h[1 : (n + 1) // 2] = 2.0
+    return np.abs(np.fft.ifft(np.fft.fft(values) * h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 8), st.integers(9, 3000), st.sampled_from([8062, 8063])),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-9, 1.0, 1e6]),
+)
+def test_analytic_envelope_matches_complex_fft_definition(n, seed, scale):
+    values = scale * np.random.default_rng(seed).normal(size=n)
+    est = analytic_envelope(values)
+    assert est.shape == (n,)
+    assert np.max(np.abs(est - complex_fft_envelope(values))) <= 1e-12 * np.max(np.abs(values))
+
+
+def test_detect_arrivals_pinned_to_complex_fft_envelope(monkeypatch, pulse, grid):
+    # noisy recordings over the region at 0-30 dB, detected with the TOA
+    # seed's settings under both envelopes
+    snrs = [0.0, 10.0, 20.0, 30.0]
+    recordings = []
+    for k, (x, z) in enumerate(stratified_locations(DEFAULT_REGION, 40, seed=21)):
+        clean = synthesize_received(DEFAULT_ENVIRONMENT, SourceLocation(x, z), pulse, grid)
+        n0 = snr_to_n0(clean, snrs[k % 4], pulse.bandwidth)
+        recordings.append(add_awgn(clean, NoiseSpec(n0, 500 + k)).values)
+
+    def detect_all():
+        return [detect_arrivals(v, pulse, grid.sample_rate, 2.0, 0.0) for v in recordings]
+
+    new = detect_all()
+    monkeypatch.setattr(signals, "analytic_envelope", complex_fft_envelope)
+    old = detect_all()
+    for (t_new, pol_new), (t_old, pol_old) in zip(new, old):
+        assert np.array_equal(pol_new, pol_old)
+        np.testing.assert_allclose(t_new, t_old, rtol=0, atol=1e-9)
+
+
+def test_peak_targets_pinned_to_complex_fft_envelope(monkeypatch, train_dataset):
+    new = _peak_length_targets(train_dataset)
+    monkeypatch.setattr(signals, "analytic_envelope", complex_fft_envelope)
+    old = _peak_length_targets(train_dataset)
+    assert np.array_equal(np.isnan(new), np.isnan(old))
+    np.testing.assert_allclose(new, old, rtol=0, atol=1e-9)
