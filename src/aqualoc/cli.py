@@ -44,11 +44,10 @@ from .harness import (
     config_from_dict,
     parse_scene,
     run_and_write,
-    whole_number,
 )
 from .localize import crlb, da_gbl, gbl, require_gamma, toa_init
 from .pln import DEFAULT_HIDDEN, REDUCED_HIDDEN, PlnArchitecture
-from .signals import NoiseSpec, TimeGrid, add_awgn, finite_float, make_pulse, snr_to_n0
+from .signals import NoiseSpec, TimeGrid, add_awgn, finite_float, make_pulse, snr_to_n0, whole_number
 from .theory import EnvPerturbation, TheoremConfig, verify_theorem
 
 _SCENE_KEYS = set(SCENE_TYPES)

@@ -24,9 +24,11 @@ from .signals import (
     TimeGrid,
     WINDOW_SIGMAS,
     add_awgn,
+    finite_float,
     require_finite,
     snr_to_n0,
     superpose_arrivals,
+    whole_number,
 )
 
 
@@ -355,8 +357,9 @@ def save_dataset(ds: Dataset, directory: str | Path) -> Path:
 def load_dataset(directory: str | Path) -> Dataset:
     """Load a dataset directory written by save_dataset.
 
-    Raises ValueError, naming the cause, for a malformed manifest, a count
-    that differs from the number of signal files, a malformed or non-finite
+    Raises ValueError, naming the cause, for a malformed manifest (a `seed`
+    or `count` not a whole number, an `snr_db` neither null nor finite, a
+    count other than the number of signal files), a malformed or non-finite
     location row, a locations table without exactly the indices 0..count-1
     once each, or a signal file of the wrong length.
     """
@@ -378,11 +381,17 @@ def load_dataset(directory: str | Path) -> Dataset:
         pulse = AnalyticPulse(**manifest["pulse"])
         grid = TimeGrid(**manifest["grid"])
         files = manifest["signal_files"]
-        seed = manifest["seed"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad dataset manifest in {directory}: {exc!r}") from exc
+    checked = {}
+    for key, check in (("seed", whole_number), ("count", whole_number),
+                       ("snr_db", lambda v: v if v is None else finite_float(v))):
+        try:
+            checked[key] = check(manifest.get(key))
+        except ValueError as exc:
+            raise ValueError(f"dataset manifest in {directory} has a bad {key}: {exc}") from None
     if not (isinstance(files, list) and all(isinstance(f, str) for f in files)
-            and manifest.get("count") == len(files)):
+            and checked["count"] == len(files)):
         raise ValueError(
             f"dataset manifest in {directory} gives count {manifest.get('count')!r} "
             f"but does not list that many signal file names"
@@ -415,4 +424,4 @@ def load_dataset(directory: str | Path) -> Dataset:
                 f"expected {grid.n_samples}"
             )
         signals[k] = vals
-    return Dataset(env, pulse, grid, seed, locations, signals, manifest.get("snr_db"))
+    return Dataset(env, pulse, grid, checked["seed"], locations, signals, checked["snr_db"])

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -35,19 +34,12 @@ from .localize import (
 )
 from .signals import (
     AnalyticPulse, NoiseSpec, TimeGrid, add_awgn, make_pulse, require_finite, snr_to_n0,
+    whole_number,
 )
 
 
 class ConfigError(ValueError):
     """Raised for invalid or inconsistent experiment configuration."""
-
-
-def whole_number(value) -> int:
-    """`value` as an int; ValueError unless it is a whole number (bools excluded)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
 
 
 METHOD_CRLB = "crlb"

@@ -3,9 +3,9 @@
 The TOA front end matched-filters the recording, picks arrival-time peaks, and
 inverts the image-method delay equations; it only needs an assumed (possibly
 wrong) environment. Gradient-based localization then fits the integrated
-squared waveform residual by Levenberg-Marquardt; the adapted variant also lets
-the model weights move against a quadratic prior anchored at their trained
-values.
+squared waveform residual; the adapted variant also lets the model weights
+move against a quadratic prior anchored at their trained values. The seed's
+delay fit and the waveform fits all run one Levenberg-Marquardt pass, `_lm_pass`.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .signals import (
     pick_envelope_peaks,
     refine_envelope_peak,
     smooth_rows,  # not called here; kept as a global the bench tracer patches
+    whole_number,
 )
 
 
@@ -59,6 +60,9 @@ class SingularFisherError(ValueError):
 # TOA initialization
 # ---------------------------------------------------------------------------
 
+TOA_MAX_ITER = 60  # the TOA delay fit's budget of trial steps
+TOA_STEP_TOL_M = 1e-10  # and its step exit: an accepted step shorter in each coordinate
+
 
 @dataclass
 class ToaEstimate:
@@ -67,65 +71,17 @@ class ToaEstimate:
     times: np.ndarray
     p0: np.ndarray
     n_peaks: int
-    residual: float
+    residual: float  # RMS delay misfit (s) where the delay fit ends, before p0's region clip
     assignment: tuple[PathSpec, ...]
 
 
-def _tau_and_jac(env: Environment, x: float, z: float, cols: list[int]):
-    lengths, s_dz = path_geometry(env, x, z)
-    ell, c = lengths[cols], env.sound_speed
-    return ell / c, np.column_stack([x / (ell * c), s_dz[cols] / (ell * c)])
-
-
-def _lm_refine(
-    times: np.ndarray,
-    paths: Sequence[PathSpec],
-    env: Environment,
-    p_init: np.ndarray,
-    region: Region,
-    n_iter: int = 60,
-):
-    """Equal-weight nonlinear least squares on the delay equations."""
-    p = p_init.astype(np.float64).copy()
-    lam = 1e-3
-    cols = [THREE_PATHS.index(path) for path in paths]
-    taus, jac = _tau_and_jac(env, p[0], p[1], cols)
-    res = taus - times
-    cost = float(res @ res)
-    for _ in range(n_iter):
-        jtj = jac.T @ jac
-        damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-18))
-        try:
-            step = np.linalg.solve(damped, -(jac.T @ res))
-        except np.linalg.LinAlgError:
-            break
-        cand = p + step
-        taus_c, jac_c = _tau_and_jac(env, max(cand[0], 1e-3), cand[1], cols)
-        res_c = taus_c - times
-        cost_c = float(res_c @ res_c)
-        if cost_c < cost:
-            p = np.array([max(cand[0], 1e-3), cand[1]])
-            taus, jac, res, cost = taus_c, jac_c, res_c, cost_c
-            lam = max(lam / 3.0, 1e-12)
-            if float(np.max(np.abs(step))) < 1e-10:
-                break
-        else:
-            lam *= 5.0
-            if lam > 1e12:
-                break
-    p = np.array(region.clip(p[0], p[1]))
-    return p, math.sqrt(cost / len(paths))
-
-
-def _closed_form_seed(ell_d: float, ell_s: float, env: Environment, region: Region):
+def _closed_form_seed(t_d: float, t_s: float, env: Environment, region: Region):
     """Invert the direct+surface delay pair; falls back to the region center."""
-    zr = env.receiver_depth
+    zr, ell_d, ell_s = env.receiver_depth, env.sound_speed * t_d, env.sound_speed * t_s
     z = (ell_s * ell_s - ell_d * ell_d) / (4.0 * zr)
     x_sq = ell_d * ell_d - (z - zr) ** 2
     if x_sq <= 0.0 or not np.isfinite(z):
-        return np.array(
-            [0.5 * (region.x_min + region.x_max), 0.5 * (region.z_min + region.z_max)]
-        )
+        return 0.5 * np.array([region.x_min + region.x_max, region.z_min + region.z_max])
     return np.array(region.clip(math.sqrt(x_sq), z))
 
 
@@ -163,10 +119,10 @@ def toa_init(
 
     Picks up to three envelope peaks (needing at least two), refines them to
     sub-sample precision, and inverts the image-method delay equations under
-    the assumed environment. With three peaks both orderings of the later two
-    arrivals are tried (surface and bottom swap order across z + z_r = depth)
-    and the lower-residual assignment wins; with two peaks they are taken as
-    direct plus surface.
+    the assumed environment: `_lm_pass` refines a closed-form seed on the
+    delay misfit (_DelayFit). With three peaks both orderings of the later
+    two arrivals are tried (surface and bottom swap order across z + z_r =
+    depth); the lower-residual one wins. Two peaks are direct plus surface.
 
     Raises
     ------
@@ -179,23 +135,15 @@ def toa_init(
             f"only {len(times)} arrival peak(s) above the noise floor; "
             "need at least 2 to seed a location"
         )
-    c = assumed_env.sound_speed
-    if len(times) == 3:
-        assignments = [
-            (DIRECT, SURFACE, BOTTOM),
-            (DIRECT, BOTTOM, SURFACE),
-        ]
-    else:
-        assignments = [(DIRECT, SURFACE)]
-    best = None
+    assignments = ([(DIRECT, SURFACE, BOTTOM), (DIRECT, BOTTOM, SURFACE)] if len(times) == 3
+                   else [(DIRECT, SURFACE)])
+    fits = []
     for paths in assignments:
-        surface_time = times[list(paths).index(SURFACE)]
-        seed = _closed_form_seed(c * times[0], c * surface_time, assumed_env, region)
-        p, resid = _lm_refine(times, paths, assumed_env, seed, region)
-        if best is None or resid < best[1]:
-            best = (p, resid, paths)
-    p0, residual, assignment = best
-    return ToaEstimate(times, p0, len(times), residual, assignment)
+        seed = _closed_form_seed(times[0], times[paths.index(SURFACE)], assumed_env, region)
+        fit = _lm_pass(_DelayFit(times, paths, assumed_env), seed, TOA_MAX_ITER, TOA_STEP_TOL_M)[0]
+        fits.append((math.sqrt(fit["loss"] / len(paths)), fit["v"], paths))
+    residual, p, assignment = min(fits, key=lambda f: f[0])  # the first on a tie
+    return ToaEstimate(times, np.array(region.clip(*p.tolist())), len(times), residual, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +181,22 @@ class GblConfig:
 
     The misfit oscillates at the carrier scale, so the fit's attraction
     basin is only about half a carrier wavelength wide: the seed must lie
-    within it.
+    within it. `max_iter` is a whole number >= 1, `step_tol_m` finite and >= 0.
     """
 
     max_iter: int = 500
     step_tol_m: float = 1e-4
+
+    def __post_init__(self) -> None:
+        for name, cast, low in (("max_iter", whole_number, 1), ("step_tol_m", finite_float, 0.0)):
+            value = getattr(self, name)
+            try:
+                valid = cast(value) >= low
+            except ValueError:
+                valid = False
+            if not valid:
+                kind = cast.__name__.replace("_", " ")  # "whole number" or "finite float"
+                raise ValueError(f"{name} must be a {kind} >= {low}, got {value!r}")
 
 
 @dataclass
@@ -327,8 +286,8 @@ class _WaveformFit:
         value_and_grad(lambda _: self._objective(point), point["v"])
         return point
 
-    def _linearize(self, point: dict) -> None:
-        """Add A, b, the length Jacobian, the gradient and the damping scales to a point."""
+    def _data_term(self, point: dict) -> tuple[np.ndarray, np.ndarray]:
+        """The data term's b = 2 dt G^T e and A = 2 dt G^T G over the 3 lengths."""
         alphas, pad, start, u, window = point["arrivals"]
         at, inside = window_index(pad, start, window.shape[-1], len(self.r))
         # G is zero on window samples off the grid, so e's clipped samples there add nothing
@@ -336,7 +295,11 @@ class _WaveformFit:
             self.adapter.pulse, self.adapter.sound_speed, point["lengths"][None],
             alphas[None], u, window, inside, point["e"][at], start,
         )
-        b, a_len = 2.0 * self.grid.dt * gte[0], 2.0 * self.grid.dt * gtg[0]
+        return 2.0 * self.grid.dt * gte[0], 2.0 * self.grid.dt * gtg[0]
+
+    def _linearize(self, point: dict) -> None:
+        """Add A, b, the length Jacobian, the gradient and the damping scales to a point."""
+        b, a_len = self._data_term(point)
         d_p, d_w = point["jacobian"](weights=self.nw > 0)
         grad, s_pp = -(b @ d_p), d_p.T @ a_len @ d_p
         point.update(b=b, a_len=a_len, d_p=d_p, s_pp=s_pp, curv_p=np.diag(s_pp))
@@ -380,6 +343,35 @@ class _WaveformFit:
         return dp, float(predicted + b @ dl - 0.5 * (dl @ a_len @ dl))
 
 
+class _DelayFit(_WaveformFit):
+    """The same fit over [x; z] on the delay misfit sum_k (l_k / c - t_k)^2, k detected.
+
+    With image-method lengths l and arrival times t, the data term on the 3
+    lengths is b = -(2 / c) r and A = (2 / c^2) diag(detected), r the delay
+    residual (zero on an undetected path). The loss is inf for x <= 0.
+    """
+
+    def __init__(self, times: np.ndarray, paths: Sequence[PathSpec], env: Environment):
+        self.env, self.nw, self.gamma, self.point = env, 0, 0.0, None
+        self.detected = np.array([float(path in paths) for path in THREE_PATHS])
+        self.times = np.array([times[paths.index(p)] if p in paths else 0.0 for p in THREE_PATHS])
+
+    def evaluate(self, v: np.ndarray) -> dict:
+        """The delay misfit at v = [x; z] and the lengths' Jacobian."""
+        point = {"v": v, "loss": math.inf}
+        if not v[0] > 0.0:
+            return point
+        lengths, s_dz = path_geometry(self.env, v[0], v[1])
+        r = (lengths / self.env.sound_speed - self.times) * self.detected
+        d_p = np.column_stack([v[0] / lengths, s_dz / lengths])
+        point.update(loss=float(r @ r), r=r, lengths=lengths, jacobian=lambda weights: (d_p, None))
+        return point
+
+    def _data_term(self, point: dict) -> tuple[np.ndarray, np.ndarray]:
+        c = self.env.sound_speed
+        return (-2.0 / c) * point["r"], np.diag((2.0 / (c * c)) * self.detected)
+
+
 def da_loss(adapter, received: SampledSignal, w: np.ndarray | None, p: np.ndarray,
             gamma: float) -> float:
     """Adaptation objective value at weights `w` (None: position only) and position `p`."""
@@ -390,10 +382,10 @@ def da_loss(adapter, received: SampledSignal, w: np.ndarray | None, p: np.ndarra
 def _lm_pass(fit: _WaveformFit, v: np.ndarray, max_iter: int, step_tol_m: float):
     """The Levenberg-Marquardt fit from v: (last point, trial steps, exit reason, gradient tolerance).
 
-    Each trial point is evaluated once, through the adapter's signal_t. The
-    start and each accepted point are linearized once, their value and
-    gradient passing through value_and_grad, the one finiteness check. The
-    gradient exit is checked before every step: a stationary start exits at once.
+    Each trial point is evaluated once, through fit.evaluate. The start and
+    each accepted point are linearized once, their value and gradient
+    passing through value_and_grad, the one finiteness check. The gradient
+    exit is checked before every step: a stationary start exits at once.
     The fit stalls when a step fails with the damping above LAM_MAX, or when it
     crawls: an accepted point's gradient norm is still above half its value
     CRAWL_STEPS accepted steps earlier, the start counting as accepted. A
@@ -505,8 +497,8 @@ def crlb(
     times the image-method d l / d(x, z); the bound is the root of the trace
     of its inverse.
     """
-    if n0 <= 0.0:
-        raise ValueError("noise density must be positive")
+    if not 0.0 < n0 < math.inf:
+        raise ValueError(f"noise density n0 must be finite and positive, got {n0!r}")
     lengths, s_dz = path_geometry(env, x, z)
     _, (alphas, pad, start, u, window) = arrival_signal(lengths, env.sound_speed, pulse, grid)
     _, inside = window_index(pad, start, window.shape[-1], grid.n_samples)

@@ -36,6 +36,14 @@ def finite_float(value) -> float:
     return float(value)
 
 
+def whole_number(value) -> int:
+    """`value` as an int; ValueError unless it is a whole number (bools excluded)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def require_finite(owner: str, **values) -> None:
     """Raise ValueError unless every value is a finite real number (bools excluded)."""
     for name, value in values.items():

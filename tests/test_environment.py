@@ -357,6 +357,19 @@ def test_load_dataset_rejects_malformed_directory(tmp_path, three_items, corrupt
         load_dataset(d)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", "abc"), ("seed", 1.5), ("seed", True), ("count", True), ("count", 1.5),
+     ("snr_db", "loud"), ("snr_db", math.nan), ("snr_db", True)],
+)
+def test_load_dataset_rejects_bad_manifest_numbers(tmp_path, env, pulse, grid, key, value):
+    # a one-item set, where a count of true would equal the number of files
+    d = save_dataset(gen_dataset(env, DEFAULT_REGION, 1, pulse, grid, seed=2), tmp_path / "ds")
+    _rewrite_manifest(d, **{key: value})
+    with pytest.raises(ValueError, match=f"bad {key}"):
+        load_dataset(d)
+
+
 def test_region_validation_and_clip():
     with pytest.raises(ValueError):
         Region(900.0, 300.0, 5.0, 100.0)

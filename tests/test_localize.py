@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from aqualoc import localize
 from aqualoc.autodiff import LAM_INIT, fd_check, lm_trials, value_and_grad
@@ -12,8 +13,10 @@ from aqualoc.environment import (
     DIRECT,
     Environment,
     SURFACE,
+    THREE_PATHS,
     SourceLocation,
     arrival_params,
+    path_geometry,
     synthesize_received,
 )
 from aqualoc.forward import MatchedModel, ModelParams, NetworkModel
@@ -120,7 +123,37 @@ def test_toa_wrong_environment_still_seeds(env, pulse, oracle_received):
     assert np.linalg.norm(est.p0 - TRUE_P) <= 20.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(x=st.floats(DEFAULT_REGION.x_min, DEFAULT_REGION.x_max),
+       z=st.floats(DEFAULT_REGION.z_min, DEFAULT_REGION.z_max))
+def test_toa_seed_is_a_delay_stationary_point(env, pulse, grid, x, z):
+    est = toa_init(synthesize_received(env, SourceLocation(x, z), pulse, grid), pulse, env)
+    assume(est.n_peaks == 3)
+    (x0, z0), r = est.p0, DEFAULT_REGION
+    assume(r.x_min < x0 < r.x_max and r.z_min < z0 < r.z_max)
+    # reference: one undamped Gauss-Newton step on sum (l / c - t)^2 for the returned assignment
+    cols = [THREE_PATHS.index(path) for path in est.assignment]
+    lengths, s_dz = path_geometry(env, x0, z0)
+    lengths, s_dz = lengths[cols], s_dz[cols]
+    residual = lengths / env.sound_speed - est.times
+    jac = np.column_stack([x0 / lengths, s_dz / lengths]) / env.sound_speed
+    step = np.linalg.solve(jac.T @ jac, -(jac.T @ residual))
+    assert np.max(np.abs(step)) < 1e-6
+
+
 # -- gradient-based localization ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"max_iter": 2.5}, "max_iter"), ({"max_iter": -1}, "max_iter"),
+     ({"max_iter": "5"}, "max_iter"), ({"max_iter": True}, "max_iter"),
+     ({"max_iter": 0}, "max_iter"), ({"step_tol_m": np.nan}, "step_tol_m"),
+     ({"step_tol_m": -1.0}, "step_tol_m"), ({"step_tol_m": np.inf}, "step_tol_m")],
+)
+def test_gbl_config_validation(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        GblConfig(**kwargs)
 
 
 def test_gbl_converges_from_offset_seed(matched, oracle_received):
@@ -433,8 +466,9 @@ def test_crlb_matches_fd_sensitivities(env, pulse, grid, oracle_received):
 
 
 def test_crlb_rejects_bad_noise(env, pulse, grid):
-    with pytest.raises(ValueError):
-        crlb(env, 610.0, 20.0, pulse, grid, 0.0)
+    for n0 in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise density n0 must be finite and positive"):
+            crlb(env, 610.0, 20.0, pulse, grid, n0)
 
 
 def test_crlb_singular_geometry(env, pulse, grid):
