@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: gen-data, train, localize, sweep-snr, sweep-mismatch, crlb,
-verify-theorem, selftest. Each reads an optional JSON config (--config) whose
-recognized keys depend on the subcommand; --seed, --trials, and --out override
-its seed, trials, and out_dir entries, on the subcommands that read them.
+verify-theorem, selftest. Every subcommand but selftest reads its settings
+from one optional JSON config (--config), its only option; the keys it
+recognizes depend on the subcommand, and an unknown key is an error.
 Relative data paths resolve under AQUALOC_DATA_DIR when it is set. Exit
 codes: 0 success, 2 configuration error, 3 runtime failure.
 """
@@ -36,6 +36,7 @@ from .forward import (
 )
 from .harness import (
     ConfigError,
+    DEFAULT_SNR_GRID,
     METHOD_DA_GBL,
     METHOD_GBL_MATCHED,
     METHOD_GBL_NN,
@@ -46,7 +47,7 @@ from .harness import (
     run_and_write,
 )
 from .localize import crlb, da_gbl, gbl, require_gamma, toa_init
-from .pln import DEFAULT_HIDDEN, REDUCED_HIDDEN, PlnArchitecture
+from .pln import DEFAULT_HIDDEN, PlnArchitecture
 from .signals import NoiseSpec, TimeGrid, add_awgn, finite_float, make_pulse, snr_to_n0, whole_number
 from .theory import EnvPerturbation, TheoremConfig, verify_theorem
 
@@ -101,25 +102,13 @@ def _scene_from(doc: dict):
     return cfg.environment, cfg.source, cfg.pulse, cfg.grid, cfg.region
 
 
-def _apply_overrides(doc: dict, args) -> dict:
-    doc = dict(doc)
-    if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        doc["trials"] = args.trials
-    if getattr(args, "out", None) is not None:
-        doc["out_dir"] = args.out
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gen_data(args, doc: dict) -> int:
+def _cmd_gen_data(doc: dict) -> int:
     _check_keys(doc, _SCENE_KEYS | {"count", "snr_db", "seed", "out_dir"}, "gen-data")
-    doc = _apply_overrides(doc, args)
     env, _, pulse, grid, region = _scene_from(doc)
     count = _cast("count", doc.get("count", 256), whole_number)
     if count < 0:
@@ -135,30 +124,15 @@ def _cmd_gen_data(args, doc: dict) -> int:
     return 0
 
 
-def _cmd_train(args, doc: dict) -> int:
-    allowed = _SCENE_KEYS | {
-        "dataset", "preset", "hidden", "lr", "batch_size", "epochs", "seed", "out_dir",
-    }
-    _check_keys(doc, allowed, "train")
-    doc = _apply_overrides(doc, args)
-    if args.dataset is not None:
-        doc["dataset"] = args.dataset
+def _cmd_train(doc: dict) -> int:
+    train_keys = {"lr", "batch_size", "epochs", "seed"}
+    _check_keys(doc, _SCENE_KEYS | train_keys | {"dataset", "hidden", "out_dir"}, "train")
     if "dataset" not in doc:
-        raise ConfigError("train needs a dataset path (config key 'dataset' or --dataset)")
+        raise ConfigError("train needs a dataset path (config key 'dataset')")
     _, _, _, _, region = _scene_from(doc)
-    if args.reduced or doc.get("preset") == "reduced":
-        hidden = REDUCED_HIDDEN
-    elif "hidden" in doc:
-        hidden = _cast("hidden", doc["hidden"], lambda hs: tuple(whole_number(h) for h in hs))
-    else:
-        hidden = DEFAULT_HIDDEN
-    kw: dict = {}
-    for key, cast in (("lr", finite_float), ("batch_size", whole_number),
-                      ("epochs", whole_number), ("seed", whole_number)):
-        if key in doc:
-            kw[key] = _cast(key, doc[key], cast)
+    hidden = _cast("hidden", doc.get("hidden", DEFAULT_HIDDEN), tuple)
     try:
-        cfg = TrainConfig(**kw)
+        cfg = TrainConfig(**{key: doc[key] for key in train_keys & set(doc)})
         arch = PlnArchitecture(hidden=hidden)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -174,14 +148,11 @@ def _cmd_train(args, doc: dict) -> int:
     return 0
 
 
-def _cmd_localize(args, doc: dict) -> int:
+def _cmd_localize(doc: dict) -> int:
     allowed = _SCENE_KEYS | {
         "checkpoint", "method", "gamma", "snr_db", "mismatch_m", "seed",
     }
     _check_keys(doc, allowed, "localize")
-    doc = _apply_overrides(doc, args)
-    if args.checkpoint is not None:
-        doc["checkpoint"] = args.checkpoint
     env_train, source, pulse, grid, region = _scene_from(doc)
     method = doc.get("method", METHOD_GBL_MATCHED)
     gamma = require_gamma(doc.get("gamma", 0.0), ConfigError)
@@ -235,12 +206,7 @@ def _cmd_localize(args, doc: dict) -> int:
     return 0
 
 
-def _sweep(kind: str, args, doc: dict) -> int:
-    doc = _apply_overrides(doc, args)
-    if args.checkpoint is not None:
-        doc["checkpoint"] = args.checkpoint
-    if getattr(args, "timing", False):
-        doc["timing"] = True
+def _sweep(kind: str, doc: dict) -> int:
     cfg = config_from_dict(doc)
     if cfg.checkpoint is not None:
         cfg.checkpoint = str(_resolve(cfg.checkpoint))
@@ -252,18 +218,18 @@ def _sweep(kind: str, args, doc: dict) -> int:
     return 0
 
 
-def _cmd_sweep_snr(args, doc: dict) -> int:
-    return _sweep("snr", args, doc)
+def _cmd_sweep_snr(doc: dict) -> int:
+    return _sweep("snr", doc)
 
 
-def _cmd_sweep_mismatch(args, doc: dict) -> int:
-    return _sweep("mismatch", args, doc)
+def _cmd_sweep_mismatch(doc: dict) -> int:
+    return _sweep("mismatch", doc)
 
 
-def _cmd_crlb(args, doc: dict) -> int:
+def _cmd_crlb(doc: dict) -> int:
     _check_keys(doc, _SCENE_KEYS | {"snr_db_list"}, "crlb")
     env, source, pulse, grid, _ = _scene_from(doc)
-    snrs = _cast("snr_db_list", doc.get("snr_db_list", [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]),
+    snrs = _cast("snr_db_list", doc.get("snr_db_list", DEFAULT_SNR_GRID),
                  lambda values: [finite_float(v) for v in values])
     clean = synthesize_received(env, source, pulse, grid)
     print("snr_db,rmse_bound_m")
@@ -274,15 +240,12 @@ def _cmd_crlb(args, doc: dict) -> int:
     return 0
 
 
-def _cmd_verify_theorem(args, doc: dict) -> int:
-    allowed = _SCENE_KEYS | {
-        "checkpoint", "eps_depth_m", "eps_sound_speed_ms", "gamma", "sigma",
-        "curvature_target", "path_shift_budget_m", "seed", "out_dir",
+def _cmd_verify_theorem(doc: dict) -> int:
+    theorem_keys = {"gamma", "seed"}
+    allowed = _SCENE_KEYS | theorem_keys | {
+        "checkpoint", "eps_depth_m", "eps_sound_speed_ms", "out_dir",
     }
     _check_keys(doc, allowed, "verify-theorem")
-    doc = _apply_overrides(doc, args)
-    if args.checkpoint is not None:
-        doc["checkpoint"] = args.checkpoint
     if "checkpoint" not in doc:
         raise ConfigError("verify-theorem needs a reduced-model checkpoint")
     env, source, pulse, grid, _ = _scene_from(doc)
@@ -291,14 +254,8 @@ def _cmd_verify_theorem(args, doc: dict) -> int:
         sound_speed_ms=_cast(
             "eps_sound_speed_ms", doc.get("eps_sound_speed_ms", 0.0), finite_float),
     )
-    cfg_kwargs = {}
-    for key in ("sigma", "gamma", "curvature_target", "path_shift_budget_m"):
-        if key in doc:
-            cfg_kwargs[key] = _cast(key, doc[key], finite_float)
-    if "seed" in doc:
-        cfg_kwargs["seed"] = _cast("seed", doc["seed"], whole_number)
     try:
-        theorem_cfg = TheoremConfig(**cfg_kwargs)
+        theorem_cfg = TheoremConfig(**{key: doc[key] for key in theorem_keys & set(doc)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     model = load_checkpoint(_resolve(doc["checkpoint"])).model
@@ -320,8 +277,7 @@ def _cmd_verify_theorem(args, doc: dict) -> int:
     return 0
 
 
-def _cmd_selftest(args, doc: dict) -> int:
-    _check_keys(doc, set(), "selftest")
+def _cmd_selftest() -> int:
     failures = 0
 
     def check(name: str, fn) -> None:
@@ -415,7 +371,8 @@ def _cmd_selftest(args, doc: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-_DISPATCH = {
+# The subcommands that read a config; selftest reads none.
+_CONFIGURED = {
     "gen-data": _cmd_gen_data,
     "train": _cmd_train,
     "localize": _cmd_localize,
@@ -423,7 +380,6 @@ _DISPATCH = {
     "sweep-mismatch": _cmd_sweep_mismatch,
     "crlb": _cmd_crlb,
     "verify-theorem": _cmd_verify_theorem,
-    "selftest": _cmd_selftest,
 }
 
 
@@ -433,22 +389,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Differentiable three-ray underwater source localization toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config file")
-        # an override flag only where its config entry is read
-        if name not in ("crlb", "selftest"):
-            p.add_argument("--seed", type=int, default=None)
-        if name in ("gen-data", "train", "sweep-snr", "sweep-mismatch", "verify-theorem"):
-            p.add_argument("--out", default=None)
-        if name in ("train",):
-            p.add_argument("--dataset", default=None)
-            p.add_argument("--reduced", action="store_true")
-        if name in ("localize", "sweep-snr", "sweep-mismatch", "verify-theorem"):
-            p.add_argument("--checkpoint", default=None)
-        if name in ("sweep-snr", "sweep-mismatch"):
-            p.add_argument("--trials", type=int, default=None)
-            p.add_argument("--timing", action="store_true")
+    for name in _CONFIGURED:
+        sub.add_parser(name).add_argument("--config", default=None, help="JSON config file")
+    sub.add_parser("selftest")
     return parser
 
 
@@ -459,8 +402,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        doc = _load_config(args.config)
-        return _DISPATCH[args.command](args, doc)
+        if args.command == "selftest":
+            return _cmd_selftest()
+        return _CONFIGURED[args.command](_load_config(args.config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -299,14 +299,16 @@ def gen_dataset(
     env, region, count, pulse, grid, seed
         Waveguide, sampling region, dataset size, waveform, grid, master seed.
     snr_db : float, optional
-        None (default) produces noiseless signals. Otherwise each signal gets
-        white noise at this SNR relative to its own clean energy, with the
-        per-item noise seed derived from (seed, item index).
+        None (default) produces noiseless signals. Otherwise a finite number:
+        each signal gets white noise at this SNR relative to its own clean
+        energy, with the per-item noise seed derived from (seed, item index).
 
     Returns
     -------
     Dataset
     """
+    if snr_db is not None:
+        require_finite("dataset", snr_db=snr_db)
     locations = stratified_locations(region, count, seed)
     signals = np.empty((count, grid.n_samples))
     for k in range(count):

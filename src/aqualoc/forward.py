@@ -47,9 +47,12 @@ from .signals import (
     SampledSignal,
     TimeGrid,
     arrival_windows,
+    at_least,
     correlation_envelope,  # not called here; kept as a global the bench tracer patches
+    finite_float,
     require_finite,
     smooth_rows,  # not called here; kept as a global the bench tracer patches
+    whole_number,
 )
 
 PLN_ERROR_TARGET = 0.005  # worst in-region relative path-length error
@@ -428,7 +431,8 @@ class TrainConfig:
     floor drops as the stage settles. The exact stage runs full-batch
     Levenberg-Marquardt, one trial step per epoch, so it uses neither its
     rate scale nor batch_size; lr = 0 still freezes it along with the peaks
-    stage.
+    stage. `lr` is a finite number >= 0, `batch_size` and `epochs` whole
+    numbers >= 1 and `seed` a whole number >= 0.
     """
 
     lr: float = 1e-3
@@ -437,13 +441,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require_finite("train", lr=self.lr)
-        if self.lr < 0.0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        object.__setattr__(self, "lr", at_least("lr", self.lr, finite_float, 0.0))
+        for name, low in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+            object.__setattr__(self, name, at_least(name, getattr(self, name), whole_number, low))
 
     def stage_epochs(self) -> list[tuple[str, float, int, float]]:
         """The epoch budget split over DEFAULT_SMOOTHING: (kind, sigma, epochs, lr scale)."""

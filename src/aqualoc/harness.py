@@ -29,9 +29,7 @@ from .environment import (
     synthesize_received,
 )
 from .forward import Checkpoint, ModelParams, NetworkModel, MatchedModel, load_checkpoint
-from .localize import (
-    GblConfig, SingularFisherError, ToaInitError, crlb, da_gbl, gbl, require_gamma, toa_init,
-)
+from .localize import SingularFisherError, ToaInitError, crlb, da_gbl, gbl, require_gamma, toa_init
 from .signals import (
     AnalyticPulse, NoiseSpec, TimeGrid, add_awgn, make_pulse, require_finite, snr_to_n0,
     whole_number,
@@ -253,7 +251,6 @@ def run_cell(
     mismatch_m: float,
     gamma: float,
     model: ModelParams | None,
-    gbl_cfg: GblConfig = GblConfig(),
 ) -> SweepRow:
     """Run M noise trials of one method in one environment cell."""
     t_start = time.perf_counter() if cfg.timing else 0.0
@@ -275,9 +272,9 @@ def run_cell(
         except ToaInitError:
             continue
         if method == METHOD_DA_GBL:
-            result = da_gbl(received, adapter, p0, gamma, gbl_cfg)
+            result = da_gbl(received, adapter, p0, gamma)
         else:
-            result = gbl(received, adapter, p0, gbl_cfg)
+            result = gbl(received, adapter, p0)
         if result.converged:
             errors.append(float(np.linalg.norm(result.p_hat - truth)))
     rm, mean, ci, conv_rate = _cell_stats(errors, cfg.trials)

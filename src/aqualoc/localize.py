@@ -39,6 +39,7 @@ from .environment import (
 from .signals import (
     AnalyticPulse,
     SampledSignal,
+    at_least,
     correlation_envelope,
     finite_float,
     pick_envelope_peaks,
@@ -97,7 +98,7 @@ def detect_arrivals(
     correlation at the picked sample. Fewer than three (possibly none) come
     back when fewer clear the floor.
     """
-    envelope, lag_times, corr = correlation_envelope(values, pulse, fs, with_correlation=True)
+    envelope, lag_times, corr = correlation_envelope(values, pulse, fs)
     med = float(np.median(envelope))
     mad = float(np.median(np.abs(envelope - med)))
     threshold = max(med + 3.0 * 1.4826 * mad, rel_floor * float(envelope.max()))
@@ -188,15 +189,8 @@ class GblConfig:
     step_tol_m: float = 1e-4
 
     def __post_init__(self) -> None:
-        for name, cast, low in (("max_iter", whole_number, 1), ("step_tol_m", finite_float, 0.0)):
-            value = getattr(self, name)
-            try:
-                valid = cast(value) >= low
-            except ValueError:
-                valid = False
-            if not valid:
-                kind = cast.__name__.replace("_", " ")  # "whole number" or "finite float"
-                raise ValueError(f"{name} must be a {kind} >= {low}, got {value!r}")
+        object.__setattr__(self, "max_iter", at_least("max_iter", self.max_iter, whole_number, 1))
+        at_least("step_tol_m", self.step_tol_m, finite_float, 0.0)
 
 
 @dataclass

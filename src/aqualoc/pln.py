@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Layout
 from .environment import Environment, Region, THREE_PATHS, path_geometry
-from .signals import require_finite
+from .signals import at_least, require_finite, whole_number
 
 N_INPUTS = 5
 DEFAULT_HIDDEN = (64, 64, 64)
@@ -33,8 +33,8 @@ class PlnArchitecture:
     def __post_init__(self) -> None:
         if len(self.hidden) == 0:
             raise ValueError("at least one hidden layer is required")
-        if any(h < 1 for h in self.hidden):
-            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
+        widths = tuple(at_least("hidden width", h, whole_number, 1) for h in self.hidden)
+        object.__setattr__(self, "hidden", widths)
         require_finite("architecture", length_scale=self.length_scale)
         if self.length_scale <= 0.0:
             raise ValueError(f"length_scale must be positive, got {self.length_scale}")

@@ -53,6 +53,18 @@ def require_finite(owner: str, **values) -> None:
             raise ValueError(f"{owner} {name} must be a finite number, got {value!r}") from None
 
 
+def at_least(name: str, value, cast, low):
+    """`cast(value)` (`whole_number` or `finite_float`); ValueError naming `name` unless it is >= low."""
+    try:
+        out = cast(value)
+    except ValueError:
+        out = math.nan
+    if not out >= low:
+        kind = cast.__name__.replace("_", " ")  # "whole number" or "finite float"
+        raise ValueError(f"{name} must be a {kind} >= {low}, got {value!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class AnalyticPulse:
     """Gaussian-windowed cosine s(t) = A exp(-(t-t_c)^2 / (2 sigma^2)) cos(2 pi f0 (t-t_c)).
@@ -81,13 +93,9 @@ class AnalyticPulse:
         return 1.0 / (math.pi * self.bandwidth)
 
 
-def make_pulse(
-    center_freq: float = DEFAULT_CENTER_FREQ,
-    bandwidth: float = DEFAULT_BANDWIDTH,
-    center_time: float = DEFAULT_CENTER_TIME,
-) -> AnalyticPulse:
-    """Build the transmit pulse with unit peak amplitude."""
-    return AnalyticPulse(center_freq, bandwidth, center_time)
+def make_pulse() -> AnalyticPulse:
+    """The default transmit pulse, with unit peak amplitude."""
+    return AnalyticPulse(DEFAULT_CENTER_FREQ, DEFAULT_BANDWIDTH, DEFAULT_CENTER_TIME)
 
 
 def eval_pulse(pulse: AnalyticPulse, t: np.ndarray | float) -> np.ndarray:
@@ -176,14 +184,13 @@ class SampledSignal:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """White Gaussian noise of one-sided spectral density n0, seeded."""
+    """White Gaussian noise of one-sided spectral density n0 (finite, >= 0), seeded."""
 
     n0: float
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n0 < 0.0:
-            raise ValueError(f"n0 must be >= 0, got {self.n0}")
+        at_least("n0", self.n0, finite_float, 0.0)
 
 
 def energy(sig: SampledSignal) -> float:
@@ -286,17 +293,15 @@ def correlation_envelope(
     values: np.ndarray,
     pulse: AnalyticPulse,
     sample_rate: float,
-    with_correlation: bool = False,
 ):
-    """Matched-filter envelope against the pulse, with per-sample arrival times.
+    """Matched-filter envelope, per-sample arrival times and the raw correlation.
 
     The correlation is computed directly, its envelope by a real-FFT Hilbert
     transform at the correlation's own length. Full correlation index j pairs
     values[n] with template sample m at n = j - (w - 1) + m, so an arrival at
     time tau (values[n] ~ s(n/fs - tau)) peaks at j = tau*fs + (kc - half) +
-    (w - 1); the returned times invert that mapping. With with_correlation=True
-    the raw correlation comes back third: its sign at an isolated arrival's
-    envelope peak is the arrival's polarity.
+    (w - 1); the returned times invert that mapping. The correlation's sign at
+    an isolated arrival's envelope peak is the arrival's polarity.
     """
     fs = sample_rate
     half = int(math.ceil(WINDOW_SIGMAS * pulse.sigma * fs))
@@ -308,9 +313,7 @@ def correlation_envelope(
     lag0 = -(w - 1) - (kc - half)
     envelope = analytic_envelope(corr)
     times = (np.arange(len(corr)) + lag0) / fs
-    if with_correlation:
-        return envelope, times, corr
-    return envelope, times
+    return envelope, times, corr
 
 
 def pick_envelope_peaks(

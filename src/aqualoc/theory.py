@@ -22,7 +22,7 @@ from .autodiff import value_and_grad
 from .environment import Environment, SourceLocation, path_geometry, synthesize_received
 from .forward import ModelParams, NetworkModel
 from .localize import GblConfig, _WaveformFit, da_gbl, require_gamma, toa_init
-from .signals import SampledSignal, TimeGrid, require_finite
+from .signals import SampledSignal, TimeGrid, at_least, require_finite, whole_number
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,7 @@ class EnvPerturbation:
     sound_speed_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.depth_m) and np.isfinite(self.sound_speed_ms)):
-            raise ValueError("perturbation entries must be finite")
+        require_finite("perturbation", depth_m=self.depth_m, sound_speed_ms=self.sound_speed_ms)
 
     @property
     def norm(self) -> float:
@@ -59,33 +58,28 @@ LIPSCHITZ_DEPTHS = (0.5, 1.0, 2.0, 4.0)
 LIPSCHITZ_POINTS = 3
 NEWTON_ITERS = 8
 
+# The probe cube. CUBE_SIGMA is its radius in normalized coordinates, capped
+# so that no probe point shifts any modeled path length by more than
+# PATH_SHIFT_BUDGET_M: every probe then stays inside the carrier-aligned
+# basin, where the estimated constants describe the loss the descent actually
+# sees. CURVATURE_TARGET is the data-term curvature per normalized position
+# coordinate at the fitted point.
+CUBE_SIGMA = 0.1
+PATH_SHIFT_BUDGET_M = 0.25
+CURVATURE_TARGET = 1.5
+
 
 @dataclass(frozen=True)
 class TheoremConfig:
-    """Knobs for the verification run.
+    """The verification run's anchor weight `gamma` (finite, >= 0) and the
+    `seed` of its probe sampling (a whole number >= 0)."""
 
-    `sigma` is the cube radius in normalized coordinates; runs additionally cap
-    it so no probe point shifts any modeled path length by more than
-    `path_shift_budget_m`, keeping every probe inside the carrier-aligned
-    basin where the estimated constants describe the loss the descent actually
-    sees. `curvature_target` sets the data-term curvature per normalized
-    position coordinate at the fitted point.
-    """
-
-    sigma: float = 0.1
-    curvature_target: float = 1.5
-    path_shift_budget_m: float = 0.25
     gamma: float = 10.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        positive = {"sigma": self.sigma, "curvature_target": self.curvature_target,
-                    "path_shift_budget_m": self.path_shift_budget_m}
-        require_finite("theorem", **positive)
-        for name, value in positive.items():
-            if value <= 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        require_gamma(self.gamma)
+        object.__setattr__(self, "gamma", require_gamma(self.gamma))
+        object.__setattr__(self, "seed", at_least("seed", self.seed, whole_number, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +245,6 @@ class TheoremReport:
     eps_sound_speed_ms: float
     eps_norm: float
     p_scales: tuple[float, float]
-    sigma_config: float
     sigma_used: float
     lambda_hat: float
     lambda_center: float
@@ -328,7 +321,6 @@ def verify_theorem(
     eps: EnvPerturbation,
     cfg: TheoremConfig = TheoremConfig(),
     grid: TimeGrid | None = None,
-    p0: np.ndarray | None = None,
 ) -> TheoremReport:
     """Measure the robustness bound's constants and check its claims.
 
@@ -345,20 +337,18 @@ def verify_theorem(
     adapter = NetworkModel(model)
     nw = adapter.n_weights
 
-    if p0 is None:
-        p0 = toa_init(r_train, pulse, env_train).p0
-    p0 = np.asarray(p0, dtype=np.float64)
+    p0 = toa_init(r_train, pulse, env_train).p0
 
     gbl_cfg = GblConfig(max_iter=800, step_tol_m=1e-7)
     v0_raw, gbl_grad_norm = _fit(adapter, r_train, p0, cfg.gamma, gbl_cfg)
 
     # Normalized coordinates: unit weight scale, position scales chosen so the
     # data-term curvature per position coordinate, 2 dt |df/dp_j|^2 in the
-    # Gauss-Newton model, equals curvature_target.
+    # Gauss-Newton model, equals CURVATURE_TARGET.
     fit = _WaveformFit(adapter, r_train, 0.0, True)
     curv = fit.linearize(fit.evaluate(v0_raw))["curv_p"]
     curv = np.maximum(curv, 1e-300)
-    u_p = np.sqrt(cfg.curvature_target / curv)
+    u_p = np.sqrt(CURVATURE_TARGET / curv)
     scales = np.ones(nw + 2)
     scales[nw:] = u_p
 
@@ -375,7 +365,7 @@ def verify_theorem(
     lengths, s_dz = path_geometry(env_train, v0_raw[nw], v0_raw[nw + 1])
     slopes = np.max(np.abs([v0_raw[nw] / lengths, s_dz / lengths]), axis=1)
     shift_per_sigma = float(slopes @ u_p)
-    sigma_used = min(cfg.sigma, cfg.path_shift_budget_m / shift_per_sigma)
+    sigma_used = min(CUBE_SIGMA, PATH_SHIFT_BUDGET_M / shift_per_sigma)
     h_fd = FD_REL * sigma_used
 
     vt0 = v0_raw / scales
@@ -413,7 +403,6 @@ def verify_theorem(
         eps_sound_speed_ms=eps.sound_speed_ms,
         eps_norm=eps.norm,
         p_scales=(float(u_p[0]), float(u_p[1])),
-        sigma_config=cfg.sigma,
         sigma_used=sigma_used,
         lambda_hat=lam.lambda_hat,
         lambda_center=lambda_center,

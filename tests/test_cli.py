@@ -1,5 +1,6 @@
-"""Command line behavior: exit codes, config handling, artifacts, overrides."""
+"""Command line behavior: exit codes, config handling, artifacts."""
 
+import argparse
 import json
 import math
 
@@ -61,20 +62,36 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["crlb", "--trials", "3"],
-        ["crlb", "--seed", "1"],
-        ["crlb", "--out", "table.csv"],
-        ["selftest", "--seed", "1"],
-        ["localize", "--trials", "3"],
-        ["localize", "--out", "result.json"],
-    ],
-)
-def test_override_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
+SUBCOMMANDS = ("gen-data", "train", "localize", "sweep-snr", "sweep-mismatch", "crlb",
+               "verify-theorem", "selftest")
+# Settings come only from the config file, so no subcommand takes any of these flags.
+RETIRED_FLAGS = (["--seed", "1"], ["--trials", "3"], ["--out", "x"], ["--dataset", "x"],
+                 ["--checkpoint", "x"], ["--reduced"], ["--timing"])
+
+
+@pytest.mark.parametrize("argv", [[c, *f] for c in SUBCOMMANDS for f in RETIRED_FLAGS])
+def test_override_flag_the_subcommand_does_not_read_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a subcommand that ran would write its default outputs here
     assert main(argv) == 2
     assert argv[1] in capsys.readouterr().err
+
+
+def test_selftest_takes_no_config(tmp_path, capsys):
+    path = write_config(tmp_path, "empty.json", {})
+    assert main(["selftest", "--config", path]) == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_config_is_the_only_option():
+    from aqualoc.cli import _build_parser
+
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [
+        a.option_strings for p in [parser, *sub.choices.values()] for a in p._actions
+        if a.option_strings and not isinstance(a, argparse._HelpAction)
+    ]
+    assert options == [["--config"]] * 7
 
 
 @pytest.mark.parametrize(
@@ -194,10 +211,11 @@ def test_gen_train_localize_round_trip(tmp_path, capsys):
             "dataset": str(data_dir),
             "epochs": 32,
             "batch_size": 8,
+            "hidden": [8],
             "out_dir": str(ck_path),
         },
     )
-    assert main(["train", "--config", train_cfg, "--reduced"]) == 0
+    assert main(["train", "--config", train_cfg]) == 0
     ck = load_checkpoint(ck_path)
     assert ck.metadata["epochs"] == 32
     assert ck.model.pln.arch.hidden == (8,)
@@ -265,11 +283,11 @@ def test_sweep_trials_override(tmp_path, capsys):
         {
             "methods": ["gbl-matched"],
             "snr_db_list": [25.0],
-            "trials": 5,
+            "trials": 1,
             "out_dir": str(tmp_path / "o"),
         },
     )
-    assert main(["sweep-snr", "--config", cfg, "--trials", "1"]) == 0
+    assert main(["sweep-snr", "--config", cfg]) == 0
     line = (tmp_path / "o" / "snr_sweep.csv").read_text().splitlines()[1]
     assert line.split(",")[4] == "1"
 

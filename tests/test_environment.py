@@ -242,6 +242,12 @@ def test_gen_dataset_noisy_snr(env, pulse, grid):
         assert np.var(resid[k]) == pytest.approx(want_var, rel=0.1)
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+def test_gen_dataset_rejects_nonfinite_snr(env, pulse, grid, snr_db):
+    with pytest.raises(ValueError, match="snr_db"):
+        gen_dataset(env, DEFAULT_REGION, 2, pulse, grid, seed=0, snr_db=snr_db)
+
+
 def test_dataset_roundtrip(tmp_path, env, pulse, grid):
     ds = gen_dataset(env, DEFAULT_REGION, 6, pulse, grid, seed=9, snr_db=15.0)
     save_dataset(ds, tmp_path / "ds")

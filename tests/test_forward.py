@@ -329,6 +329,11 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    for name, value in (("epochs", 2.5), ("epochs", True), ("batch_size", 2.5), ("seed", -1)):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+    cfg = TrainConfig(epochs=2.0, seed=3.0)
+    assert (cfg.epochs, cfg.seed) == (2, 3) and type(cfg.epochs) is type(cfg.seed) is int
 
 
 def test_stage_epochs_partition():

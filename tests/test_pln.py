@@ -37,6 +37,8 @@ def test_architecture_validation():
         PlnArchitecture(hidden=())
     with pytest.raises(ValueError):
         PlnArchitecture(hidden=(8, 0))
+    with pytest.raises(ValueError, match="hidden"):
+        PlnArchitecture(hidden=(True,))
     with pytest.raises(ValueError):
         PlnArchitecture(length_scale=0.0)
 

@@ -156,6 +156,12 @@ def test_add_awgn_zero_density_is_identity(oracle_received):
     np.testing.assert_array_equal(out.values, oracle_received.values)
 
 
+@pytest.mark.parametrize("n0", [math.nan, math.inf, -1.0])
+def test_noise_spec_rejects_bad_density(n0):
+    with pytest.raises(ValueError, match="n0"):
+        NoiseSpec(n0, 0)
+
+
 def test_add_awgn_sample_variance():
     grid = TimeGrid(1000.0, 1000.0)  # 1e6 samples
     sig = SampledSignal(grid, np.zeros(grid.n_samples))
