@@ -21,7 +21,6 @@ import numpy as np
 from .environment import (
     DEFAULT_ENVIRONMENT,
     DEFAULT_SOURCE,
-    Environment,
     SourceLocation,
     gen_dataset,
     load_dataset,
@@ -29,6 +28,7 @@ from .environment import (
     synthesize_received,
 )
 from .forward import (
+    MatchedModel,
     TrainConfig,
     load_checkpoint,
     pretrain,
@@ -37,18 +37,21 @@ from .forward import (
 from .harness import (
     ConfigError,
     DEFAULT_SNR_GRID,
-    METHOD_DA_GBL,
     METHOD_GBL_MATCHED,
-    METHOD_GBL_NN,
+    NETWORK_METHODS,
     SCENE_TYPES,
     ExperimentConfig,
     config_from_dict,
+    method_adapter,
     parse_scene,
     run_and_write,
+    seed_and_fit,
 )
-from .localize import crlb, da_gbl, gbl, require_gamma, toa_init
+from .localize import crlb, require_gamma, toa_init
 from .pln import DEFAULT_HIDDEN, PlnArchitecture
-from .signals import NoiseSpec, TimeGrid, add_awgn, finite_float, make_pulse, snr_to_n0, whole_number
+from .signals import (
+    NoiseSpec, TimeGrid, add_awgn, at_least, finite_float, make_pulse, snr_to_n0, whole_number,
+)
 from .theory import EnvPerturbation, TheoremConfig, verify_theorem
 
 _SCENE_KEYS = set(SCENE_TYPES)
@@ -96,6 +99,11 @@ def _cast(key: str, value, cast):
         raise ConfigError(f"config key {key!r}: bad value {value!r} ({exc})") from exc
 
 
+def _seed(doc: dict) -> int:
+    """The config's `seed` (default 0), a whole number >= 0."""
+    return _cast("seed", doc.get("seed", 0), lambda v: at_least("seed", v, whole_number, 0))
+
+
 def _scene_from(doc: dict):
     """(environment, source, pulse, grid, region), defaulting as ExperimentConfig does."""
     cfg = ExperimentConfig(**parse_scene(doc))
@@ -116,7 +124,7 @@ def _cmd_gen_data(doc: dict) -> int:
     snr_db = doc.get("snr_db")
     if snr_db is not None:
         snr_db = _cast("snr_db", snr_db, finite_float)
-    seed = _cast("seed", doc.get("seed", 0), whole_number)
+    seed = _seed(doc)
     out = _resolve(doc.get("out_dir", "dataset"))
     ds = gen_dataset(env, region, count, pulse, grid, seed, snr_db=snr_db)
     save_dataset(ds, out)
@@ -125,7 +133,7 @@ def _cmd_gen_data(doc: dict) -> int:
 
 
 def _cmd_train(doc: dict) -> int:
-    train_keys = {"lr", "batch_size", "epochs", "seed"}
+    train_keys = {"epochs", "seed"}
     _check_keys(doc, _SCENE_KEYS | train_keys | {"dataset", "hidden", "out_dir"}, "train")
     if "dataset" not in doc:
         raise ConfigError("train needs a dataset path (config key 'dataset')")
@@ -160,34 +168,20 @@ def _cmd_localize(doc: dict) -> int:
     if snr_db is not None:
         snr_db = _cast("snr_db", snr_db, finite_float)
     mismatch = _cast("mismatch_m", doc.get("mismatch_m", 0.0), finite_float)
-    seed = _cast("seed", doc.get("seed", 0), whole_number)
-    env_true = Environment(
-        env_train.depth + mismatch, env_train.sound_speed, env_train.receiver_depth
-    )
+    seed = _seed(doc)
+    env_true = EnvPerturbation(depth_m=mismatch).applied_to(env_train)
+    env_assumed = env_true if method == METHOD_GBL_MATCHED else env_train
+    model = None
+    if method in NETWORK_METHODS and "checkpoint" in doc:
+        model = load_checkpoint(_resolve(doc["checkpoint"])).model
+    adapter = method_adapter(method, env_assumed, pulse, model)
     clean = synthesize_received(env_true, source, pulse, grid)
     if snr_db is None:
         received = clean
     else:
         n0 = snr_to_n0(clean, snr_db, pulse.bandwidth)
         received = add_awgn(clean, NoiseSpec(n0, seed))
-    env_assumed = env_true if method == METHOD_GBL_MATCHED else env_train
-    if method == METHOD_GBL_MATCHED:
-        from .forward import MatchedModel
-
-        adapter = MatchedModel(env_assumed, pulse)
-    elif method in (METHOD_GBL_NN, METHOD_DA_GBL):
-        if "checkpoint" not in doc:
-            raise ConfigError(f"method {method} needs a checkpoint")
-        from .forward import NetworkModel
-
-        adapter = NetworkModel(load_checkpoint(_resolve(doc["checkpoint"])).model)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
-    estimate = toa_init(received, pulse, env_assumed, region)
-    if method == METHOD_DA_GBL:
-        result = da_gbl(received, adapter, estimate.p0, gamma)
-    else:
-        result = gbl(received, adapter, estimate.p0)
+    estimate, result = seed_and_fit(method, received, adapter, pulse, env_assumed, region, gamma)
     err = float(np.linalg.norm(result.p_hat - np.array([source.x, source.z])))
     print(
         json.dumps(
@@ -302,15 +296,12 @@ def _cmd_selftest() -> int:
         assert np.allclose(got, want, rtol=0.0, atol=1e-9), f"{got} != {want}"
 
     def plugin_equivalence():
-        from .forward import MatchedModel
-
         oracle = synthesize_received(env, source, pulse, grid)
         matched, _ = MatchedModel(env, pulse).signal_t(None, source.x, source.z, grid)
         assert np.array_equal(oracle.values, matched), "matched synthesis differs from oracle"
 
     def gradient_check():
         from .autodiff import fd_check
-        from .forward import MatchedModel
 
         clean = synthesize_received(env, source, pulse, grid)
         adapter = MatchedModel(env, pulse)

@@ -49,7 +49,6 @@ from .signals import (
     arrival_windows,
     at_least,
     correlation_envelope,  # not called here; kept as a global the bench tracer patches
-    finite_float,
     require_finite,
     smooth_rows,  # not called here; kept as a global the bench tracer patches
     whole_number,
@@ -394,12 +393,9 @@ def _lm_stage(fit: _ExactFit, w: np.ndarray, n_iter: int) -> tuple[np.ndarray, l
     return lin["v"], losses
 
 
-# Two-stage pretraining schedule: (stage kind, sigma, fraction of the epoch
-# budget, learning-rate scale). Neither stage smooths, so sigma is 0; the
-# entries keep their four fields for callers that unpack them. Random init puts
-# predicted arrivals up to ~0.2 s from the recorded ones, far outside the
-# correlation basin of any waveform misfit, so the schedule works in two
-# regimes:
+# Two-stage pretraining. Random init puts predicted arrivals up to ~0.2 s from
+# the recorded ones, far outside the correlation basin of any waveform misfit,
+# so training works in two regimes:
 #   peaks - regress predicted lengths onto matched-filter peak times of each
 #     recording, waveform statistics with global capture range. The direct
 #     arrival comes first, and the sign of the correlation tells the surface
@@ -412,51 +408,39 @@ def _lm_stage(fit: _ExactFit, w: np.ndarray, n_iter: int) -> tuple[np.ndarray, l
 #     whole dataset (one trial step per epoch, see _ExactFit) rather than by
 #     Adam: once every arrival sits in its basin, minibatch Adam stalls with
 #     lengths about 0.1 m off, 20 times what a 2% waveform error allows.
-# The exact stage takes no rate; its damping adapts to each step's outcome.
+# The peaks stage takes PEAKS_SHARE of the epoch budget, on minibatches of
+# BATCH_SIZE at the Adam rate PEAKS_LR, which decays over the stage's second
+# half (_stage_lr) so the minibatch noise floor drops as the stage settles. The
+# exact stage takes no rate; its damping adapts to each step's outcome.
 STAGE_PEAKS = "peaks"
 STAGE_EXACT = "exact"
-
-DEFAULT_SMOOTHING: tuple[tuple[str, float, float, float], ...] = (
-    (STAGE_PEAKS, 0.0, 8000 / 10800, 1.0),
-    (STAGE_EXACT, 0.0, 2800 / 10800, 0.03),
-)
+PEAKS_SHARE = 8000 / 10800
+PEAKS_LR = 1e-3
+BATCH_SIZE = 32
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Pretraining settings.
+    """Pretraining settings: the epoch budget `epochs` (a whole number >= 1),
+    split over the two stages by stage_epochs, and the `seed` (a whole number
+    >= 0) of the initial weights and the minibatch order."""
 
-    lr is the peaks-stage Adam rate. It holds for the first half of the
-    stage's epochs, then follows a cosine decay to 1% so the minibatch noise
-    floor drops as the stage settles. The exact stage runs full-batch
-    Levenberg-Marquardt, one trial step per epoch, so it uses neither its
-    rate scale nor batch_size; lr = 0 still freezes it along with the peaks
-    stage. `lr` is a finite number >= 0, `batch_size` and `epochs` whole
-    numbers >= 1 and `seed` a whole number >= 0.
-    """
-
-    lr: float = 1e-3
-    batch_size: int = 32
     epochs: int = 10800
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lr", at_least("lr", self.lr, finite_float, 0.0))
-        for name, low in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+        for name, low in (("epochs", 1), ("seed", 0)):
             object.__setattr__(self, name, at_least(name, getattr(self, name), whole_number, low))
 
     def stage_epochs(self) -> list[tuple[str, float, int, float]]:
-        """The epoch budget split over DEFAULT_SMOOTHING: (kind, sigma, epochs, lr scale)."""
-        out = []
-        used = 0
-        for i, (kind, sigma, frac, lr_scale) in enumerate(DEFAULT_SMOOTHING):
-            if i == len(DEFAULT_SMOOTHING) - 1:
-                n = self.epochs - used
-            else:
-                n = int(round(frac * self.epochs))
-            out.append((kind, sigma, n, lr_scale))
-            used += n
-        return out
+        """The epoch budget split over the stages: (kind, sigma, epochs, lr scale) rows.
+
+        Neither stage smooths or scales its rate, so sigma is 0 and the
+        scale 1; the rows keep four fields because the benchmark's
+        metrics.step_stages unpacks them.
+        """
+        n_peaks = int(round(PEAKS_SHARE * self.epochs))
+        return [(STAGE_PEAKS, 0.0, n_peaks, 1.0), (STAGE_EXACT, 0.0, self.epochs - n_peaks, 1.0)]
 
 
 @dataclass
@@ -481,13 +465,11 @@ def _peaks_stage(
     dataset: Dataset,
     w: np.ndarray,
     n_epochs: int,
-    lr0: float,
-    batch_size: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, list[float]]:
     """Minibatch Adam on the peaks loss; the mean loss of each epoch.
 
-    Moments start from zero; the rate follows _stage_lr from lr0.
+    Moments start from zero; the rate follows _stage_lr from PEAKS_LR.
     """
     targets = _peak_length_targets(dataset)
     w = w.copy()
@@ -497,11 +479,11 @@ def _peaks_stage(
     step = 0
     curve = []
     for stage_epoch in range(n_epochs):
-        lr = _stage_lr(stage_epoch, n_epochs, lr0)
+        lr = _stage_lr(stage_epoch, n_epochs, PEAKS_LR)
         perm = rng.permutation(dataset.count)
         losses = []
-        for lo in range(0, dataset.count, batch_size):
-            idx = perm[lo : lo + batch_size]
+        for lo in range(0, dataset.count, BATCH_SIZE):
+            idx = perm[lo : lo + BATCH_SIZE]
             loss, g = value_and_grad(_make_peaks_loss_fn(model, dataset, idx, targets), w)
             losses.append(loss)
             step += 1
@@ -522,11 +504,11 @@ def pretrain(
 ) -> Checkpoint:
     """Fit the network end to end on recorded waveforms.
 
-    Follows the schedule DEFAULT_SMOOTHING: minibatch Adam on the peaks loss
-    at a hold-then-decay learning rate, then Levenberg-Marquardt on the
-    exact loss, which stops before its epoch budget once no step lowers the
-    loss. Logs one loss value per epoch run (the minibatch mean for Adam,
-    the whole-dataset loss for the exact stage) plus the in-region
+    Runs the two stages of TrainConfig.stage_epochs: minibatch Adam on the
+    peaks loss at a hold-then-decay learning rate, then Levenberg-Marquardt
+    on the exact loss, which stops before its epoch budget once no step
+    lowers the loss. Logs one loss value per epoch run (the minibatch mean
+    for Adam, the whole-dataset loss for the exact stage) plus the in-region
     path-length error at each stage end, and warns if the trained network
     misses the in-region accuracy target.
     """
@@ -544,31 +526,21 @@ def pretrain(
     initial_loss = train_loss(model, dataset)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     w = params.values.copy()
-    curve: list[tuple[int, str, float, float]] = []  # epoch, kind, sigma, loss
-    stage_errors: list[tuple[str, float, float]] = []  # kind, sigma, grid error
-    epoch = 0
-    for kind, sigma, n_epochs, lr_scale in cfg.stage_epochs():
+    curve: list[tuple[int, str, float]] = []  # epoch, kind, loss
+    stage_errors: list[tuple[str, float]] = []  # kind, grid error
+    for kind, _, n_epochs, _ in cfg.stage_epochs():
         if n_epochs <= 0:
             continue
         if kind == STAGE_EXACT:
-            # a zero rate freezes every stage, this one included
-            n_iter = n_epochs if cfg.lr > 0.0 else 0
-            w, losses = _lm_stage(_ExactFit(model, dataset), w, n_iter)
+            w, losses = _lm_stage(_ExactFit(model, dataset), w, n_epochs)
         else:
-            w, losses = _peaks_stage(
-                model, dataset, w, n_epochs, cfg.lr * lr_scale, cfg.batch_size, rng,
-            )
+            w, losses = _peaks_stage(model, dataset, w, n_epochs, rng)
         for loss in losses:
-            curve.append((epoch, kind, sigma, loss))
-            epoch += 1
+            curve.append((len(curve), kind, loss))
         stage_params = PlnParams(arch, norm, w.copy())
-        stage_errors.append(
-            (kind, sigma, pln_error_grid(stage_params, dataset.environment, region))
-        )
+        stage_errors.append((kind, pln_error_grid(stage_params, dataset.environment, region)))
         model = replace(model, pln=stage_params)
-    trained = replace(
-        model, pln=PlnParams(arch, norm, w.copy())
-    )
+    trained = replace(model, pln=PlnParams(arch, norm, w.copy()))
     final_loss = train_loss(trained, dataset)
     err = pln_error_grid(trained.pln, dataset.environment, region)
     if err > PLN_ERROR_TARGET:
@@ -580,9 +552,6 @@ def pretrain(
     metadata = {
         "seed": cfg.seed,
         "epochs": cfg.epochs,
-        "lr": cfg.lr,
-        "batch_size": cfg.batch_size,
-        "smoothing": [list(s) for s in DEFAULT_SMOOTHING],
         "dataset_count": dataset.count,
         "dataset_seed": dataset.seed,
         "initial_loss": initial_loss,
@@ -590,8 +559,8 @@ def pretrain(
         "pln_error": err,
         "pln_error_target": PLN_ERROR_TARGET,
         "region": [region.x_min, region.x_max, region.z_min, region.z_max],
-        "loss_curve": [[e, k, s, l] for e, k, s, l in curve],
-        "stage_errors": [[k, s, e] for k, s, e in stage_errors],
+        "loss_curve": [list(c) for c in curve],
+        "stage_errors": [list(e) for e in stage_errors],
     }
     return Checkpoint(trained, metadata)
 

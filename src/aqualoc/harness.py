@@ -29,11 +29,15 @@ from .environment import (
     synthesize_received,
 )
 from .forward import Checkpoint, ModelParams, NetworkModel, MatchedModel, load_checkpoint
-from .localize import SingularFisherError, ToaInitError, crlb, da_gbl, gbl, require_gamma, toa_init
-from .signals import (
-    AnalyticPulse, NoiseSpec, TimeGrid, add_awgn, make_pulse, require_finite, snr_to_n0,
-    whole_number,
+from .localize import (
+    LocalizeResult, SingularFisherError, ToaEstimate, ToaInitError, crlb, da_gbl, gbl,
+    require_gamma, toa_init,
 )
+from .signals import (
+    AnalyticPulse, NoiseSpec, SampledSignal, TimeGrid, add_awgn, at_least, make_pulse,
+    require_finite, snr_to_n0, whole_number,
+)
+from .theory import EnvPerturbation
 
 
 class ConfigError(ValueError):
@@ -45,6 +49,7 @@ METHOD_GBL_MATCHED = "gbl-matched"
 METHOD_GBL_NN = "gbl-nn"
 METHOD_DA_GBL = "da-gbl"
 KNOWN_METHODS = (METHOD_CRLB, METHOD_GBL_MATCHED, METHOD_GBL_NN, METHOD_DA_GBL)
+NETWORK_METHODS = (METHOD_GBL_NN, METHOD_DA_GBL)
 
 CSV_HEADER = "method,snr_db,mismatch_m,gamma,trials,rmse_m,mean_err_m,ci_m,conv_rate,wall_s"
 
@@ -79,15 +84,13 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("trials", "seed"):
+        for name, low in (("trials", 1), ("seed", 0)):
             try:
-                setattr(self, name, whole_number(getattr(self, name)))
+                setattr(self, name, at_least(name, getattr(self, name), whole_number, low))
             except ValueError as exc:
-                raise ConfigError(f"{name}: {exc}") from None
+                raise ConfigError(str(exc)) from None
         if not isinstance(self.timing, bool):
             raise ConfigError(f"timing must be true or false, got {self.timing!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ConfigError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
@@ -242,6 +245,30 @@ def _cell_stats(errors: list, n_trials: int) -> tuple[float, float, float, float
     return rm, mean, ci, conv_rate
 
 
+def method_adapter(method: str, env_assumed: Environment, pulse: AnalyticPulse,
+                   model: ModelParams | None):
+    """The signal model a localization method fits: the matched model in the
+    assumed environment for gbl-matched, else the trained network `model`."""
+    if method == METHOD_GBL_MATCHED:
+        return MatchedModel(env_assumed, pulse)
+    if method not in NETWORK_METHODS:
+        raise ConfigError(f"unknown method {method!r}")
+    if model is None:
+        raise ConfigError(f"method {method} needs a trained checkpoint")
+    return NetworkModel(model)
+
+
+def seed_and_fit(method: str, received: SampledSignal, adapter, pulse: AnalyticPulse,
+                 env_assumed: Environment, region: Region,
+                 gamma: float) -> tuple[ToaEstimate, LocalizeResult]:
+    """The TOA seed under the assumed environment, then `da_gbl` at gamma for
+    da-gbl or `gbl` otherwise. Raises ToaInitError where the seed does."""
+    estimate = toa_init(received, pulse, env_assumed, region)
+    if method == METHOD_DA_GBL:
+        return estimate, da_gbl(received, adapter, estimate.p0, gamma)
+    return estimate, gbl(received, adapter, estimate.p0)
+
+
 def run_cell(
     method: str,
     env_true: Environment,
@@ -257,24 +284,16 @@ def run_cell(
     truth = np.array([cfg.source.x, cfg.source.z])
     clean = synthesize_received(env_true, cfg.source, cfg.pulse, cfg.grid)
     n0 = snr_to_n0(clean, snr_db, cfg.pulse.bandwidth)
-    if method == METHOD_GBL_MATCHED:
-        adapter = MatchedModel(env_assumed, cfg.pulse)
-    else:
-        if model is None:
-            raise ConfigError(f"method {method} needs a trained checkpoint")
-        adapter = NetworkModel(model)
+    adapter = method_adapter(method, env_assumed, cfg.pulse, model)
     errors = []
     for trial in range(cfg.trials):
         seed = _trial_seed(cfg.seed, method, snr_db, mismatch_m, gamma, trial)
         received = add_awgn(clean, NoiseSpec(n0, seed))
         try:
-            p0 = toa_init(received, cfg.pulse, env_assumed, cfg.region).p0
+            _, result = seed_and_fit(
+                method, received, adapter, cfg.pulse, env_assumed, cfg.region, gamma)
         except ToaInitError:
             continue
-        if method == METHOD_DA_GBL:
-            result = da_gbl(received, adapter, p0, gamma)
-        else:
-            result = gbl(received, adapter, p0)
         if result.converged:
             errors.append(float(np.linalg.norm(result.p_hat - truth)))
     rm, mean, ci, conv_rate = _cell_stats(errors, cfg.trials)
@@ -293,7 +312,7 @@ def _crlb_row(cfg: ExperimentConfig, env: Environment, snr_db: float) -> SweepRo
 
 
 def _require_model(cfg: ExperimentConfig, checkpoint: Checkpoint | None) -> ModelParams | None:
-    needs_nn = any(m in cfg.methods for m in (METHOD_GBL_NN, METHOD_DA_GBL))
+    needs_nn = any(m in cfg.methods for m in NETWORK_METHODS)
     if not needs_nn:
         return None
     if checkpoint is not None:
@@ -356,11 +375,7 @@ def run_mismatch_sweep(cfg: ExperimentConfig, checkpoint: Checkpoint | None = No
     flags = []
     matched_ref = {}
     for mismatch in cfg.mismatch_m_list:
-        env_true = Environment(
-            depth=env_train.depth + mismatch,
-            sound_speed=env_train.sound_speed,
-            receiver_depth=env_train.receiver_depth,
-        )
+        env_true = EnvPerturbation(depth_m=mismatch).applied_to(env_train)
         for method in methods:
             env_assumed = env_true if method == METHOD_GBL_MATCHED else env_train
             gammas = cfg.gamma_list if method == METHOD_DA_GBL else (0.0,)

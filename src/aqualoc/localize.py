@@ -238,7 +238,6 @@ class _WaveformFit:
     def __init__(self, adapter, received: SampledSignal, gamma: float, adapt: bool):
         self.adapter, self.r, self.grid, self.gamma = adapter, received.values, received.grid, gamma
         self.nw = adapter.n_weights if adapt else 0
-        self.point: dict | None = None  # the last point linearized through the objective
 
     def __call__(self, v: np.ndarray):
         """The objective as v -> (value, gradient closure), the form value_and_grad takes."""
@@ -248,7 +247,6 @@ class _WaveformFit:
         """(value, gradient closure) of an evaluated point; the closure linearizes it in place."""
         def grad() -> np.ndarray:
             self._linearize(point)
-            self.point = point
             return point["grad"]
 
         return point["loss"], grad
@@ -346,7 +344,7 @@ class _DelayFit(_WaveformFit):
     """
 
     def __init__(self, times: np.ndarray, paths: Sequence[PathSpec], env: Environment):
-        self.env, self.nw, self.gamma, self.point = env, 0, 0.0, None
+        self.env, self.nw, self.gamma = env, 0, 0.0
         self.detected = np.array([float(path in paths) for path in THREE_PATHS])
         self.times = np.array([times[paths.index(p)] if p in paths else 0.0 for p in THREE_PATHS])
 
@@ -386,8 +384,7 @@ def _lm_pass(fit: _WaveformFit, v: np.ndarray, max_iter: int, step_tol_m: float)
     converging fit's gradient falls geometrically; a crawl's holds flat while
     the damping underflows and each step stays above `step_tol_m`.
     """
-    value_and_grad(fit, v)  # evaluates and linearizes the start as fit.point
-    lin = fit.point
+    lin = fit.linearize(fit.evaluate(v))
     tol = GRAD_TOL_REL * lin["grad_norm"]
     trials = lm_trials(fit, lin)
     norms = [lin["grad_norm"]]  # at the start and each accepted point

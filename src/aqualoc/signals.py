@@ -184,13 +184,15 @@ class SampledSignal:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """White Gaussian noise of one-sided spectral density n0 (finite, >= 0), seeded."""
+    """White Gaussian noise of one-sided spectral density n0 (finite, >= 0), seeded
+    by `seed` (a whole number >= 0)."""
 
     n0: float
     seed: int
 
     def __post_init__(self) -> None:
         at_least("n0", self.n0, finite_float, 0.0)
+        object.__setattr__(self, "seed", at_least("seed", self.seed, whole_number, 0))
 
 
 def energy(sig: SampledSignal) -> float:

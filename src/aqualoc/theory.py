@@ -355,10 +355,12 @@ def verify_theorem(
     def to_raw(vt: np.ndarray) -> np.ndarray:
         return vt * scales
 
-    raw_grad = make_grad_fn(adapter, r_train, cfg.gamma)
+    def normalized_grad(received: SampledSignal):
+        """vt -> the adaptation objective's gradient on `received`, in normalized coordinates."""
+        raw_grad = make_grad_fn(adapter, received, cfg.gamma)
+        return lambda vt: scales * raw_grad(to_raw(vt))
 
-    def grad_norm_fn(vt: np.ndarray) -> np.ndarray:
-        return scales * raw_grad(to_raw(vt))
+    grad_norm_fn = normalized_grad(r_train)
 
     # Cap the cube so no probe shifts any path length out of the aligned basin:
     # |d path length / d position| per coordinate, maximized over paths.
@@ -381,10 +383,8 @@ def verify_theorem(
     def grad_fn_for_depth(d: float):
         if d == 0.0:
             return grad_norm_fn
-        env_d = Environment(env_train.depth + d, env_train.sound_speed, env_train.receiver_depth)
-        r_d = synthesize_received(env_d, source, pulse, grid)
-        raw_d = make_grad_fn(adapter, r_d, cfg.gamma)
-        return lambda vt: scales * raw_d(to_raw(vt))
+        env_d = EnvPerturbation(depth_m=d).applied_to(env_train)
+        return normalized_grad(synthesize_received(env_d, source, pulse, grid))
 
     v_samples = [vt0] + [
         vt0 + sigma_used * rng.uniform(-1.0, 1.0, vt0.size)
@@ -441,11 +441,7 @@ def verify_theorem(
     env_test = eps.applied_to(env_train)
     r_test = synthesize_received(env_test, source, pulse, grid)
     v_eps_raw, _ = _fit(adapter, r_test, p0, cfg.gamma, gbl_cfg)
-    raw_grad_eps = make_grad_fn(adapter, r_test, cfg.gamma)
-
-    def grad_norm_eps(vt: np.ndarray) -> np.ndarray:
-        return scales * raw_grad_eps(to_raw(vt))
-
+    grad_norm_eps = normalized_grad(r_test)
     vt_eps, _ = _newton_polish(
         grad_norm_eps, v_eps_raw / scales, h_fd, NEWTON_ITERS, max_step=0.5 * sigma_used
     )

@@ -167,6 +167,10 @@ def test_infinite_region_bound_exits_2(tmp_path, capsys, command):
          "curvature_target"),
         ("verify-theorem", {"checkpoint": "absent.json", "path_shift_budget_m": 0.0},
          "path_shift_budget_m"),
+        ("gen-data", {"seed": -1}, "seed"),
+        ("localize", {"seed": -1}, "seed"),
+        ("sweep-snr", {"seed": -1, "methods": ["crlb"]}, "seed"),
+        ("sweep-mismatch", {"seed": -1, "methods": ["gbl-matched"]}, "seed"),
     ],
 )
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, doc, key):
@@ -210,7 +214,6 @@ def test_gen_train_localize_round_trip(tmp_path, capsys):
         {
             "dataset": str(data_dir),
             "epochs": 32,
-            "batch_size": 8,
             "hidden": [8],
             "out_dir": str(ck_path),
         },

@@ -4,7 +4,7 @@ import copy
 import json
 import math
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +27,11 @@ from aqualoc.environment import (
 from aqualoc.forward import (
     Checkpoint,
     CheckpointError,
-    DEFAULT_SMOOTHING,
     MatchedModel,
     ModelParams,
     NetworkModel,
     STAGE_EXACT,
+    STAGE_PEAKS,
     TrainConfig,
     _ExactFit,
     _length_gram,
@@ -322,25 +322,24 @@ def test_stage_lr_profile():
 
 
 def test_train_config_validation():
-    for lr in (-1.0, math.nan, math.inf, True):
-        with pytest.raises(ValueError, match="lr"):
-            TrainConfig(lr=lr)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
-    for name, value in (("epochs", 2.5), ("epochs", True), ("batch_size", 2.5), ("seed", -1)):
+    for name, value in (("epochs", 2.5), ("epochs", True), ("seed", -1)):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
     cfg = TrainConfig(epochs=2.0, seed=3.0)
     assert (cfg.epochs, cfg.seed) == (2, 3) and type(cfg.epochs) is type(cfg.seed) is int
 
 
+def test_train_config_fields():
+    assert tuple(f.name for f in fields(TrainConfig)) == ("epochs", "seed")
+
+
 def test_stage_epochs_partition():
     cfg = TrainConfig(epochs=10800)
     stages = cfg.stage_epochs()
     assert sum(n for _, _, n, _ in stages) == 10800
-    assert [k for k, _, _, _ in stages] == [s[0] for s in DEFAULT_SMOOTHING]
+    assert [k for k, _, _, _ in stages] == [STAGE_PEAKS, STAGE_EXACT]
     assert stages[0][2] == 8000
     assert stages[-1][0] == STAGE_EXACT
     assert stages[-1][2] == 2800
@@ -354,22 +353,10 @@ def test_smooth_rows_matches_convolve(rng):
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def test_pretrain_zero_lr_keeps_init(pulse, grid):
-    ds = gen_dataset(DEFAULT_ENVIRONMENT, DEFAULT_REGION, 4, pulse, grid, seed=4)
-    arch = PlnArchitecture(hidden=(8,))
-    cfg = TrainConfig(lr=0.0, epochs=2, batch_size=4)
-    with pytest.warns(UserWarning, match="misses"):
-        ck = pretrain(ds, arch, cfg)
-    norm = InputNormalization.from_region(DEFAULT_REGION, DEFAULT_ENVIRONMENT)
-    init = pln_init(arch, norm, cfg.seed)
-    np.testing.assert_array_equal(ck.model.pln.values, init.values)
-    assert ck.metadata["initial_loss"] == ck.metadata["final_loss"]
-
-
 def test_pretrain_deterministic(pulse, grid):
     ds = gen_dataset(DEFAULT_ENVIRONMENT, DEFAULT_REGION, 4, pulse, grid, seed=4)
     arch = PlnArchitecture(hidden=(8,))
-    cfg = TrainConfig(epochs=2, batch_size=4)
+    cfg = TrainConfig(epochs=2)
     with pytest.warns(UserWarning):
         a = pretrain(ds, arch, cfg)
     with pytest.warns(UserWarning):
@@ -379,14 +366,14 @@ def test_pretrain_deterministic(pulse, grid):
 
 def test_pretrain_metadata_schema(pulse, grid):
     ds = gen_dataset(DEFAULT_ENVIRONMENT, DEFAULT_REGION, 4, pulse, grid, seed=4)
-    cfg = TrainConfig(epochs=2, batch_size=4)
+    cfg = TrainConfig(epochs=2)
     with pytest.warns(UserWarning):
         ck = pretrain(ds, PlnArchitecture(hidden=(8,)), cfg)
     meta = ck.metadata
     for key in (
-        "seed", "epochs", "lr", "batch_size", "smoothing", "dataset_count",
-        "dataset_seed", "initial_loss", "final_loss", "pln_error",
-        "pln_error_target", "region", "loss_curve", "stage_errors",
+        "seed", "epochs", "dataset_count", "dataset_seed", "initial_loss",
+        "final_loss", "pln_error", "pln_error_target", "region", "loss_curve",
+        "stage_errors",
     ):
         assert key in meta
     assert len(meta["loss_curve"]) == 2

@@ -88,6 +88,8 @@ def test_cell_stats_no_convergence():
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         ExperimentConfig(trials=0)
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig(seed=-1)
     with pytest.raises(ConfigError):
         ExperimentConfig(methods=("warp-drive",))
     with pytest.raises(ConfigError):

@@ -162,6 +162,16 @@ def test_noise_spec_rejects_bad_density(n0):
         NoiseSpec(n0, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_noise_spec_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        NoiseSpec(1.0, seed)
+
+
+def test_noise_spec_stores_whole_seed():
+    assert type(NoiseSpec(1.0, 2.0).seed) is int
+
+
 def test_add_awgn_sample_variance():
     grid = TimeGrid(1000.0, 1000.0)  # 1e6 samples
     sig = SampledSignal(grid, np.zeros(grid.n_samples))
