@@ -237,43 +237,54 @@ def _make_peaks_loss_fn(
 
 
 def train_loss(model: ModelParams, dataset: Dataset) -> float:
-    """Mean integrated squared residual of the model over a whole dataset."""
+    """Mean integrated squared residual of the model over a whole dataset.
+
+    The lengths come from one network pass over every item (a per-block pass
+    would run other matmul kernels and move them in the last bits); the
+    waveforms are synthesized and compared BATCH_SIZE items at a time, so
+    the working memory does not grow with the dataset.
+    """
     count = dataset.count
     if count == 0:
         raise ValueError("empty dataset")
     feats = _item_features(model, dataset.locations)
     lengths = length_forward(model.pln, model.pln.values, feats)[0]
     alphas, taus = alpha_tau(lengths.reshape(count, len(THREE_PATHS)), model.sound_speed)
-    # a whole-dataset waveform holds 16 MB here; it is freed before resid * resid
-    resid = dataset.signals - autodiff.superpose(alphas, taus, dataset.pulse, dataset.grid)[0]
-    return float((resid * resid).sum() * (dataset.grid.dt / count))
+    total = 0.0
+    for lo in range(0, count, BATCH_SIZE):
+        block = slice(lo, lo + BATCH_SIZE)
+        f = autodiff.superpose(alphas[block], taus[block], dataset.pulse, dataset.grid)[0]
+        resid = dataset.signals[block] - f
+        total += float((resid * resid).sum())
+    return total * (dataset.grid.dt / count)
 
 
-def _length_gram(inputs: list[np.ndarray], deltas: list[np.ndarray]) -> np.ndarray:
-    """J J^T of the lengths' weight Jacobian J, without forming J.
+def _length_gram(inputs: list[np.ndarray], deltas: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """J J^T of the lengths' weight Jacobian J, without forming J, written into out.
 
     By pln.length_forward, rows r and s of J meet in layer i's weights
     as (a_r . a_s) (delta_r . delta_s) and in its bias as delta_r . delta_s,
     so J J^T = sum over layers of (A A^T + 1) * (D D^T), elementwise. The
     bias enters as one more constant input; a one-column D (the output
-    layer) makes D D^T rank one, which just scales the rows of A.
+    layer) makes D D^T rank one, which just scales the rows of A. out is
+    (rows, rows); it is returned.
     """
     rows = len(inputs[0])
     blocks = []
     for a, d in zip(inputs, deltas):
         a = np.hstack([a, np.ones((rows, 1))])
         blocks.append((a * d, None) if d.shape[1] == 1 else (a, d))
-    out = np.empty((rows, rows))
     # a band of rows at a time keeps the elementwise work in cache
+    gram, dd = np.empty((2, min(rows, 128), rows))
     for lo in range(0, rows, 128):
         band = slice(lo, lo + 128)
-        acc = 0.0
+        g, h = gram[: rows - lo], dd[: rows - lo]
+        out[band] = 0.0
         for a, d in blocks:
-            g = a[band] @ a.T
+            np.matmul(a[band], a.T, out=g)
             if d is not None:
-                g *= d[band] @ d.T
-            acc = acc + g
-        out[band] = acc
+                g *= np.matmul(d[band], d.T, out=h)
+            out[band] += g
     return out
 
 
@@ -293,6 +304,10 @@ class _ExactFit:
     (J J^T + mu H^{-1}) z = H^{-1} G^T e. That is 3 * count rows whatever
     the network's size, J J^T comes from _length_gram, and R is never formed.
     The damping is mu = lam * mean diagonal of M M^T.
+
+    The fit owns the one J J^T buffer, which every linearize overwrites:
+    lm_trials only steps from the newest linearized point, so no earlier
+    point's J J^T is read again.
     """
 
     def __init__(self, model: ModelParams, dataset: Dataset):
@@ -304,6 +319,7 @@ class _ExactFit:
         self.count = dataset.count
         self.feats = _item_features(model, dataset.locations)
         self.scale = self.grid.dt / self.count
+        self.kk = np.empty((len(self.feats), len(self.feats)))
 
     def evaluate(self, w: np.ndarray) -> dict:
         """The exact training loss (train_loss) at w.
@@ -352,7 +368,7 @@ class _ExactFit:
         gtg += 1e-12 * np.trace(gtg, axis1=1, axis2=2)[:, None, None] * np.eye(n_paths)
         h_inv = np.linalg.inv(gtg)
         inputs, deltas = point["backward"]()
-        kk = _length_gram(inputs, deltas)
+        kk = _length_gram(inputs, deltas, self.kk)
         # mean diagonal of M M^T: tr(R_k K_kk R_k^T) = tr(H_k K_kk)
         items = np.arange(self.count)
         diag_blocks = kk.reshape(self.count, n_paths, self.count, n_paths)[items, :, items, :]
@@ -361,15 +377,21 @@ class _ExactFit:
                 "gte": gte, "rhs": np.einsum("kij,kj->ki", h_inv, gte), "mean_diag": mean_diag}
 
     def step(self, lin: dict, lam: float) -> tuple[np.ndarray, float]:
-        """Damped step at relative damping lam, and the loss drop it predicts."""
+        """Damped step at relative damping lam, and the loss drop it predicts.
+
+        The damping goes onto lin["kk"]'s diagonal 3x3 blocks in place and
+        comes off again exactly, from a copy of those blocks.
+        """
         n_paths = len(THREE_PATHS)
         mu = lam * lin["mean_diag"]
-        damped = lin["kk"].copy()
         items = np.arange(self.count)
-        damped.reshape(self.count, n_paths, self.count, n_paths)[items, :, items, :] += (
-            mu * lin["h_inv"]
-        )
-        z = np.linalg.solve(damped, lin["rhs"].ravel())
+        blocks = lin["kk"].reshape(self.count, n_paths, self.count, n_paths)
+        undamped = blocks[items, :, items, :]
+        blocks[items, :, items, :] = undamped + mu * lin["h_inv"]
+        try:
+            z = np.linalg.solve(lin["kk"], lin["rhs"].ravel())
+        finally:
+            blocks[items, :, items, :] = undamped
         dw = length_vjp(self.model.pln.layout, lin["inputs"], lin["deltas"], z)
         # ||b||^2 = e^T G H^{-1} G^T e and b - M dw = mu R^{-T} z
         z = z.reshape(self.count, n_paths)

@@ -1,8 +1,10 @@
 """Command line behavior: exit codes, config handling, artifacts."""
 
 import argparse
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,6 +304,26 @@ def test_sweep_nn_without_checkpoint_exits_2(tmp_path, capsys):
         {"methods": ["gbl-nn"], "snr_db_list": [20.0], "trials": 1, "out_dir": str(tmp_path)},
     )
     assert main(["sweep-snr", "--config", cfg]) == 2
+
+
+# The matched-model reference sweeps (default grids, 5 trials, seed 3) whose
+# CSVs a change to localization results compares itself against.
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize(
+    "command, csv_name, sha256",
+    [
+        ("sweep-snr", "snr_sweep.csv",
+         "c62e0c22b77a5ef3601786bef774d854d9c034bf127a704de7fa64803fd7accf"),
+        ("sweep-mismatch", "mismatch_sweep.csv",
+         "b005094d44be410fec272498f8cb3bce842d32670cf2a1d240f92a9297f461fd"),
+    ],
+)
+def test_reference_sweep_csv_hash(tmp_path, monkeypatch, capsys, command, csv_name, sha256):
+    monkeypatch.setenv("AQUALOC_DATA_DIR", str(tmp_path))
+    assert main([command, "--config", str(CONFIGS / f"{command}-matched.json")]) == 0
+    assert hashlib.sha256((tmp_path / csv_name).read_bytes()).hexdigest() == sha256
 
 
 def test_verify_theorem_needs_checkpoint(capsys):

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import tempfile
+import tracemalloc
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -146,16 +147,16 @@ def test_train_loss_zero_for_self_consistent_signals(init_model, grid, small_dat
     assert np.max(np.abs(g)) < 1e-12
 
 
-def test_train_loss_hand_riemann(init_model, grid, small_dataset):
-    ds = small_dataset
-    idx = np.array([0, 3])
-    total = 0.0
-    for k in idx:
-        f = model_output(init_model, SourceLocation(*ds.locations[k]), grid).values
-        r = ds.signals[k]
-        total += grid.dt * float(np.sum((r - f) ** 2))
-    want = total / len(idx)
-    assert train_loss(init_model, _subset(ds, idx)) == pytest.approx(want, rel=1e-12)
+def test_train_loss_hand_riemann(init_model, grid, small_dataset, train_dataset):
+    # the 40 items cross a BATCH_SIZE block boundary and end in a partial block
+    for ds, idx in ((small_dataset, np.array([0, 3])), (train_dataset, np.arange(40))):
+        total = 0.0
+        for k in idx:
+            f = model_output(init_model, SourceLocation(*ds.locations[k]), grid).values
+            r = ds.signals[k]
+            total += grid.dt * float(np.sum((r - f) ** 2))
+        want = total / len(idx)
+        assert train_loss(init_model, _subset(ds, idx)) == pytest.approx(want, rel=1e-12)
 
 
 def test_train_loss_batch_order_invariant(init_model, small_dataset):
@@ -176,6 +177,19 @@ def test_initial_loss_reference_dataset(train_dataset, init_model):
     norm = InputNormalization.from_region(DEFAULT_REGION, DEFAULT_ENVIRONMENT)
     model = ModelParams(pln_init(arch, norm, 0), 1500.0, 120.0, train_dataset.pulse)
     assert train_loss(model, train_dataset) == pytest.approx(1.170889e-08, rel=1e-5)
+
+
+def test_train_loss_memory_does_not_grow_with_dataset(train_dataset, init_model):
+    # the 256 recordings take 16 MB; the loss synthesizes BATCH_SIZE of them at a time
+    train_loss(init_model, train_dataset)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        train_loss(init_model, train_dataset)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_exact_fit_gradient_matches_fd(init_model, small_dataset):
@@ -272,7 +286,7 @@ def test_length_gram_matches_autodiff_jacobian(pulse, small_dataset):
                     - length_forward(params, w - step, feats)[0]) / (2.0 * h)
     np.testing.assert_allclose(jac, fd, rtol=0.0, atol=1e-9 * np.abs(jac).max())
     jjt = jac @ jac.T
-    np.testing.assert_allclose(_length_gram(inputs, deltas), jjt, rtol=0.0,
+    np.testing.assert_allclose(_length_gram(inputs, deltas, np.empty_like(jjt)), jjt, rtol=0.0,
                                atol=1e-12 * np.abs(jjt).max())
     v = np.random.default_rng(0).normal(size=len(feats))
     np.testing.assert_allclose(length_vjp(params.layout, inputs, deltas, v), jac.T @ v,
@@ -283,6 +297,29 @@ def test_exact_fit_loss_matches_train_loss(init_model, small_dataset):
     fit = _ExactFit(init_model, small_dataset)
     want = train_loss(init_model, small_dataset)
     assert fit.evaluate(init_model.pln.values)["loss"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e6])
+def test_exact_fit_step_leaves_gram_unchanged(init_model, small_dataset, lam):
+    # step damps lin["kk"] in place; it must give what a damped copy gives
+    # and leave the undamped J J^T for the next trial at another lam
+    fit = _ExactFit(init_model, small_dataset)
+    lin = fit.linearize(fit.evaluate(init_model.pln.values))
+    kk = lin["kk"].copy()
+    dw, predicted = fit.step(lin, lam)
+    np.testing.assert_array_equal(lin["kk"], kk)
+
+    mu = lam * lin["mean_diag"]
+    damped = kk.copy()
+    items = np.arange(fit.count)
+    damped.reshape(fit.count, 3, fit.count, 3)[items, :, items, :] += mu * lin["h_inv"]
+    z = np.linalg.solve(damped, lin["rhs"].ravel())
+    np.testing.assert_array_equal(
+        dw, length_vjp(init_model.pln.layout, lin["inputs"], lin["deltas"], z))
+    z = z.reshape(fit.count, 3)
+    want = float(np.einsum("ki,ki->", lin["gte"], lin["rhs"]))
+    want -= mu * mu * float(np.einsum("ki,kij,kj->", z, lin["h_inv"], z))
+    assert predicted == want * fit.scale
 
 
 def test_lm_iteration_lowers_train_loss(init_model, small_dataset, grid):
