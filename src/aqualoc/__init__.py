@@ -105,7 +105,6 @@ from .signals import (
     superpose_arrivals,
 )
 from .theory import (
-    EnvPerturbation,
     TheoremConfig,
     TheoremReport,
     estimate_lambda,

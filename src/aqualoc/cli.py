@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ from .pln import DEFAULT_HIDDEN, PlnArchitecture
 from .signals import (
     NoiseSpec, TimeGrid, add_awgn, at_least, finite_float, make_pulse, snr_to_n0, whole_number,
 )
-from .theory import EnvPerturbation, TheoremConfig, verify_theorem
+from .theory import TheoremConfig, verify_theorem
 
 _SCENE_KEYS = set(SCENE_TYPES)
 
@@ -169,7 +170,7 @@ def _cmd_localize(doc: dict) -> int:
         snr_db = _cast("snr_db", snr_db, finite_float)
     mismatch = _cast("mismatch_m", doc.get("mismatch_m", 0.0), finite_float)
     seed = _seed(doc)
-    env_true = EnvPerturbation(depth_m=mismatch).applied_to(env_train)
+    env_true = replace(env_train, depth=env_train.depth + mismatch)
     env_assumed = env_true if method == METHOD_GBL_MATCHED else env_train
     model = None
     if method in NETWORK_METHODS and "checkpoint" in doc:
@@ -237,17 +238,13 @@ def _cmd_crlb(doc: dict) -> int:
 def _cmd_verify_theorem(doc: dict) -> int:
     theorem_keys = {"gamma", "seed"}
     allowed = _SCENE_KEYS | theorem_keys | {
-        "checkpoint", "eps_depth_m", "eps_sound_speed_ms", "out_dir",
+        "checkpoint", "eps_depth_m", "out_dir",
     }
     _check_keys(doc, allowed, "verify-theorem")
     if "checkpoint" not in doc:
         raise ConfigError("verify-theorem needs a reduced-model checkpoint")
     env, source, pulse, grid, _ = _scene_from(doc)
-    eps = EnvPerturbation(
-        depth_m=_cast("eps_depth_m", doc.get("eps_depth_m", -0.05), finite_float),
-        sound_speed_ms=_cast(
-            "eps_sound_speed_ms", doc.get("eps_sound_speed_ms", 0.0), finite_float),
-    )
+    eps_depth_m = _cast("eps_depth_m", doc.get("eps_depth_m", -0.05), finite_float)
     try:
         theorem_cfg = TheoremConfig(**{key: doc[key] for key in theorem_keys & set(doc)})
     except ValueError as exc:
@@ -258,7 +255,7 @@ def _cmd_verify_theorem(doc: dict) -> int:
             f"checkpoint receiver depth {model.receiver_depth} does not match "
             f"environment receiver depth {env.receiver_depth}"
         )
-    report = verify_theorem(model, env, source, eps, theorem_cfg, grid=grid)
+    report = verify_theorem(model, env, source, eps_depth_m, theorem_cfg, grid=grid)
     out = _resolve(doc.get("out_dir", "theorem_report.json"))
     report.save(out)
     print(

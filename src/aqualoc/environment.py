@@ -129,17 +129,19 @@ def image_offsets(env: Environment) -> np.ndarray:
     return np.array([-zr, zr, 2.0 * env.depth - zr])
 
 
-def path_geometry(env: Environment, x, z) -> tuple[np.ndarray, np.ndarray]:
-    """Image-method path lengths and signed image offsets, shape (..., 3).
+def path_geometry(env: Environment, x, z):
+    """Image-method path lengths, shape (..., 3), and a closure giving their gradient.
 
-    Broadcasts over x and z. Returns (lengths, s_dz) with s_dz the offset
-    times IMAGE_SIGNS, so d length / d(x, z) = (x, s_dz) / length. Lengths are
+    Broadcasts over x and z. Returns (lengths, jacobian): jacobian() gives
+    d length / d(x, z) = (x, IMAGE_SIGNS * dz) / length, C-ordered with
+    shape (..., 3, 2), computed only when called. Lengths are
     sqrt(x*x + dz*dz), not hypot, so that synthesis stays bit-identical to
     the differentiable model when the analytic lengths are plugged in.
     """
     x = np.asarray(x, dtype=np.float64)[..., np.newaxis]
     dz = image_offsets(env) + IMAGE_SIGNS * np.asarray(z, dtype=np.float64)[..., np.newaxis]
-    return np.sqrt(x * x + dz * dz), IMAGE_SIGNS * dz
+    lengths = np.sqrt(x * x + dz * dz)
+    return lengths, lambda: np.stack([x / lengths, IMAGE_SIGNS * dz / lengths], axis=-1)
 
 
 def reflection_coeff(path: PathSpec) -> float:

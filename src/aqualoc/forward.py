@@ -29,7 +29,9 @@ from .autodiff import (
     value_and_grad,
     window_index,
 )
-from .environment import THREE_PATHS, Dataset, Environment, SourceLocation, alpha_tau, path_geometry
+from .environment import (
+    DEFAULT_REGION, THREE_PATHS, Dataset, Environment, SourceLocation, alpha_tau, path_geometry,
+)
 from .localize import detect_arrivals
 from .pln import (
     InputNormalization,
@@ -146,12 +148,8 @@ class MatchedModel(_LengthModel):
         return MatchedModel(self.env, pulse)
 
     def lengths(self, w, x, z):
-        lengths, s_dz = path_geometry(self.env, x, z)
-
-        def jacobian(weights: bool = True):
-            return np.array([x / lengths, s_dz / lengths]).T, np.empty((len(lengths), 0))
-
-        return lengths, jacobian
+        lengths, d_p = path_geometry(self.env, x, z)
+        return lengths, lambda weights=True: (d_p(), np.empty((len(lengths), 0)))
 
 
 def model_output(model: ModelParams, src: SourceLocation, grid: TimeGrid) -> SampledSignal:
@@ -534,8 +532,6 @@ def pretrain(
     path-length error at each stage end, and warns if the trained network
     misses the in-region accuracy target.
     """
-    from .environment import DEFAULT_REGION
-
     region = region if region is not None else DEFAULT_REGION
     norm = InputNormalization.from_region(region, dataset.environment)
     params = pln_init(arch, norm, cfg.seed)
@@ -559,12 +555,10 @@ def pretrain(
             w, losses = _peaks_stage(model, dataset, w, n_epochs, rng)
         for loss in losses:
             curve.append((len(curve), kind, loss))
-        stage_params = PlnParams(arch, norm, w.copy())
-        stage_errors.append((kind, pln_error_grid(stage_params, dataset.environment, region)))
-        model = replace(model, pln=stage_params)
-    trained = replace(model, pln=PlnParams(arch, norm, w.copy()))
-    final_loss = train_loss(trained, dataset)
-    err = pln_error_grid(trained.pln, dataset.environment, region)
+        model = replace(model, pln=PlnParams(arch, norm, w.copy()))
+        stage_errors.append((kind, pln_error_grid(model.pln, dataset.environment, region)))
+    final_loss = train_loss(model, dataset)
+    err = stage_errors[-1][1]
     if err > PLN_ERROR_TARGET:
         warnings.warn(
             f"trained network path-length error {err:.4%} misses the "
@@ -584,7 +578,7 @@ def pretrain(
         "loss_curve": [list(c) for c in curve],
         "stage_errors": [list(e) for e in stage_errors],
     }
-    return Checkpoint(trained, metadata)
+    return Checkpoint(model, metadata)
 
 
 CHECKPOINT_FORMAT_VERSION = 1

@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,6 @@ from .signals import (
     AnalyticPulse, NoiseSpec, SampledSignal, TimeGrid, add_awgn, at_least, make_pulse,
     require_finite, snr_to_n0, whole_number,
 )
-from .theory import EnvPerturbation
 
 
 class ConfigError(ValueError):
@@ -375,7 +374,7 @@ def run_mismatch_sweep(cfg: ExperimentConfig, checkpoint: Checkpoint | None = No
     flags = []
     matched_ref = {}
     for mismatch in cfg.mismatch_m_list:
-        env_true = EnvPerturbation(depth_m=mismatch).applied_to(env_train)
+        env_true = replace(env_train, depth=env_train.depth + mismatch)
         for method in methods:
             env_assumed = env_true if method == METHOD_GBL_MATCHED else env_train
             gammas = cfg.gamma_list if method == METHOD_DA_GBL else (0.0,)

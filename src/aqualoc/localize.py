@@ -353,10 +353,9 @@ class _DelayFit(_WaveformFit):
         point = {"v": v, "loss": math.inf}
         if not v[0] > 0.0:
             return point
-        lengths, s_dz = path_geometry(self.env, v[0], v[1])
+        lengths, d_p = path_geometry(self.env, v[0], v[1])
         r = (lengths / self.env.sound_speed - self.times) * self.detected
-        d_p = np.column_stack([v[0] / lengths, s_dz / lengths])
-        point.update(loss=float(r @ r), r=r, lengths=lengths, jacobian=lambda weights: (d_p, None))
+        point.update(loss=float(r @ r), r=r, lengths=lengths, jacobian=lambda weights: (d_p(), None))
         return point
 
     def _data_term(self, point: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -490,13 +489,13 @@ def crlb(
     """
     if not 0.0 < n0 < math.inf:
         raise ValueError(f"noise density n0 must be finite and positive, got {n0!r}")
-    lengths, s_dz = path_geometry(env, x, z)
+    lengths, jacobian = path_geometry(env, x, z)
     _, (alphas, pad, start, u, window) = arrival_signal(lengths, env.sound_speed, pulse, grid)
     _, inside = window_index(pad, start, window.shape[-1], grid.n_samples)
     _, gtg = length_normal_equations(
         pulse, env.sound_speed, lengths[None], alphas[None], u, window, inside, None, start
     )
-    d_p = np.array([x / lengths, s_dz / lengths]).T
+    d_p = jacobian()
     fim = (2.0 / n0) * grid.dt * (d_p.T @ gtg[0] @ d_p)
     fim = 0.5 * (fim + fim.T)
     det = fim[0, 0] * fim[1, 1] - fim[0, 1] * fim[1, 0]

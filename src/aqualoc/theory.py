@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,28 +23,6 @@ from .environment import Environment, SourceLocation, path_geometry, synthesize_
 from .forward import ModelParams, NetworkModel
 from .localize import GblConfig, _WaveformFit, da_gbl, require_gamma, toa_init
 from .signals import SampledSignal, TimeGrid, at_least, require_finite, whole_number
-
-
-@dataclass(frozen=True)
-class EnvPerturbation:
-    """Offset applied to the assumed environment: depth (m), sound speed (m/s)."""
-
-    depth_m: float = 0.0
-    sound_speed_ms: float = 0.0
-
-    def __post_init__(self) -> None:
-        require_finite("perturbation", depth_m=self.depth_m, sound_speed_ms=self.sound_speed_ms)
-
-    @property
-    def norm(self) -> float:
-        return math.hypot(self.depth_m, self.sound_speed_ms)
-
-    def applied_to(self, env: Environment) -> Environment:
-        return Environment(
-            depth=env.depth + self.depth_m,
-            sound_speed=env.sound_speed + self.sound_speed_ms,
-            receiver_depth=env.receiver_depth,
-        )
 
 
 # Probe budgets of the verification run: points on the xi ray, the
@@ -242,8 +220,6 @@ class TheoremReport:
     n_p: int
     gamma: float
     eps_depth_m: float
-    eps_sound_speed_ms: float
-    eps_norm: float
     p_scales: tuple[float, float]
     sigma_used: float
     lambda_hat: float
@@ -318,7 +294,7 @@ def verify_theorem(
     model: ModelParams,
     env_train: Environment,
     source: SourceLocation,
-    eps: EnvPerturbation,
+    eps_depth_m: float,
     cfg: TheoremConfig = TheoremConfig(),
     grid: TimeGrid | None = None,
 ) -> TheoremReport:
@@ -330,7 +306,12 @@ def verify_theorem(
     displacement bound, then refits under the perturbed environment and checks
     the observed displacement and the sign witnesses. Assumption failures
     yield a not-applicable verdict rather than an exception.
+
+    The perturbation is a water-depth offset of `eps_depth_m` meters, as the
+    Lipschitz probe that sets its budget varies depth only; a value that is
+    not a finite number (a bool included) raises ValueError before any fit.
     """
+    require_finite("verify_theorem", eps_depth_m=eps_depth_m)
     grid = grid or TimeGrid()
     pulse = model.pulse
     r_train = synthesize_received(env_train, source, pulse, grid)
@@ -364,8 +345,8 @@ def verify_theorem(
 
     # Cap the cube so no probe shifts any path length out of the aligned basin:
     # |d path length / d position| per coordinate, maximized over paths.
-    lengths, s_dz = path_geometry(env_train, v0_raw[nw], v0_raw[nw + 1])
-    slopes = np.max(np.abs([v0_raw[nw] / lengths, s_dz / lengths]), axis=1)
+    _, jacobian = path_geometry(env_train, v0_raw[nw], v0_raw[nw + 1])
+    slopes = np.max(np.abs(jacobian()), axis=0)
     shift_per_sigma = float(slopes @ u_p)
     sigma_used = min(CUBE_SIGMA, PATH_SHIFT_BUDGET_M / shift_per_sigma)
     h_fd = FD_REL * sigma_used
@@ -383,7 +364,7 @@ def verify_theorem(
     def grad_fn_for_depth(d: float):
         if d == 0.0:
             return grad_norm_fn
-        env_d = EnvPerturbation(depth_m=d).applied_to(env_train)
+        env_d = replace(env_train, depth=env_train.depth + d)
         return normalized_grad(synthesize_received(env_d, source, pulse, grid))
 
     v_samples = [vt0] + [
@@ -399,9 +380,7 @@ def verify_theorem(
         n_w=nw,
         n_p=2,
         gamma=cfg.gamma,
-        eps_depth_m=eps.depth_m,
-        eps_sound_speed_ms=eps.sound_speed_ms,
-        eps_norm=eps.norm,
+        eps_depth_m=eps_depth_m,
         p_scales=(float(u_p[0]), float(u_p[1])),
         sigma_used=sigma_used,
         lambda_hat=lam.lambda_hat,
@@ -435,10 +414,10 @@ def verify_theorem(
 
     rho_ok = rho_cube <= theta / math.sqrt(lam.lambda_hat) * 1.01
     gprime_ok = xi.gprime_max_err <= 1e-2
-    budget_ok = eps.norm <= epsilon_budget
+    budget_ok = abs(eps_depth_m) <= epsilon_budget
 
     # Refit under the perturbed environment from the same initialization.
-    env_test = eps.applied_to(env_train)
+    env_test = replace(env_train, depth=env_train.depth + eps_depth_m)
     r_test = synthesize_received(env_test, source, pulse, grid)
     v_eps_raw, _ = _fit(adapter, r_test, p0, cfg.gamma, gbl_cfg)
     grad_norm_eps = normalized_grad(r_test)

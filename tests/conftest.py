@@ -70,13 +70,13 @@ def reduced_checkpoint(train_dataset):
 @pytest.fixture(scope="session")
 def theorem_report(reduced_checkpoint):
     """Robustness report at the reference depth perturbation."""
-    from aqualoc.theory import EnvPerturbation, TheoremConfig, verify_theorem
+    from aqualoc.theory import TheoremConfig, verify_theorem
 
     return verify_theorem(
         reduced_checkpoint.model,
         DEFAULT_ENVIRONMENT,
         DEFAULT_SOURCE,
-        EnvPerturbation(depth_m=-0.05),
+        -0.05,
         TheoremConfig(),
     )
 

@@ -98,7 +98,8 @@ def test_config_is_the_only_option():
 
 @pytest.mark.parametrize(
     "command, doc",
-    [("crlb", {"seed": 1}), ("crlb", {"out_dir": "x"}), ("localize", {"out_dir": "x"})],
+    [("crlb", {"seed": 1}), ("crlb", {"out_dir": "x"}), ("localize", {"out_dir": "x"}),
+     ("verify-theorem", {"eps_sound_speed_ms": 1.0})],
 )
 def test_config_key_the_subcommand_does_not_read_exits_2(tmp_path, capsys, command, doc):
     path = write_config(tmp_path, "c.json", doc)
@@ -295,6 +296,17 @@ def test_sweep_trials_override(tmp_path, capsys):
     assert main(["sweep-snr", "--config", cfg]) == 0
     line = (tmp_path / "o" / "snr_sweep.csv").read_text().splitlines()[1]
     assert line.split(",")[4] == "1"
+
+
+def test_sweep_timing_writes_wall_seconds(tmp_path, capsys):
+    walls = {}
+    for sub, extra in (("on", {"timing": True}), ("off", {})):
+        doc = {"methods": ["gbl-matched"], "snr_db_list": [20.0], "trials": 1,
+               "out_dir": str(tmp_path / sub), **extra}
+        assert main(["sweep-snr", "--config", write_config(tmp_path, f"{sub}.json", doc)]) == 0
+        walls[sub] = (tmp_path / sub / "snr_sweep.csv").read_text().splitlines()[1].split(",")[-1]
+    assert float(walls["on"]) > 0.0
+    assert walls["off"] == "0.000"
 
 
 def test_sweep_nn_without_checkpoint_exits_2(tmp_path, capsys):

@@ -53,16 +53,18 @@ def path_length(env, src, path):
 def test_path_geometry_broadcasts_and_gives_jacobian(env, rng):
     x = rng.uniform(300.0, 900.0, (4, 5))
     z = rng.uniform(5.0, 100.0, (4, 5))
-    lengths, s_dz = path_geometry(env, x, z)
-    assert lengths.shape == s_dz.shape == (4, 5, 3)
+    lengths, jacobian = path_geometry(env, x, z)
+    assert lengths.shape == (4, 5, 3)
     for i, path in enumerate(THREE_PATHS):
         assert lengths[2, 3, i] == path_length(env, SourceLocation(x[2, 3], z[2, 3]), path)
-    # d length / d(x, z) = (x, s_dz) / length, against central differences
+    # d length / d(x, z), against central differences
+    grad = jacobian()
+    assert grad.shape == (4, 5, 3, 2) and grad.flags.c_contiguous
     h = 1e-4
     dx = (path_geometry(env, x + h, z)[0] - path_geometry(env, x - h, z)[0]) / (2 * h)
     dz = (path_geometry(env, x, z + h)[0] - path_geometry(env, x, z - h)[0]) / (2 * h)
-    np.testing.assert_allclose(dx, x[..., None] / lengths, rtol=1e-7)
-    np.testing.assert_allclose(dz, s_dz / lengths, rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(dx, grad[..., 0], rtol=1e-7)
+    np.testing.assert_allclose(dz, grad[..., 1], rtol=1e-6, atol=1e-9)
 
 
 def test_direct_length_vertical_limit(env):

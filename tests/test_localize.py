@@ -133,10 +133,9 @@ def test_toa_seed_is_a_delay_stationary_point(env, pulse, grid, x, z):
     assume(r.x_min < x0 < r.x_max and r.z_min < z0 < r.z_max)
     # reference: one undamped Gauss-Newton step on sum (l / c - t)^2 for the returned assignment
     cols = [THREE_PATHS.index(path) for path in est.assignment]
-    lengths, s_dz = path_geometry(env, x0, z0)
-    lengths, s_dz = lengths[cols], s_dz[cols]
-    residual = lengths / env.sound_speed - est.times
-    jac = np.column_stack([x0 / lengths, s_dz / lengths]) / env.sound_speed
+    lengths, jacobian = path_geometry(env, x0, z0)
+    residual = lengths[cols] / env.sound_speed - est.times
+    jac = jacobian()[cols] / env.sound_speed
     step = np.linalg.solve(jac.T @ jac, -(jac.T @ residual))
     assert np.max(np.abs(step)) < 1e-6
 

@@ -18,7 +18,6 @@ from aqualoc.localize import _WaveformFit
 from aqualoc.pln import InputNormalization, PlnArchitecture, pln_init
 from aqualoc.signals import SampledSignal, TimeGrid, make_pulse
 from aqualoc.theory import (
-    EnvPerturbation,
     TheoremConfig,
     estimate_lambda,
     estimate_lipschitz,
@@ -43,23 +42,17 @@ def small_adapter(small_model):
     return NetworkModel(small_model)
 
 
-# -- perturbation type ---------------------------------------------------------
+# -- inputs ------------------------------------------------------------------------
 
 
-def test_perturbation_norm_and_apply():
-    eps = EnvPerturbation(depth_m=-3.0, sound_speed_ms=4.0)
-    assert eps.norm == pytest.approx(5.0)
-    shifted = eps.applied_to(DEFAULT_ENVIRONMENT)
-    assert shifted.depth == DEFAULT_ENVIRONMENT.depth - 3.0
-    assert shifted.sound_speed == DEFAULT_ENVIRONMENT.sound_speed + 4.0
-    assert shifted.receiver_depth == DEFAULT_ENVIRONMENT.receiver_depth
+@pytest.mark.parametrize("eps_depth_m", [math.nan, math.inf, True])
+def test_verify_rejects_bad_depth_offset_before_any_fit(small_model, monkeypatch, eps_depth_m):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the depth offset was checked")
 
-
-def test_perturbation_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        EnvPerturbation(depth_m=math.nan)
-    with pytest.raises(ValueError, match="depth_m"):
-        EnvPerturbation(depth_m=True)
+    monkeypatch.setattr("aqualoc.theory.da_gbl", no_fit)
+    with pytest.raises(ValueError, match="eps_depth_m"):
+        verify_theorem(small_model, DEFAULT_ENVIRONMENT, DEFAULT_SOURCE, eps_depth_m)
 
 
 def test_config_validation():
@@ -220,7 +213,7 @@ def theorem_zero(reduced_checkpoint):
         reduced_checkpoint.model,
         DEFAULT_ENVIRONMENT,
         DEFAULT_SOURCE,
-        EnvPerturbation(0.0, 0.0),
+        0.0,
         TheoremConfig(),
     )
 
@@ -258,7 +251,7 @@ def test_verify_big_perturbation_reports_budget_exceeded(reduced_checkpoint):
         reduced_checkpoint.model,
         DEFAULT_ENVIRONMENT,
         DEFAULT_SOURCE,
-        EnvPerturbation(-10.0, 0.0),
+        -10.0,
         TheoremConfig(),
     )
     assert rep.verdict == "budget-exceeded"
