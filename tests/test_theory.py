@@ -42,7 +42,7 @@ def small_adapter(small_model):
     return NetworkModel(small_model)
 
 
-# -- inputs ------------------------------------------------------------------------
+# -- inputs --------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("eps_depth_m", [math.nan, math.inf, True])
@@ -50,7 +50,7 @@ def test_verify_rejects_bad_depth_offset_before_any_fit(small_model, monkeypatch
     def no_fit(*args, **kwargs):
         raise AssertionError("a fit ran before the depth offset was checked")
 
-    monkeypatch.setattr("aqualoc.theory.da_gbl", no_fit)
+    monkeypatch.setattr("aqualoc.theory.toa_init", no_fit)  # the first fit verify_theorem runs
     with pytest.raises(ValueError, match="eps_depth_m"):
         verify_theorem(small_model, DEFAULT_ENVIRONMENT, DEFAULT_SOURCE, eps_depth_m)
 
