@@ -48,7 +48,6 @@ from .forward import (
     PLN_ERROR_TARGET,
     TrainConfig,
     load_checkpoint,
-    model_output,
     pretrain,
     save_checkpoint,
     train_loss,
@@ -59,7 +58,6 @@ from .harness import (
     ExperimentConfig,
     SweepRow,
     config_from_dict,
-    rmse,
     run_and_write,
     run_cell,
     run_mismatch_sweep,
@@ -75,7 +73,6 @@ from .localize import (
     ToaInitError,
     crlb,
     da_gbl,
-    da_loss,
     gbl,
     toa_init,
 )

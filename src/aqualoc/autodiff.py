@@ -7,8 +7,10 @@ on the other, length_normal_equations takes the waveform's length Jacobian
 G on the three arrival windows. A loss function takes a flat parameter
 vector and returns its value and a closure computing the gradient, so
 value-only callers (finite differences) never run the backward part. Every
-waveform fit runs the one Levenberg-Marquardt loop `lm_trials` through the
-lengths.
+fit (training's exact stage, the TOA seed's delay fit, GBL and DA-GBL) runs
+through the lengths in the one Levenberg-Marquardt driver `lm_fit`, which
+holds the damping loop and every exit; each fit gives its own step, units
+and crawl policy.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ from .signals import AnalyticPulse, TimeGrid, eval_pulse_dt, superpose_arrivals
 # ceiling above which a step is a vanishing gradient step (a fit failing there has stalled)
 LAM_INIT = 1e-3
 LAM_MAX = 1e8
+# The gradient exit, relative to the gradient norm where the fit starts.
+GRAD_TOL_REL = 1e-8
+# The crawl exit of a fit that has one: it stalls once its gradient norm is
+# still above half its value this many accepted steps earlier.
+CRAWL_STEPS = 10
 
 
 class NumericOverflowError(ArithmeticError):
@@ -96,28 +103,59 @@ def length_normal_equations(pulse, sound_speed, lengths, alphas, u, window, insi
     return gte, np.einsum("kim,kijm->kij", g_win, on_windows(g_win, start))
 
 
-def lm_trials(fit, lin: dict):
-    """Levenberg-Marquardt trial steps from the linearized point `lin`, without end.
+def lm_fit(fit, v: np.ndarray, max_iter: int, step_tol: float):
+    """The Levenberg-Marquardt fit from v: (last point, exit reason, gradient tolerance, losses).
 
-    fit.step(lin, lam) gives the step at relative damping lam and its
-    predicted loss drop, fit.evaluate(v) a point (its vector point["v"] and
-    loss) and fit.linearize(point) what the next step needs. The damping
-    follows the gain ratio (Marquardt 1963; Nielsen 1999). Yields
-    (lin, lam, accepted) after each trial, lin the trial's if accepted.
+    fit.evaluate(v) gives a point (its vector point["v"] and loss),
+    fit.linearize(point) adds what a step needs and the gradient norm
+    point["grad_norm"], fit.step(lin, lam) gives the step at relative
+    damping lam and its predicted loss drop, and fit.moved(old, new) the
+    size of an accepted step in the fit's own units. Each trial point is
+    evaluated once, the start and each accepted point linearized once. The
+    damping follows the gain ratio (Marquardt 1963; Nielsen 1999). `losses`
+    holds the loss after each trial step, accepted or not: one per step.
+
+    The exits (Madsen, Nielsen & Tingleff 2004, section 3.2), in `exit reason`:
+    "gradient" once the gradient norm is at most GRAD_TOL_REL times its
+    start value, checked before every step, so a stationary start exits at
+    once; "max_iter" after max_iter trial steps; "step" once an accepted
+    step moves less than step_tol; "stall" once a step fails with the
+    damping above LAM_MAX, or, if fit.crawls, once an accepted point's
+    gradient norm is still above half its value CRAWL_STEPS accepted steps
+    earlier, the start counting as accepted. A converging fit's gradient
+    falls geometrically; a crawl's holds flat while the damping underflows
+    and each step stays above step_tol.
     """
+    lin = fit.linearize(fit.evaluate(v))
+    tol = GRAD_TOL_REL * lin["grad_norm"]
+    norms = [lin["grad_norm"]]  # at the start and each accepted point
+    losses: list[float] = []
     lam, nu = LAM_INIT, 2.0
-    while True:
+    while lin["grad_norm"] > tol:
+        if len(losses) == max_iter:
+            return lin, "max_iter", tol, losses
         dv, predicted = fit.step(lin, lam)
         trial = fit.evaluate(lin["v"] + dv)
         gain = (lin["loss"] - trial["loss"]) / predicted if predicted > 0.0 else -1.0
-        if gain > 0.0:
-            lin = fit.linearize(trial)
-            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            nu = 2.0
-        else:
+        if not gain > 0.0:
+            losses.append(lin["loss"])
             lam *= nu
             nu *= 2.0
-        yield lin, lam, gain > 0.0
+            if lam > LAM_MAX:
+                return lin, "stall", tol, losses
+            continue
+        trial = fit.linearize(trial)
+        moved, lin = fit.moved(lin, trial), trial  # the old point is freed before the next step
+        losses.append(lin["loss"])
+        lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+        nu = 2.0
+        if moved < step_tol:
+            return lin, "step", tol, losses
+        norms.append(lin["grad_norm"])
+        crawled = len(norms) > CRAWL_STEPS and norms[-1] > max(tol, 0.5 * norms[-1 - CRAWL_STEPS])
+        if fit.crawls and crawled:
+            return lin, "stall", tol, losses
+    return lin, "gradient", tol, losses
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ import numpy as np
 from .environment import (
     DEFAULT_ENVIRONMENT,
     DEFAULT_SOURCE,
-    SourceLocation,
     gen_dataset,
     load_dataset,
     save_dataset,
@@ -310,14 +309,6 @@ def _cmd_selftest() -> int:
         report = fd_check(objective, np.array([source.x + 0.2, source.z - 0.1]), h=1e-6)
         assert report.ok(1e-5), f"max rel error {report.max_rel_error:.2e}"
 
-    def rmse_examples():
-        from .harness import rmse
-
-        truth = SourceLocation(610.0, 20.0)
-        assert rmse([truth, truth], truth) == 0.0
-        pair = [SourceLocation(613.0, 20.0), SourceLocation(607.0, 20.0)]
-        assert abs(rmse(pair, truth) - 3.0) < 1e-12
-
     def crlb_monotone():
         clean = synthesize_received(env, source, pulse, grid)
         bounds = []
@@ -343,7 +334,6 @@ def _cmd_selftest() -> int:
     check("oracle-path-lengths", oracle_lengths)
     check("matched-model-equivalence", plugin_equivalence)
     check("gradient-vs-finite-difference", gradient_check)
-    check("rmse-examples", rmse_examples)
     check("crlb-monotone-in-snr", crlb_monotone)
     check("toa-init-noiseless", toa_noiseless)
     check("cell-determinism", determinism)

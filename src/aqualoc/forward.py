@@ -10,7 +10,6 @@ signals; the loss never sees per-path labels, only whole waveforms.
 from __future__ import annotations
 
 import base64
-import itertools
 import json
 import math
 import warnings
@@ -21,16 +20,15 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import (
-    LAM_MAX,
     arrival_signal,
     length_normal_equations,
-    lm_trials,
+    lm_fit,
     on_windows,
     value_and_grad,
     window_index,
 )
 from .environment import (
-    DEFAULT_REGION, THREE_PATHS, Dataset, Environment, SourceLocation, alpha_tau, path_geometry,
+    DEFAULT_REGION, THREE_PATHS, Dataset, Environment, alpha_tau, path_geometry,
 )
 from .localize import detect_arrivals
 from .pln import (
@@ -46,7 +44,6 @@ from .pln import (
 )
 from .signals import (
     AnalyticPulse,
-    SampledSignal,
     TimeGrid,
     arrival_windows,
     at_least,
@@ -150,12 +147,6 @@ class MatchedModel(_LengthModel):
     def lengths(self, w, x, z):
         lengths, d_p = path_geometry(self.env, x, z)
         return lengths, lambda weights=True: (d_p(), np.empty((len(lengths), 0)))
-
-
-def model_output(model: ModelParams, src: SourceLocation, grid: TimeGrid) -> SampledSignal:
-    """Noiseless model waveform at a source hypothesis."""
-    values, _ = NetworkModel(model).signal_t(None, src.x, src.z, grid)
-    return SampledSignal(grid, values)
 
 
 def _item_features(model: ModelParams, locations: np.ndarray) -> np.ndarray:
@@ -304,9 +295,14 @@ class _ExactFit:
     The damping is mu = lam * mean diagonal of M M^T.
 
     The fit owns the one J J^T buffer, which every linearize overwrites:
-    lm_trials only steps from the newest linearized point, so no earlier
-    point's J J^T is read again.
+    autodiff.lm_fit only steps from the newest linearized point, so no
+    earlier point's J J^T is read again. Training's policy: the fit has no
+    crawl exit, and it measures an accepted step in metres of predicted
+    length against a step tolerance of 0, which no step is below, so it ends
+    at its epoch budget unless its gradient vanishes or it stalls.
     """
+
+    crawls = False  # lm_fit's crawl exit does not apply
 
     def __init__(self, model: ModelParams, dataset: Dataset):
         self.model = model
@@ -351,7 +347,7 @@ class _ExactFit:
         return point
 
     def linearize(self, point: dict) -> dict:
-        """Add J's factors, J J^T, H^{-1}, H^{-1} G^T e and the damping scale to a point.
+        """Add J's factors, J J^T, H^{-1}, H^{-1} G^T e, the damping scale and the gradient.
 
         The factors come from the point's backward pass, which evaluate
         leaves to here so that a rejected trial step never runs it.
@@ -371,8 +367,15 @@ class _ExactFit:
         items = np.arange(self.count)
         diag_blocks = kk.reshape(self.count, n_paths, self.count, n_paths)[items, :, items, :]
         mean_diag = np.einsum("kij,kji->", gtg, diag_blocks) / len(kk)
+        # the loss's gradient -2 scale J^T G^T e
+        grad = (-2.0 * self.scale) * length_vjp(self.model.pln.layout, inputs, deltas, gte.ravel())
         return {**point, "inputs": inputs, "deltas": deltas, "kk": kk, "h_inv": h_inv,
-                "gte": gte, "rhs": np.einsum("kij,kj->ki", h_inv, gte), "mean_diag": mean_diag}
+                "gte": gte, "rhs": np.einsum("kij,kj->ki", h_inv, gte), "mean_diag": mean_diag,
+                "grad": grad, "grad_norm": math.sqrt(grad @ grad)}
+
+    def moved(self, old: dict, new: dict) -> float:
+        """An accepted step's size: the largest change of a predicted length, in metres."""
+        return float(np.abs(new["lengths"] - old["lengths"]).max())
 
     def step(self, lin: dict, lam: float) -> tuple[np.ndarray, float]:
         """Damped step at relative damping lam, and the loss drop it predicts.
@@ -396,21 +399,6 @@ class _ExactFit:
         predicted = float(np.einsum("ki,ki->", lin["gte"], lin["rhs"]))
         predicted -= mu * mu * float(np.einsum("ki,kij,kj->", z, lin["h_inv"], z))
         return dw, predicted * self.scale
-
-
-def _lm_stage(fit: _ExactFit, w: np.ndarray, n_iter: int) -> tuple[np.ndarray, list[float]]:
-    """Up to n_iter Levenberg-Marquardt trial steps (autodiff.lm_trials); the loss after each.
-
-    The stage ends early once a step is rejected with the damping above
-    LAM_MAX, where not even a vanishing gradient step lowers the loss.
-    """
-    lin = fit.linearize(fit.evaluate(w))
-    losses: list[float] = []
-    for lin, lam, _ in itertools.islice(lm_trials(fit, lin), n_iter):
-        losses.append(lin["loss"])
-        if lam > LAM_MAX:
-            break
-    return lin["v"], losses
 
 
 # Two-stage pretraining. Random init puts predicted arrivals up to ~0.2 s from
@@ -550,7 +538,9 @@ def pretrain(
         if n_epochs <= 0:
             continue
         if kind == STAGE_EXACT:
-            w, losses = _lm_stage(_ExactFit(model, dataset), w, n_epochs)
+            last, _, _, losses = lm_fit(_ExactFit(model, dataset), w, n_epochs, 0.0)
+            w = last["v"]
+            del last  # it holds the fit's J J^T and backward pass, not needed from here on
         else:
             w, losses = _peaks_stage(model, dataset, w, n_epochs, rng)
         for loss in losses:

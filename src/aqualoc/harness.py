@@ -160,19 +160,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def rmse(estimates, truth) -> float:
-    """Root mean squared Euclidean distance from truth."""
-    pts = np.array(
-        [[e.x, e.z] if isinstance(e, SourceLocation) else list(e) for e in estimates],
-        dtype=np.float64,
-    )
-    if pts.size == 0:
-        raise ValueError("need at least one estimate")
-    t = np.array([truth.x, truth.z]) if isinstance(truth, SourceLocation) else np.asarray(truth)
-    d = pts - t
-    return float(np.sqrt(np.mean(np.sum(d * d, axis=1))))
-
-
 @dataclass
 class SweepRow:
     method: str

@@ -5,7 +5,9 @@ inverts the image-method delay equations; it only needs an assumed (possibly
 wrong) environment. Gradient-based localization then fits the integrated
 squared waveform residual; the adapted variant also lets the model weights
 move against a quadratic prior anchored at their trained values. The seed's
-delay fit and the waveform fits all run one Levenberg-Marquardt pass, `_lm_pass`.
+delay fit and the waveform fits all run in the one Levenberg-Marquardt driver,
+autodiff.lm_fit, which holds their exits; a fit here gives its step, measures
+an accepted step in metres of position, and has the crawl exit.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import (
-    LAM_MAX,
     NumericOverflowError,
     arrival_signal,
     length_normal_equations,
-    lm_trials,
+    lm_fit,
     value_and_grad,
     window_index,
 )
@@ -120,7 +121,7 @@ def toa_init(
 
     Picks up to three envelope peaks (needing at least two), refines them to
     sub-sample precision, and inverts the image-method delay equations under
-    the assumed environment: `_lm_pass` refines a closed-form seed on the
+    the assumed environment: autodiff.lm_fit refines a closed-form seed on the
     delay misfit (_DelayFit). With three peaks both orderings of the later
     two arrivals are tried (surface and bottom swap order across z + z_r =
     depth); the lower-residual one wins. Two peaks are direct plus surface.
@@ -141,7 +142,7 @@ def toa_init(
     fits = []
     for paths in assignments:
         seed = _closed_form_seed(times[0], times[paths.index(SURFACE)], assumed_env, region)
-        fit = _lm_pass(_DelayFit(times, paths, assumed_env), seed, TOA_MAX_ITER, TOA_STEP_TOL_M)[0]
+        fit = lm_fit(_DelayFit(times, paths, assumed_env), seed, TOA_MAX_ITER, TOA_STEP_TOL_M)[0]
         fits.append((math.sqrt(fit["loss"] / len(paths)), fit["v"], paths))
     residual, p, assignment = min(fits, key=lambda f: f[0])  # the first on a tie
     return ToaEstimate(times, np.array(region.clip(*p.tolist())), len(times), residual, assignment)
@@ -150,13 +151,6 @@ def toa_init(
 # ---------------------------------------------------------------------------
 # Gradient-based localization
 # ---------------------------------------------------------------------------
-
-# The gradient exit, relative to the gradient norm where the fit starts.
-GRAD_TOL_REL = 1e-8
-# The crawl exit: a fit stalls once its gradient norm is still above half
-# its value this many accepted steps earlier.
-CRAWL_STEPS = 10
-
 
 def require_gamma(gamma, error: type[Exception] = ValueError) -> float:
     """The anchor weight gamma as a float; raises `error` unless it is a finite number >= 0."""
@@ -173,12 +167,13 @@ def require_gamma(gamma, error: type[Exception] = ValueError) -> float:
 class GblConfig:
     """Settings for the Levenberg-Marquardt localization fit (see _WaveformFit).
 
-    The fit ends once the gradient norm falls to GRAD_TOL_REL times its
-    starting value, once an accepted step moves the position by less than
-    `step_tol_m` in each coordinate, once a step fails with the damping
-    above autodiff.LAM_MAX, once an accepted point's gradient norm is
-    still above half its value CRAWL_STEPS accepted steps earlier (a
-    crawl), or after `max_iter` trial steps.
+    The fit runs in autodiff.lm_fit, where its other exit constants live
+    (GRAD_TOL_REL, LAM_MAX, CRAWL_STEPS). It ends once the gradient norm
+    falls to GRAD_TOL_REL times its starting value, once an accepted step
+    moves the position by less than `step_tol_m` in each coordinate, once a
+    step fails with the damping above LAM_MAX, once an accepted point's
+    gradient norm is still above half its value CRAWL_STEPS accepted steps
+    earlier (a crawl), or after `max_iter` trial steps.
 
     The misfit oscillates at the carrier scale, so the fit's attraction
     basin is only about half a carrier wavelength wide: the seed must lie
@@ -206,7 +201,9 @@ class LocalizeResult:
     exit, as float64 loss differences cannot resolve a 1e-8 gradient
     ratio). A stall (the damping above its cap, or a crawl: the gradient
     norm not halved over CRAWL_STEPS accepted steps) or the iteration cap
-    gives `converged=False`; the trigger is always in `exit_reason`.
+    gives `converged=False`; the trigger is always in `exit_reason`. The
+    exit constants (GRAD_TOL_REL, LAM_MAX, CRAWL_STEPS) live in
+    autodiff, beside the driver lm_fit that applies them.
     """
 
     p_hat: np.ndarray
@@ -234,6 +231,8 @@ class _WaveformFit:
     the weights through the 3x3 Q = (beta I + A L_w L_w^T)^-1, whatever n_w
     is, and leaves 2 position equations.
     """
+
+    crawls = True  # lm_fit's crawl exit applies
 
     def __init__(self, adapter, received: SampledSignal, gamma: float, adapt: bool):
         self.adapter, self.r, self.grid, self.gamma = adapter, received.values, received.grid, gamma
@@ -277,6 +276,10 @@ class _WaveformFit:
         """Linearize an evaluated point, its value and gradient checked by value_and_grad."""
         value_and_grad(lambda _: self._objective(point), point["v"])
         return point
+
+    def moved(self, old: dict, new: dict) -> float:
+        """An accepted step's size: the larger position move of x and z, in metres."""
+        return max(abs(a - b) for a, b in zip(new["v"][-2:].tolist(), old["v"][-2:].tolist()))
 
     def _data_term(self, point: dict) -> tuple[np.ndarray, np.ndarray]:
         """The data term's b = 2 dt G^T e and A = 2 dt G^T G over the 3 lengths."""
@@ -363,53 +366,6 @@ class _DelayFit(_WaveformFit):
         return (-2.0 / c) * point["r"], np.diag((2.0 / (c * c)) * self.detected)
 
 
-def da_loss(adapter, received: SampledSignal, w: np.ndarray | None, p: np.ndarray,
-            gamma: float) -> float:
-    """Adaptation objective value at weights `w` (None: position only) and position `p`."""
-    v = np.asarray(p, dtype=np.float64) if w is None else np.concatenate([w, p])
-    return _WaveformFit(adapter, received, gamma, w is not None)(v)[0]
-
-
-def _lm_pass(fit: _WaveformFit, v: np.ndarray, max_iter: int, step_tol_m: float):
-    """The Levenberg-Marquardt fit from v: (last point, trial steps, exit reason, gradient tolerance).
-
-    Each trial point is evaluated once, through fit.evaluate. The start and
-    each accepted point are linearized once, their value and gradient
-    passing through value_and_grad, the one finiteness check. The gradient
-    exit is checked before every step: a stationary start exits at once.
-    The fit stalls when a step fails with the damping above LAM_MAX, or when it
-    crawls: an accepted point's gradient norm is still above half its value
-    CRAWL_STEPS accepted steps earlier, the start counting as accepted. A
-    converging fit's gradient falls geometrically; a crawl's holds flat while
-    the damping underflows and each step stays above `step_tol_m`.
-    """
-    lin = fit.linearize(fit.evaluate(v))
-    tol = GRAD_TOL_REL * lin["grad_norm"]
-    trials = lm_trials(fit, lin)
-    norms = [lin["grad_norm"]]  # at the start and each accepted point
-    n_iter, exit_reason = 0, "gradient"
-    while lin["grad_norm"] > tol:
-        if n_iter == max_iter:
-            exit_reason = "max_iter"
-            break
-        new, lam, accepted = next(trials)
-        n_iter += 1
-        if accepted:
-            moved = max(abs(a - b) for a, b in zip(new["v"][-2:].tolist(), lin["v"][-2:].tolist()))
-            lin = new
-            if moved < step_tol_m:
-                exit_reason = "step"
-                break
-            norms.append(lin["grad_norm"])
-            if len(norms) > CRAWL_STEPS and norms[-1] > max(tol, 0.5 * norms[-1 - CRAWL_STEPS]):
-                exit_reason = "stall"
-                break
-        elif lam > LAM_MAX:
-            exit_reason = "stall"
-            break
-    return lin, n_iter, exit_reason, tol
-
-
 def _localize(
     received: SampledSignal, adapter, p0: np.ndarray, gamma: float | None, cfg: GblConfig
 ) -> LocalizeResult:
@@ -418,10 +374,10 @@ def _localize(
     fit = _WaveformFit(adapter, received, gamma or 0.0, gamma is not None)
     nw = fit.nw
     v = np.concatenate([adapter.w_train, p]) if nw else p
-    lin, n_iter, exit_reason, tol = _lm_pass(fit, v, cfg.max_iter, cfg.step_tol_m)
+    lin, exit_reason, tol, losses = lm_fit(fit, v, cfg.max_iter, cfg.step_tol_m)
     return LocalizeResult(
         p_hat=lin["v"][nw:].copy(), w_hat=lin["v"][:nw].copy() if nw else None,
-        converged=exit_reason in ("gradient", "step"), n_iter=n_iter, loss=lin["loss"],
+        converged=exit_reason in ("gradient", "step"), n_iter=len(losses), loss=lin["loss"],
         grad_norm=lin["grad_norm"], grad_tol=tol, exit_reason=exit_reason,
         gamma=0.0 if gamma is None else gamma,
     )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from aqualoc.autodiff import fd_check, value_and_grad
+from aqualoc.autodiff import CRAWL_STEPS, fd_check, lm_fit, value_and_grad
 from aqualoc.environment import (
     DEFAULT_ENVIRONMENT,
     DEFAULT_REGION,
@@ -36,12 +36,10 @@ from aqualoc.forward import (
     TrainConfig,
     _ExactFit,
     _length_gram,
-    _lm_stage,
     _make_peaks_loss_fn,
     _peak_length_targets,
     _stage_lr,
     load_checkpoint,
-    model_output,
     pretrain,
     save_checkpoint,
     train_loss,
@@ -56,7 +54,7 @@ from aqualoc.pln import (
     pln_init,
     pln_lengths,
 )
-from aqualoc.signals import gaussian_kernel, smooth_rows
+from aqualoc.signals import SampledSignal, TimeGrid, gaussian_kernel, smooth_rows
 
 
 @pytest.fixture(scope="module")
@@ -80,19 +78,24 @@ def _with_weights(model: ModelParams, w: np.ndarray) -> ModelParams:
     return replace(model, pln=PlnParams(model.pln.arch, model.pln.norm, w))
 
 
+def model_output(model: ModelParams, src: SourceLocation, grid: TimeGrid) -> SampledSignal:
+    """Noiseless model waveform at a source hypothesis."""
+    values, _ = NetworkModel(model).signal_t(None, src.x, src.z, grid)
+    return SampledSignal(grid, values)
+
+
 def _exact_loss_fn(model: ModelParams, dataset: Dataset):
     """w -> (train_loss, gradient closure), the gradient -2 scale J^T (G^T e) of _ExactFit.
 
     G^T e is the waveform's length Jacobian against the residual on the
-    arrival windows (_ExactFit.linearize); J^T pulls it back to the weights.
+    arrival windows; _ExactFit.linearize pulls it back to the weights through
+    J^T, and the LM driver reads its norm for the gradient exit.
     """
     fit = _ExactFit(model, dataset)
 
     def loss_fn(w):
         def grad():
-            lin = fit.linearize(fit.evaluate(w))
-            g_l = lin["gte"].ravel()
-            return -2.0 * fit.scale * length_vjp(model.pln.layout, lin["inputs"], lin["deltas"], g_l)
+            return fit.linearize(fit.evaluate(w))["grad"]
 
         return train_loss(_with_weights(model, w), dataset), grad
 
@@ -342,11 +345,24 @@ def test_lm_iteration_lowers_train_loss(init_model, small_dataset, grid):
     dw, predicted = fit.step(lin, 1e3)
     actual = loss_at(w0) - loss_at(w0 + dw)
     assert actual == pytest.approx(predicted, rel=0.05)
-    w1, losses = _lm_stage(fit, w0, 1)
+    lin, _, _, losses = lm_fit(fit, w0, 1, 0.0)
+    w1 = lin["v"]
     before = loss_at(w0)
     after = loss_at(w1)
     assert after < 0.9 * before
     assert losses == [pytest.approx(after, rel=1e-12)]
+
+
+def test_exact_fit_runs_its_whole_budget(init_model, small_dataset):
+    # training's policy in the one LM driver: no crawl exit and a step
+    # tolerance no step is below, so a budget past two crawl windows runs out
+    budget = 2 * CRAWL_STEPS + 1
+    fit = _ExactFit(init_model, small_dataset)
+    lin, exit_reason, tol, losses = lm_fit(fit, init_model.pln.values, budget, 0.0)
+    assert exit_reason == "max_iter"
+    assert len(losses) == budget
+    assert lin["loss"] == losses[-1] <= losses[0]
+    assert lin["grad_norm"] > tol > 0.0
 
 
 def test_stage_lr_profile():

@@ -22,7 +22,6 @@ from aqualoc.harness import (
     _trial_seed,
     config_from_dict,
     config_hash,
-    rmse,
     run_and_write,
     run_cell,
     run_snr_sweep,
@@ -34,34 +33,31 @@ from aqualoc.localize import ToaInitError
 TRUTH = SourceLocation(610.0, 20.0)
 
 
-# -- rmse -----------------------------------------------------------------------
+# -- cell RMSE ---------------------------------------------------------------------
+
+
+def _cell_rmse(estimates) -> float:
+    """_cell_stats's RMSE over estimates, all converged, from their distances to TRUTH."""
+    truth = np.array([TRUTH.x, TRUTH.z])
+    errors = [float(np.linalg.norm(np.asarray(e) - truth)) for e in estimates]
+    return _cell_stats(errors, len(errors))[0]
 
 
 def test_rmse_zero_at_truth():
-    assert rmse([TRUTH, TRUTH, TRUTH], TRUTH) == 0.0
+    assert _cell_rmse([(TRUTH.x, TRUTH.z)] * 3) == 0.0
 
 
 def test_rmse_symmetric_pair():
-    pair = [SourceLocation(613.0, 20.0), SourceLocation(607.0, 20.0)]
-    assert rmse(pair, TRUTH) == pytest.approx(3.0, abs=1e-12)
+    pair = [(613.0, 20.0), (607.0, 20.0)]
+    assert _cell_rmse(pair) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_rmse_gaussian_cloud_matches_chi_mean_square(rng):
     # E||e||^2 = 2 sigma^2 for isotropic 2-D noise, so RMSE -> sigma * sqrt(2)
     draws = np.array([TRUTH.x, TRUTH.z]) + rng.normal(scale=2.0, size=(1000, 2))
-    got = rmse([tuple(d) for d in draws], TRUTH)
+    got = _cell_rmse(draws)
     want = 2.0 * math.sqrt(2.0)
     assert abs(got - want) <= 0.05 * want
-
-
-def test_rmse_accepts_arrays_and_locations():
-    assert rmse([np.array([611.0, 20.0])], TRUTH) == pytest.approx(1.0)
-    assert rmse([SourceLocation(611.0, 20.0)], np.array([610.0, 20.0])) == pytest.approx(1.0)
-
-
-def test_rmse_rejects_empty():
-    with pytest.raises(ValueError):
-        rmse([], TRUTH)
 
 
 # -- cell statistics --------------------------------------------------------------
