@@ -33,6 +33,8 @@ GRAD_TOL_REL = 1e-8
 # The crawl exit of a fit that has one: it stalls once its gradient norm is
 # still above half its value this many accepted steps earlier.
 CRAWL_STEPS = 10
+# The largest relative gradient error a finite-difference audit passes.
+FD_REL_TOL = 1e-5
 
 
 class NumericOverflowError(ArithmeticError):
@@ -220,8 +222,8 @@ class GradReport:
     checked: np.ndarray
     max_rel_error: float
 
-    def ok(self, tol: float = 1e-5) -> bool:
-        return self.max_rel_error <= tol
+    def ok(self) -> bool:
+        return self.max_rel_error <= FD_REL_TOL
 
 
 def fd_check(

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +41,7 @@ from .harness import (
     SCENE_TYPES,
     ExperimentConfig,
     config_from_dict,
-    method_adapter,
+    method_cell,
     parse_scene,
     run_and_write,
     seed_and_fit,
@@ -161,7 +160,7 @@ def _cmd_localize(doc: dict) -> int:
         "checkpoint", "method", "gamma", "snr_db", "mismatch_m", "seed",
     }
     _check_keys(doc, allowed, "localize")
-    env_train, source, pulse, grid, region = _scene_from(doc)
+    cfg = ExperimentConfig(**parse_scene(doc))
     method = doc.get("method", METHOD_GBL_MATCHED)
     gamma = require_gamma(doc.get("gamma", 0.0), ConfigError)
     snr_db = doc.get("snr_db", 20.0)
@@ -169,20 +168,18 @@ def _cmd_localize(doc: dict) -> int:
         snr_db = _cast("snr_db", snr_db, finite_float)
     mismatch = _cast("mismatch_m", doc.get("mismatch_m", 0.0), finite_float)
     seed = _seed(doc)
-    env_true = replace(env_train, depth=env_train.depth + mismatch)
-    env_assumed = env_true if method == METHOD_GBL_MATCHED else env_train
     model = None
     if method in NETWORK_METHODS and "checkpoint" in doc:
         model = load_checkpoint(_resolve(doc["checkpoint"])).model
-    adapter = method_adapter(method, env_assumed, pulse, model)
-    clean = synthesize_received(env_true, source, pulse, grid)
+    env_assumed, adapter, clean = method_cell(method, cfg, mismatch, model)
     if snr_db is None:
         received = clean
     else:
-        n0 = snr_to_n0(clean, snr_db, pulse.bandwidth)
+        n0 = snr_to_n0(clean, snr_db, cfg.pulse.bandwidth)
         received = add_awgn(clean, NoiseSpec(n0, seed))
-    estimate, result = seed_and_fit(method, received, adapter, pulse, env_assumed, region, gamma)
-    err = float(np.linalg.norm(result.p_hat - np.array([source.x, source.z])))
+    estimate, result = seed_and_fit(
+        method, received, adapter, cfg.pulse, env_assumed, cfg.region, gamma)
+    err = float(np.linalg.norm(result.p_hat - np.array([cfg.source.x, cfg.source.z])))
     print(
         json.dumps(
             {
@@ -307,7 +304,7 @@ def _cmd_selftest() -> int:
         # h: small enough that central-difference curvature error stays below
         # tolerance on the carrier-oscillatory loss
         report = fd_check(objective, np.array([source.x + 0.2, source.z - 0.1]), h=1e-6)
-        assert report.ok(1e-5), f"max rel error {report.max_rel_error:.2e}"
+        assert report.ok(), f"max rel error {report.max_rel_error:.2e}"
 
     def crlb_monotone():
         clean = synthesize_received(env, source, pulse, grid)
@@ -327,8 +324,8 @@ def _cmd_selftest() -> int:
         from .harness import ExperimentConfig, run_cell
 
         cfg = ExperimentConfig(trials=2, snr_db_list=(20.0,), methods=(METHOD_GBL_MATCHED,))
-        r1 = run_cell(METHOD_GBL_MATCHED, env, env, cfg, 20.0, 0.0, 0.0, None)
-        r2 = run_cell(METHOD_GBL_MATCHED, env, env, cfg, 20.0, 0.0, 0.0, None)
+        r1 = run_cell(METHOD_GBL_MATCHED, cfg, 20.0, 0.0, 0.0, None)
+        r2 = run_cell(METHOD_GBL_MATCHED, cfg, 20.0, 0.0, 0.0, None)
         assert r1.to_csv_line() == r2.to_csv_line(), "repeated cell differs"
 
     check("oracle-path-lengths", oracle_lengths)

@@ -168,16 +168,13 @@ def synthesize_received(
     src: SourceLocation,
     pulse: AnalyticPulse,
     grid: TimeGrid,
-    noise: NoiseSpec | None = None,
 ) -> SampledSignal:
-    """Simulate the received signal r(t) = sum_i (rho_i / l_i) s(t - l_i / c) + noise.
+    """Simulate the noiseless received signal r(t) = sum_i (rho_i / l_i) s(t - l_i / c).
 
     Parameters
     ----------
     env, src, pulse, grid
         Waveguide, true source position, transmit pulse, and sampling grid.
-    noise : NoiseSpec, optional
-        When given, white Gaussian noise of density n0 is added.
 
     Returns
     -------
@@ -196,11 +193,7 @@ def synthesize_received(
             f"latest arrival support ends at {latest:.6f} s, past the "
             f"{grid.duration:.6f} s observation window"
         )
-    values = superpose_arrivals(alphas, taus, pulse, grid)
-    clean = SampledSignal(grid, values)
-    if noise is None:
-        return clean
-    return add_awgn(clean, noise)
+    return SampledSignal(grid, superpose_arrivals(alphas, taus, pulse, grid))
 
 
 @dataclass(frozen=True)

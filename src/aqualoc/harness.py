@@ -28,7 +28,7 @@ from .environment import (
     SourceLocation,
     synthesize_received,
 )
-from .forward import Checkpoint, ModelParams, NetworkModel, MatchedModel, load_checkpoint
+from .forward import ModelParams, NetworkModel, MatchedModel, load_checkpoint
 from .localize import (
     LocalizeResult, SingularFisherError, ToaEstimate, ToaInitError, crlb, da_gbl, gbl,
     require_gamma, toa_init,
@@ -231,17 +231,26 @@ def _cell_stats(errors: list, n_trials: int) -> tuple[float, float, float, float
     return rm, mean, ci, conv_rate
 
 
-def method_adapter(method: str, env_assumed: Environment, pulse: AnalyticPulse,
-                   model: ModelParams | None):
-    """The signal model a localization method fits: the matched model in the
-    assumed environment for gbl-matched, else the trained network `model`."""
+def method_cell(method: str, cfg: ExperimentConfig, mismatch_m: float,
+                model: ModelParams | None):
+    """One method's view of a cell whose recording comes from the training
+    depth plus `mismatch_m`: (assumed environment, signal model, clean recording).
+
+    gbl-matched fits the matched model in the true (offset) environment;
+    gbl-nn and da-gbl fit the trained network `model` and assume the training
+    environment.
+    """
+    env_true = replace(cfg.environment, depth=cfg.environment.depth + mismatch_m)
     if method == METHOD_GBL_MATCHED:
-        return MatchedModel(env_assumed, pulse)
-    if method not in NETWORK_METHODS:
+        env_assumed, adapter = env_true, MatchedModel(env_true, cfg.pulse)
+    elif method not in NETWORK_METHODS:
         raise ConfigError(f"unknown method {method!r}")
-    if model is None:
+    elif model is None:
         raise ConfigError(f"method {method} needs a trained checkpoint")
-    return NetworkModel(model)
+    else:
+        env_assumed, adapter = cfg.environment, NetworkModel(model)
+    clean = synthesize_received(env_true, cfg.source, cfg.pulse, cfg.grid)
+    return env_assumed, adapter, clean
 
 
 def seed_and_fit(method: str, received: SampledSignal, adapter, pulse: AnalyticPulse,
@@ -257,20 +266,17 @@ def seed_and_fit(method: str, received: SampledSignal, adapter, pulse: AnalyticP
 
 def run_cell(
     method: str,
-    env_true: Environment,
-    env_assumed: Environment,
     cfg: ExperimentConfig,
     snr_db: float,
     mismatch_m: float,
     gamma: float,
     model: ModelParams | None,
 ) -> SweepRow:
-    """Run M noise trials of one method in one environment cell."""
+    """Run M noise trials of one method in one (SNR, mismatch) cell."""
     t_start = time.perf_counter() if cfg.timing else 0.0
     truth = np.array([cfg.source.x, cfg.source.z])
-    clean = synthesize_received(env_true, cfg.source, cfg.pulse, cfg.grid)
+    env_assumed, adapter, clean = method_cell(method, cfg, mismatch_m, model)
     n0 = snr_to_n0(clean, snr_db, cfg.pulse.bandwidth)
-    adapter = method_adapter(method, env_assumed, cfg.pulse, model)
     errors = []
     for trial in range(cfg.trials):
         seed = _trial_seed(cfg.seed, method, snr_db, mismatch_m, gamma, trial)
@@ -297,12 +303,10 @@ def _crlb_row(cfg: ExperimentConfig, env: Environment, snr_db: float) -> SweepRo
     return SweepRow(METHOD_CRLB, snr_db, 0.0, 0.0, 0, bound, 0.0, 0.0, 1.0, 0.0)
 
 
-def _require_model(cfg: ExperimentConfig, checkpoint: Checkpoint | None) -> ModelParams | None:
+def _require_model(cfg: ExperimentConfig) -> ModelParams | None:
     needs_nn = any(m in cfg.methods for m in NETWORK_METHODS)
     if not needs_nn:
         return None
-    if checkpoint is not None:
-        return checkpoint.model
     if cfg.checkpoint is None:
         raise ConfigError("methods gbl-nn/da-gbl need a checkpoint (config key 'checkpoint')")
     return load_checkpoint(cfg.checkpoint).model
@@ -325,48 +329,44 @@ def _flag(flags: list, row: SweepRow, reason: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_snr_sweep(cfg: ExperimentConfig, checkpoint: Checkpoint | None = None):
+def run_snr_sweep(cfg: ExperimentConfig):
     """RMSE vs SNR in the true training environment; returns (rows, flags)."""
-    model = _require_model(cfg, checkpoint)
-    env = cfg.environment
+    model = _require_model(cfg)
     rows = []
     flags = []
     for method in cfg.methods:
         for snr_db in cfg.snr_db_list:
             if method == METHOD_CRLB:
-                rows.append(_crlb_row(cfg, env, snr_db))
+                rows.append(_crlb_row(cfg, cfg.environment, snr_db))
                 continue
             gammas = cfg.gamma_list if method == METHOD_DA_GBL else (0.0,)
             for gamma in gammas:
-                row = run_cell(method, env, env, cfg, snr_db, 0.0, gamma, model)
+                row = run_cell(method, cfg, snr_db, 0.0, gamma, model)
                 if row.conv_rate < CONVERGENCE_FLAG_RATE:
                     _flag(flags, row, f"convergence rate {row.conv_rate:.2f} below {CONVERGENCE_FLAG_RATE}")
                 rows.append(row)
     return rows, flags
 
 
-def run_mismatch_sweep(cfg: ExperimentConfig, checkpoint: Checkpoint | None = None):
+def run_mismatch_sweep(cfg: ExperimentConfig):
     """RMSE vs water-depth mismatch at the configured SNR; returns (rows, flags).
 
-    gbl-nn and da-gbl assume the training environment while the data comes
-    from a depth-offset one; gbl-matched rows use the true (offset) depth and
-    serve as the in-environment reference for the large-mismatch flag.
+    Each method assumes its environment as `method_cell` sets it; the
+    gbl-matched rows, which use the true (offset) depth, serve as the
+    in-environment reference for the large-mismatch flag.
     """
     methods = [m for m in cfg.methods if m != METHOD_CRLB]
     if not methods:
         raise ConfigError("mismatch sweep needs at least one localization method")
-    model = _require_model(cfg, checkpoint)
-    env_train = cfg.environment
+    model = _require_model(cfg)
     rows = []
     flags = []
     matched_ref = {}
     for mismatch in cfg.mismatch_m_list:
-        env_true = replace(env_train, depth=env_train.depth + mismatch)
         for method in methods:
-            env_assumed = env_true if method == METHOD_GBL_MATCHED else env_train
             gammas = cfg.gamma_list if method == METHOD_DA_GBL else (0.0,)
             for gamma in gammas:
-                row = run_cell(method, env_true, env_assumed, cfg, cfg.snr_db, mismatch, gamma, model)
+                row = run_cell(method, cfg, cfg.snr_db, mismatch, gamma, model)
                 rows.append(row)
                 if method == METHOD_GBL_MATCHED:
                     matched_ref[mismatch] = row.rmse_m
@@ -417,13 +417,13 @@ def write_manifest(cfg: ExperimentConfig, flags, csv_path: Path, n_rows: int, pa
     return path
 
 
-def run_and_write(kind: str, cfg: ExperimentConfig, checkpoint: Checkpoint | None = None):
+def run_and_write(kind: str, cfg: ExperimentConfig):
     """Run one sweep and write its CSV and manifest; returns (rows, flags, csv_path)."""
     if kind == "snr":
-        rows, flags = run_snr_sweep(cfg, checkpoint)
+        rows, flags = run_snr_sweep(cfg)
         stem = "snr_sweep"
     elif kind == "mismatch":
-        rows, flags = run_mismatch_sweep(cfg, checkpoint)
+        rows, flags = run_mismatch_sweep(cfg)
         stem = "mismatch_sweep"
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}")

@@ -21,6 +21,7 @@ N_INPUTS = 5
 DEFAULT_HIDDEN = (64, 64, 64)
 REDUCED_HIDDEN = (8,)  # keeps the adaptation vector small for theorem studies
 DEFAULT_LENGTH_SCALE = 500.0
+ERROR_GRID = 20  # points per axis of the in-region grid that pln_error_grid checks
 
 
 @dataclass(frozen=True)
@@ -210,16 +211,10 @@ def pln_lengths(
     return lengths.reshape(feats.shape[:-1])
 
 
-def pln_error_grid(
-    params: PlnParams,
-    env: Environment,
-    region: Region,
-    nx: int = 20,
-    nz: int = 20,
-) -> float:
-    """Worst relative path-length error over an nx-by-nz grid spanning the region."""
-    xs = np.linspace(region.x_min, region.x_max, nx)
-    zs = np.linspace(region.z_min, region.z_max, nz)
+def pln_error_grid(params: PlnParams, env: Environment, region: Region) -> float:
+    """Worst relative path-length error over an ERROR_GRID-square grid spanning the region."""
+    xs = np.linspace(region.x_min, region.x_max, ERROR_GRID)
+    zs = np.linspace(region.z_min, region.z_max, ERROR_GRID)
     gx, gz = np.meshgrid(xs, zs, indexing="ij")
     predicted = pln_lengths(params, gx, gz, env.receiver_depth)
     truth, _ = path_geometry(env, gx, gz)

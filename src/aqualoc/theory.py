@@ -101,7 +101,6 @@ class LambdaEstimate:
     """Smallest Hessian eigenvalue seen over the sampled cube."""
 
     lambda_hat: float
-    per_point: np.ndarray
     asym_max: float
     hessian_center: np.ndarray
 
@@ -131,7 +130,7 @@ def estimate_lambda(
         mins[i] = float(np.linalg.eigvalsh(hess)[0])
         if i == 0:
             hessian_center = hess
-    return LambdaEstimate(float(mins.min()), mins, asym_max, hessian_center)
+    return LambdaEstimate(float(mins.min()), asym_max, hessian_center)
 
 
 @dataclass
@@ -140,7 +139,6 @@ class LipschitzEstimate:
 
     l_hat: float
     rows: list
-    argmax: tuple
 
 
 def estimate_lipschitz(grad_fn_for_depth, v_samples, depth_steps) -> LipschitzEstimate:
@@ -153,17 +151,13 @@ def estimate_lipschitz(grad_fn_for_depth, v_samples, depth_steps) -> LipschitzEs
     base = grad_fn_for_depth(0.0)
     base_grads = [base(v) for v in v_samples]
     rows = []
-    best = (0.0, None)
     for d in depth_steps:
         if d == 0.0:
             raise ValueError("depth steps must be nonzero")
         probe = grad_fn_for_depth(float(d))
         for i, v in enumerate(v_samples):
-            ratio = float(np.linalg.norm(probe(v) - base_grads[i])) / abs(d)
-            rows.append((float(d), i, ratio))
-            if ratio > best[0]:
-                best = (ratio, (float(d), i))
-    return LipschitzEstimate(best[0], rows, best[1])
+            rows.append((float(d), i, float(np.linalg.norm(probe(v) - base_grads[i])) / abs(d)))
+    return LipschitzEstimate(max([0.0] + [ratio for _, _, ratio in rows]), rows)
 
 
 @dataclass
@@ -171,7 +165,6 @@ class XiEstimate:
     """Curvature of the gradient along the ray v0 + kappa * H^-1 1."""
 
     xi_hat: float
-    xi_per_coord: np.ndarray
     g0_norm: float
     gprime_max_err: float
     kappas: np.ndarray
@@ -191,11 +184,9 @@ def estimate_xi(grad_fn, v0: np.ndarray, direction: np.ndarray, sigma: float, n_
     g_values = np.stack([grad_fn(v0 + k * direction) for k in kappas])
     g_minus = grad_fn(v0 - h * direction)
     second = (g_values[2:] - 2.0 * g_values[1:-1] + g_values[:-2]) / (h * h)
-    xi_per_coord = np.max(np.abs(second), axis=0)
     gprime0 = (g_values[1] - g_minus) / (2.0 * h)
     return XiEstimate(
-        xi_hat=float(xi_per_coord.max()),
-        xi_per_coord=xi_per_coord,
+        xi_hat=float(np.max(np.abs(second))),
         g0_norm=float(np.linalg.norm(g_values[0])),
         gprime_max_err=float(np.max(np.abs(gprime0 - 1.0))),
         kappas=kappas,

@@ -251,6 +251,14 @@ def test_localize_nn_needs_checkpoint(tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+def test_localize_matched_at_a_depth_offset(tmp_path, capsys):
+    # the recording comes from 2 m shallower water, which the matched model assumes
+    cfg = write_config(tmp_path, "l.json", {"method": "gbl-matched", "mismatch_m": -2.0})
+    assert main(["localize", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error_m"] < 0.05
+
+
 def test_localize_unknown_method_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "l.json", {"method": "triangulate"})
     assert main(["localize", "--config", cfg]) == 2

@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from aqualoc.environment import DEFAULT_ENVIRONMENT, SourceLocation
+from aqualoc.environment import (
+    DEFAULT_ENVIRONMENT, DEFAULT_REGION, Environment, SourceLocation, synthesize_received,
+)
+from aqualoc.forward import MatchedModel, ModelParams, NetworkModel
 from aqualoc.harness import (
     CSV_HEADER,
     ConfigError,
@@ -22,6 +25,7 @@ from aqualoc.harness import (
     _trial_seed,
     config_from_dict,
     config_hash,
+    method_cell,
     run_and_write,
     run_cell,
     run_snr_sweep,
@@ -29,6 +33,7 @@ from aqualoc.harness import (
     write_csv,
 )
 from aqualoc.localize import ToaInitError
+from aqualoc.pln import REDUCED_HIDDEN, InputNormalization, PlnArchitecture, pln_init
 
 TRUTH = SourceLocation(610.0, 20.0)
 
@@ -136,8 +141,8 @@ def test_config_hash_sensitivity():
 def test_require_model_raises_without_checkpoint():
     cfg = ExperimentConfig(methods=(METHOD_GBL_NN,))
     with pytest.raises(ConfigError):
-        _require_model(cfg, None)
-    assert _require_model(ExperimentConfig(methods=(METHOD_GBL_MATCHED,)), None) is None
+        _require_model(cfg)
+    assert _require_model(ExperimentConfig(methods=(METHOD_GBL_MATCHED,))) is None
 
 
 # -- seeding ------------------------------------------------------------------------
@@ -185,10 +190,40 @@ def test_crlb_rows_monotone_in_snr():
     assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
 
 
+@pytest.mark.parametrize(
+    "method, adapter_type, assumes_true_depth",
+    [(METHOD_GBL_MATCHED, MatchedModel, True),
+     (METHOD_GBL_NN, NetworkModel, False),
+     (METHOD_DA_GBL, NetworkModel, False)],
+)
+def test_method_cell_rule_at_a_depth_offset(method, adapter_type, assumes_true_depth):
+    # the recording comes from the training depth minus 2 m; only the matched
+    # model knows that depth, the network methods assume the training one
+    cfg = ExperimentConfig()
+    norm = InputNormalization.from_region(DEFAULT_REGION, cfg.environment)
+    model = ModelParams(pln_init(PlnArchitecture(hidden=REDUCED_HIDDEN), norm, 0),
+                        cfg.environment.sound_speed, cfg.environment.receiver_depth, cfg.pulse)
+    env_assumed, adapter, clean = method_cell(method, cfg, -2.0, model)
+    true_depth = cfg.environment.depth - 2.0
+    assert env_assumed.depth == (true_depth if assumes_true_depth else cfg.environment.depth)
+    assert type(adapter) is adapter_type
+    env_true = Environment(true_depth, cfg.environment.sound_speed, cfg.environment.receiver_depth)
+    want = synthesize_received(env_true, cfg.source, cfg.pulse, cfg.grid)
+    assert np.array_equal(clean.values, want.values)
+
+
+def test_method_cell_config_errors():
+    cfg = ExperimentConfig()
+    with pytest.raises(ConfigError, match="unknown method"):
+        method_cell("triangulate", cfg, -2.0, None)
+    with pytest.raises(ConfigError, match="checkpoint"):
+        method_cell(METHOD_GBL_NN, cfg, -2.0, None)
+
+
 def test_run_cell_deterministic(env):
     cfg = ExperimentConfig(trials=2, methods=(METHOD_GBL_MATCHED,), snr_db_list=(20.0,))
-    r1 = run_cell(METHOD_GBL_MATCHED, env, env, cfg, 20.0, 0.0, 0.0, None)
-    r2 = run_cell(METHOD_GBL_MATCHED, env, env, cfg, 20.0, 0.0, 0.0, None)
+    r1 = run_cell(METHOD_GBL_MATCHED, cfg, 20.0, 0.0, 0.0, None)
+    r2 = run_cell(METHOD_GBL_MATCHED, cfg, 20.0, 0.0, 0.0, None)
     assert r1.to_csv_line() == r2.to_csv_line()
     assert r1.conv_rate == 1.0
     assert r1.rmse_m < 0.05

@@ -152,7 +152,7 @@ def test_error_grid_zero_for_perfect_table(norm):
     # by feeding the trained checkpoint if present, else skip
     arch = PlnArchitecture(hidden=(8,))
     params = pln_init(arch, norm, 0)
-    err = pln_error_grid(params, DEFAULT_ENVIRONMENT, DEFAULT_REGION, nx=4, nz=4)
+    err = pln_error_grid(params, DEFAULT_ENVIRONMENT, DEFAULT_REGION)
     # untrained network is far off but the metric must be finite and positive
     assert np.isfinite(err)
     assert err > 0.0
