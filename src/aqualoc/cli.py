@@ -26,21 +26,16 @@ from .environment import (
     save_dataset,
     synthesize_received,
 )
-from .forward import (
-    MatchedModel,
-    TrainConfig,
-    load_checkpoint,
-    pretrain,
-    save_checkpoint,
-)
+from .forward import MatchedModel, TrainConfig, pretrain, save_checkpoint
 from .harness import (
     ConfigError,
     DEFAULT_SNR_GRID,
     METHOD_GBL_MATCHED,
-    NETWORK_METHODS,
     SCENE_TYPES,
     ExperimentConfig,
+    _require_model,
     config_from_dict,
+    load_model,
     method_cell,
     parse_scene,
     run_and_write,
@@ -160,18 +155,16 @@ def _cmd_localize(doc: dict) -> int:
         "checkpoint", "method", "gamma", "snr_db", "mismatch_m", "seed",
     }
     _check_keys(doc, allowed, "localize")
-    cfg = ExperimentConfig(**parse_scene(doc))
     method = doc.get("method", METHOD_GBL_MATCHED)
+    checkpoint = str(_resolve(doc["checkpoint"])) if "checkpoint" in doc else None
+    cfg = ExperimentConfig(**parse_scene(doc), methods=(method,), checkpoint=checkpoint)
     gamma = require_gamma(doc.get("gamma", 0.0), ConfigError)
     snr_db = doc.get("snr_db", 20.0)
     if snr_db is not None:
         snr_db = _cast("snr_db", snr_db, finite_float)
     mismatch = _cast("mismatch_m", doc.get("mismatch_m", 0.0), finite_float)
     seed = _seed(doc)
-    model = None
-    if method in NETWORK_METHODS and "checkpoint" in doc:
-        model = load_checkpoint(_resolve(doc["checkpoint"])).model
-    env_assumed, adapter, clean = method_cell(method, cfg, mismatch, model)
+    env_assumed, adapter, clean = method_cell(method, cfg, mismatch, _require_model(cfg))
     if snr_db is None:
         received = clean
     else:
@@ -245,12 +238,7 @@ def _cmd_verify_theorem(doc: dict) -> int:
         theorem_cfg = TheoremConfig(**{key: doc[key] for key in theorem_keys & set(doc)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    model = load_checkpoint(_resolve(doc["checkpoint"])).model
-    if model.receiver_depth != env.receiver_depth:
-        raise ConfigError(
-            f"checkpoint receiver depth {model.receiver_depth} does not match "
-            f"environment receiver depth {env.receiver_depth}"
-        )
+    model = load_model(_resolve(doc["checkpoint"]), env)
     report = verify_theorem(model, env, source, eps_depth_m, theorem_cfg, grid=grid)
     out = _resolve(doc.get("out_dir", "theorem_report.json"))
     report.save(out)

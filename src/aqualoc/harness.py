@@ -303,13 +303,28 @@ def _crlb_row(cfg: ExperimentConfig, env: Environment, snr_db: float) -> SweepRo
     return SweepRow(METHOD_CRLB, snr_db, 0.0, 0.0, 0, bound, 0.0, 0.0, 1.0, 0.0)
 
 
+def load_model(path: str | Path, env: Environment) -> ModelParams:
+    """The network model of the checkpoint at `path`; a receiver depth other
+    than `env`'s is a ConfigError, as the network bakes that depth in."""
+    model = load_checkpoint(path).model
+    if model.receiver_depth != env.receiver_depth:
+        raise ConfigError(
+            f"checkpoint receiver depth {model.receiver_depth} does not match "
+            f"environment receiver depth {env.receiver_depth}"
+        )
+    return model
+
+
 def _require_model(cfg: ExperimentConfig) -> ModelParams | None:
-    needs_nn = any(m in cfg.methods for m in NETWORK_METHODS)
-    if not needs_nn:
+    """The model of `cfg.checkpoint`, which the network methods need and no
+    other method reads: a checkpoint that no method reads is a ConfigError."""
+    if not any(m in cfg.methods for m in NETWORK_METHODS):
+        if cfg.checkpoint is not None:
+            raise ConfigError(f"methods {list(cfg.methods)} read no checkpoint (config key 'checkpoint')")
         return None
     if cfg.checkpoint is None:
         raise ConfigError("methods gbl-nn/da-gbl need a checkpoint (config key 'checkpoint')")
-    return load_checkpoint(cfg.checkpoint).model
+    return load_model(cfg.checkpoint, cfg.environment)
 
 
 def _flag(flags: list, row: SweepRow, reason: str) -> None:

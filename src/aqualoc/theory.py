@@ -204,7 +204,9 @@ class TheoremReport:
     """Everything the robustness check measured, plus per-claim flags.
 
     All vector quantities (cube radius, theta, rho, bound, displacement) are
-    in normalized coordinates; `p_scales` maps them back to meters.
+    in normalized coordinates; `p_scales` maps them back to meters. The fields
+    after `convexity_ok` are measured only where strong convexity holds: a
+    not-applicable report keeps their defaults, NaN and False.
     """
 
     n_w: int
@@ -217,38 +219,32 @@ class TheoremReport:
     lambda_center: float
     hessian_asym: float
     l_hat: float
-    xi_hat: float
-    theta: float
-    rho_cube: float
-    epsilon_budget: float
-    bound: float
-    displacement: float
-    displacement_p_m: tuple[float, float]
-    g0_norm: float
-    gprime_max_err: float
-    sign_pos_min: float
-    sign_neg_max: float
     gbl_grad_norm: float
     polish_grad_norm: float
-    convexity_ok: bool
-    rho_ok: bool
-    gprime_ok: bool
-    budget_ok: bool
-    displacement_ok: bool
-    signs_ok: bool
-    passed: bool
-    verdict: str
     seed: int
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["p_scales"] = list(self.p_scales)
-        doc["displacement_p_m"] = list(self.displacement_p_m)
-        return doc
+    verdict: str
+    convexity_ok: bool
+    xi_hat: float = math.nan
+    theta: float = math.nan
+    rho_cube: float = math.nan
+    epsilon_budget: float = math.nan
+    bound: float = math.nan
+    displacement: float = math.nan
+    displacement_p_m: tuple[float, float] = (math.nan, math.nan)
+    g0_norm: float = math.nan
+    gprime_max_err: float = math.nan
+    sign_pos_min: float = math.nan
+    sign_neg_max: float = math.nan
+    rho_ok: bool = False
+    gprime_ok: bool = False
+    budget_ok: bool = False
+    displacement_ok: bool = False
+    signs_ok: bool = False
+    passed: bool = False
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
         return path
 
 
@@ -276,11 +272,6 @@ def _newton_polish(grad_fn, v: np.ndarray, h: float, iters: int, max_step: float
     return best_v, best_norm
 
 
-def _fit(adapter, received, p0, gamma, gbl_cfg) -> np.ndarray:
-    result = da_gbl(received, adapter, p0, gamma, gbl_cfg)
-    return np.concatenate([result.w_hat, result.p_hat]), result.grad_norm
-
-
 def verify_theorem(
     model: ModelParams,
     env_train: Environment,
@@ -304,69 +295,64 @@ def verify_theorem(
     """
     require_finite("verify_theorem", eps_depth_m=eps_depth_m)
     grid = grid or TimeGrid()
-    pulse = model.pulse
-    r_train = synthesize_received(env_train, source, pulse, grid)
     adapter = NetworkModel(model)
     nw = adapter.n_weights
-
-    p0 = toa_init(r_train, pulse, env_train).p0
-
     gbl_cfg = GblConfig(max_iter=800, step_tol_m=1e-7)
-    v0_raw, gbl_grad_norm = _fit(adapter, r_train, p0, cfg.gamma, gbl_cfg)
+
+    def received(d: float) -> SampledSignal:
+        """The noiseless recording at the training depth plus d."""
+        env_d = replace(env_train, depth=env_train.depth + d)
+        return synthesize_received(env_d, source, model.pulse, grid)
+
+    def fit(r: SampledSignal):
+        """DA-GBL on `r` from the shared seed p0: ([w; p], its gradient norm)."""
+        result = da_gbl(r, adapter, p0, cfg.gamma, gbl_cfg)
+        return np.concatenate([result.w_hat, result.p_hat]), result.grad_norm
+
+    def normalized_grad(r: SampledSignal):
+        """vt -> the adaptation objective's gradient on `r`, in normalized coordinates."""
+        raw_grad = make_grad_fn(adapter, r, cfg.gamma)
+        return lambda vt: scales * raw_grad(vt * scales)
+
+    def polish(grad_fn, v_raw: np.ndarray):
+        """Newton-polish a raw fit in normalized coordinates: (vt, gradient norm)."""
+        return _newton_polish(grad_fn, v_raw / scales, h_fd, NEWTON_ITERS, max_step=0.5 * sigma_used)
+
+    r_train = received(0.0)
+    p0 = toa_init(r_train, model.pulse, env_train).p0
+    v0_raw, gbl_grad_norm = fit(r_train)
 
     # Normalized coordinates: unit weight scale, position scales chosen so the
     # data-term curvature per position coordinate, 2 dt |df/dp_j|^2 in the
     # Gauss-Newton model, equals CURVATURE_TARGET.
-    fit = _WaveformFit(adapter, r_train, 0.0, True)
-    curv = fit.linearize(fit.evaluate(v0_raw))["curv_p"]
-    curv = np.maximum(curv, 1e-300)
-    u_p = np.sqrt(CURVATURE_TARGET / curv)
+    data_term = _WaveformFit(adapter, r_train, 0.0, True)
+    curv = data_term.linearize(data_term.evaluate(v0_raw))["curv_p"]
+    u_p = np.sqrt(CURVATURE_TARGET / np.maximum(curv, 1e-300))
     scales = np.ones(nw + 2)
     scales[nw:] = u_p
-
-    def to_raw(vt: np.ndarray) -> np.ndarray:
-        return vt * scales
-
-    def normalized_grad(received: SampledSignal):
-        """vt -> the adaptation objective's gradient on `received`, in normalized coordinates."""
-        raw_grad = make_grad_fn(adapter, received, cfg.gamma)
-        return lambda vt: scales * raw_grad(to_raw(vt))
-
-    grad_norm_fn = normalized_grad(r_train)
 
     # Cap the cube so no probe shifts any path length out of the aligned basin:
     # |d path length / d position| per coordinate, maximized over paths.
     _, jacobian = path_geometry(env_train, v0_raw[nw], v0_raw[nw + 1])
     slopes = np.max(np.abs(jacobian()), axis=0)
-    shift_per_sigma = float(slopes @ u_p)
-    sigma_used = min(CUBE_SIGMA, PATH_SHIFT_BUDGET_M / shift_per_sigma)
+    sigma_used = min(CUBE_SIGMA, PATH_SHIFT_BUDGET_M / float(slopes @ u_p))
     h_fd = FD_REL * sigma_used
 
-    vt0 = v0_raw / scales
-    vt0, polish_grad_norm = _newton_polish(
-        grad_norm_fn, vt0, h_fd, NEWTON_ITERS, max_step=0.5 * sigma_used
-    )
-    v0_raw = to_raw(vt0)
+    grad_train = normalized_grad(r_train)
+    vt0, polish_grad_norm = polish(grad_train, v0_raw)
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
-    lam = estimate_lambda(grad_norm_fn, vt0, sigma_used, h_fd, CUBE_SAMPLES, rng)
+    lam = estimate_lambda(grad_train, vt0, sigma_used, h_fd, CUBE_SAMPLES, rng)
     lambda_center = float(np.linalg.eigvalsh(lam.hessian_center)[0])
-
-    def grad_fn_for_depth(d: float):
-        if d == 0.0:
-            return grad_norm_fn
-        env_d = replace(env_train, depth=env_train.depth + d)
-        return normalized_grad(synthesize_received(env_d, source, pulse, grid))
 
     v_samples = [vt0] + [
         vt0 + sigma_used * rng.uniform(-1.0, 1.0, vt0.size)
         for _ in range(LIPSCHITZ_POINTS - 1)
     ]
     depth_steps = [s * d for d in LIPSCHITZ_DEPTHS for s in (1.0, -1.0)]
-    lip = estimate_lipschitz(grad_fn_for_depth, v_samples, depth_steps)
+    lip = estimate_lipschitz(lambda d: normalized_grad(received(d)), v_samples, depth_steps)
 
     convexity_ok = lam.lambda_hat > 0.0 and lambda_center > 0.0
-    n_total = nw + 2
     measured = dict(
         n_w=nw,
         n_p=2,
@@ -384,56 +370,36 @@ def verify_theorem(
         seed=cfg.seed,
     )
     if not convexity_ok:
-        nan = math.nan
         return TheoremReport(
             **measured,
-            xi_hat=nan, theta=nan, rho_cube=nan, epsilon_budget=nan, bound=nan,
-            displacement=nan, displacement_p_m=(nan, nan), g0_norm=nan, gprime_max_err=nan,
-            sign_pos_min=nan, sign_neg_max=nan,
-            rho_ok=False, gprime_ok=False, budget_ok=False, displacement_ok=False,
-            signs_ok=False, passed=False,
             verdict="not-applicable: strong convexity does not hold on the sampled cube",
         )
 
-    direction = np.linalg.solve(lam.hessian_center, np.ones(n_total))
-    xi = estimate_xi(grad_norm_fn, vt0, direction, sigma_used, KAPPA_POINTS)
+    direction = np.linalg.solve(lam.hessian_center, np.ones(nw + 2))
+    xi = estimate_xi(grad_train, vt0, direction, sigma_used, KAPPA_POINTS)
 
     theta = min(sigma_used, 1.0 / xi.xi_hat) if xi.xi_hat > 0.0 else sigma_used
     rho_cube = theta * float(np.max(np.abs(direction)))
     epsilon_budget = theta / (2.0 * lip.l_hat) if lip.l_hat > 0.0 else math.inf
-    bound = theta * math.sqrt(n_total / lam.lambda_hat)
+    bound = theta * math.sqrt((nw + 2) / lam.lambda_hat)
 
     rho_ok = rho_cube <= theta / math.sqrt(lam.lambda_hat) * 1.01
     gprime_ok = xi.gprime_max_err <= 1e-2
     budget_ok = abs(eps_depth_m) <= epsilon_budget
 
     # Refit under the perturbed environment from the same initialization.
-    env_test = replace(env_train, depth=env_train.depth + eps_depth_m)
-    r_test = synthesize_received(env_test, source, pulse, grid)
-    v_eps_raw, _ = _fit(adapter, r_test, p0, cfg.gamma, gbl_cfg)
-    grad_norm_eps = normalized_grad(r_test)
-    vt_eps, _ = _newton_polish(
-        grad_norm_eps, v_eps_raw / scales, h_fd, NEWTON_ITERS, max_step=0.5 * sigma_used
-    )
+    r_test = received(eps_depth_m)
+    grad_test = normalized_grad(r_test)
+    vt_eps, _ = polish(grad_test, fit(r_test)[0])
     displacement = float(np.linalg.norm(vt0 - vt_eps))
-    dp_m = np.abs(to_raw(vt0)[nw:] - to_raw(vt_eps)[nw:])
-    displacement_ok = bool(displacement <= bound) if budget_ok else False
+    dp_m = np.abs(vt0[nw:] * u_p - vt_eps[nw:] * u_p)
+    displacement_ok = budget_ok and bool(displacement <= bound)
 
-    v_plus = vt0 + theta * direction
-    v_minus = vt0 - theta * direction
-    g_plus = grad_norm_eps(v_plus)
-    g_minus = grad_norm_eps(v_minus)
-    sign_pos_min = float(g_plus.min())
-    sign_neg_max = float(g_minus.max())
+    sign_pos_min = float(grad_test(vt0 + theta * direction).min())
+    sign_neg_max = float(grad_test(vt0 - theta * direction).max())
     signs_ok = sign_pos_min > 0.0 and sign_neg_max < 0.0
 
-    if not budget_ok:
-        verdict = "budget-exceeded"
-        passed = False
-    else:
-        passed = bool(rho_ok and gprime_ok and displacement_ok and signs_ok)
-        verdict = "pass" if passed else "claim-failed"
-
+    passed = rho_ok and gprime_ok and displacement_ok and signs_ok
     return TheoremReport(
         **measured,
         xi_hat=xi.xi_hat,
@@ -453,6 +419,5 @@ def verify_theorem(
         displacement_ok=displacement_ok,
         signs_ok=signs_ok,
         passed=passed,
-        verdict=verdict,
+        verdict="pass" if passed else "claim-failed" if budget_ok else "budget-exceeded",
     )
-

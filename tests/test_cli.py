@@ -396,6 +396,33 @@ def test_verify_theorem_bad_gamma_exits_2(tmp_path, capsys, untrained_checkpoint
     assert "gamma" in capsys.readouterr().err
 
 
+# The untrained checkpoint's network bakes in a 120 m receiver; this scene puts it at 100 m.
+SHALLOW_RECEIVER = {"depth": 200.0, "sound_speed": 1500.0, "receiver_depth": 100.0}
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("localize", {"method": "gbl-nn"}, "receiver depth"),
+        ("sweep-snr", {"methods": ["gbl-nn"], "snr_db_list": [20.0], "trials": 1}, "receiver depth"),
+        ("sweep-mismatch", {"methods": ["gbl-nn"], "mismatch_m_list": [1.0], "trials": 1},
+         "receiver depth"),
+        ("verify-theorem", {}, "receiver depth"),
+        ("localize", {"method": "gbl-matched"}, "read no checkpoint"),
+    ],
+    ids=["localize-gbl-nn", "sweep-snr", "sweep-mismatch", "verify-theorem", "localize-gbl-matched"],
+)
+def test_checkpoint_must_fit_environment_and_method(
+    tmp_path, capsys, untrained_checkpoint, command, extra, message
+):
+    doc = {"checkpoint": str(untrained_checkpoint), "environment": SHALLOW_RECEIVER, **extra}
+    if command.startswith("sweep"):
+        doc["out_dir"] = str(tmp_path / "o")
+    assert main([command, "--config", write_config(tmp_path, "c.json", doc)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("gamma", BAD_GAMMAS)
 def test_theorem_config_rejects_bad_gamma(gamma):
     from aqualoc.theory import TheoremConfig

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -259,6 +260,26 @@ def test_verify_big_perturbation_reports_budget_exceeded(reduced_checkpoint):
     assert not rep.budget_ok
     # no displacement claim is asserted for an out-of-budget perturbation
     assert not rep.displacement_ok
+
+
+CLAIM_FLAGS = {"rho_ok", "gprime_ok", "budget_ok", "displacement_ok", "signs_ok", "passed"}
+
+
+def test_not_applicable_report_defaults_every_later_field(small_model, tmp_path):
+    # the untrained network's fit is not strongly convex on the sampled cube
+    rep = verify_theorem(small_model, DEFAULT_ENVIRONMENT, DEFAULT_SOURCE, -0.05)
+    assert rep.verdict.startswith("not-applicable")
+    assert rep.convexity_ok is False
+    names = [f.name for f in fields(rep)]
+    later = names[names.index("convexity_ok") + 1:]
+    assert CLAIM_FLAGS <= set(later)
+    doc = json.loads(rep.save(tmp_path / "report.json").read_text())
+    for name in later:
+        for value in (getattr(rep, name), doc[name]):
+            if name in CLAIM_FLAGS:
+                assert value is False, name
+            else:
+                assert np.all(np.isnan(value)), name
 
 
 def test_report_round_trips_as_json(theorem_report, tmp_path):
