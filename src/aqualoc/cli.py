@@ -238,7 +238,7 @@ def _cmd_verify_theorem(doc: dict) -> int:
         theorem_cfg = TheoremConfig(**{key: doc[key] for key in theorem_keys & set(doc)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    model = load_model(_resolve(doc["checkpoint"]), env)
+    model = load_model(_resolve(doc["checkpoint"]), env, pulse)
     report = verify_theorem(model, env, source, eps_depth_m, theorem_cfg, grid=grid)
     out = _resolve(doc.get("out_dir", "theorem_report.json"))
     report.save(out)

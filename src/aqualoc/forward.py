@@ -36,6 +36,7 @@ from .pln import (
     PlnArchitecture,
     PlnParams,
     length_forward,
+    length_jacobian,
     length_position_jacobian,
     length_vjp,
     path_features,
@@ -122,7 +123,7 @@ class NetworkModel(_LengthModel):
             d_p = length_position_jacobian(pln, w, deltas)
             if not weights:
                 return d_p, np.empty((len(lengths), 0))
-            return d_p, np.stack([length_vjp(pln.layout, inputs, deltas, e) for e in np.eye(len(lengths))])
+            return d_p, length_jacobian(inputs, deltas)
 
         return lengths, jacobian
 
@@ -159,7 +160,8 @@ def _peak_length_targets(dataset: Dataset) -> np.ndarray:
     """Per-item path-length targets from matched-filter peaks, NaN where unsettled.
 
     Up to three arrivals of each recording come from detect_arrivals, the
-    detector the localizer's initializer uses, and their times scale to path
+    detector the localizer's initializer uses, run on BATCH_SIZE recordings
+    at a time (a block's envelopes share one FFT call); their times scale to path
     lengths by the sound speed. The earliest arrival is always the direct
     path. The later two swap order across z = depth - z_r, but the surface
     bounce flips polarity (rho = -1), so of the two later peaks the one whose
@@ -174,13 +176,15 @@ def _peak_length_targets(dataset: Dataset) -> np.ndarray:
     fs = dataset.grid.sample_rate
     c = dataset.environment.sound_speed
     targets = np.full((dataset.count, len(THREE_PATHS)), np.nan)
-    for k in range(dataset.count):
-        # one carrier-free cycle of separation: training recordings are
-        # noiseless, so peaks may be split more aggressively than on field
-        # data, which keeps the merged bands (where the stand-in targets are
-        # biased) narrow; the relative floor rejects spectral-leakage local
-        # maxima that clear a pure median threshold on noiseless recordings
-        times, polarity = detect_arrivals(dataset.signals[k], dataset.pulse, fs, 1.0, 1e-3)
+    # one carrier-free cycle of separation: training recordings are
+    # noiseless, so peaks may be split more aggressively than on field
+    # data, which keeps the merged bands (where the stand-in targets are
+    # biased) narrow; the relative floor rejects spectral-leakage local
+    # maxima that clear a pure median threshold on noiseless recordings
+    found = []
+    for lo in range(0, dataset.count, BATCH_SIZE):
+        found += detect_arrivals(dataset.signals[lo : lo + BATCH_SIZE], dataset.pulse, fs, 1.0, 1e-3)
+    for k, (times, polarity) in enumerate(found):
         lens = c * times
         targets[k, :1] = lens[:1]
         if len(lens) == 3 and polarity[1] != polarity[2]:
@@ -192,24 +196,19 @@ def _peak_length_targets(dataset: Dataset) -> np.ndarray:
     return targets
 
 
-def _make_peaks_loss_fn(
-    model: ModelParams,
-    dataset: Dataset,
-    indices: np.ndarray,
-    targets: np.ndarray,
-):
+def _make_peaks_loss_fn(model: ModelParams, feats: np.ndarray, targets: np.ndarray):
     """Build w -> (mean squared length error against the settled peak targets, gradient).
 
-    A plain smooth regression with unlimited capture range: it never compares
-    waveforms, so it pulls arbitrarily misplaced predictions straight to the
-    observed arrival structure. NaN targets (see _peak_length_targets) drop
-    out of the sum; the mean still divides by every predicted length.
+    feats holds the batch's item features (_item_features, 3 rows per item)
+    and targets its (batch, 3) peak targets. A plain smooth regression with
+    unlimited capture range: it never compares waveforms, so it pulls
+    arbitrarily misplaced predictions straight to the observed arrival
+    structure. NaN targets (see _peak_length_targets) drop out of the sum;
+    the mean still divides by every predicted length.
     """
-    idx = np.asarray(indices)
-    batch = len(idx)
-    feats = _item_features(model, dataset.locations[idx])
-    settled = np.isfinite(targets[idx])
-    t = np.where(settled, targets[idx], 0.0)
+    batch = len(targets)
+    settled = np.isfinite(targets)
+    t = np.where(settled, targets, 0.0)
     weight = settled.astype(float)
     scale = 1.0 / (batch * len(THREE_PATHS))
 
@@ -257,6 +256,11 @@ def _length_gram(inputs: list[np.ndarray], deltas: list[np.ndarray], out: np.nda
     bias enters as one more constant input; a one-column D (the output
     layer) makes D D^T rank one, which just scales the rows of A. out is
     (rows, rows); it is returned.
+
+    Only the bands on and above the diagonal are computed; each band's part
+    right of its diagonal block is mirrored below it. The products are
+    symmetric bit for bit, so the mirror writes what the lower bands would
+    have computed.
     """
     rows = len(inputs[0])
     blocks = []
@@ -264,16 +268,19 @@ def _length_gram(inputs: list[np.ndarray], deltas: list[np.ndarray], out: np.nda
         a = np.hstack([a, np.ones((rows, 1))])
         blocks.append((a * d, None) if d.shape[1] == 1 else (a, d))
     # a band of rows at a time keeps the elementwise work in cache
-    gram, dd = np.empty((2, min(rows, 128), rows))
+    gram, dd = np.empty((2, min(rows, 128) * rows))
     for lo in range(0, rows, 128):
-        band = slice(lo, lo + 128)
-        g, h = gram[: rows - lo], dd[: rows - lo]
-        out[band] = 0.0
+        hi = min(lo + 128, rows)
+        band, shape = slice(lo, hi), (hi - lo, rows - lo)
+        g, h = gram[: shape[0] * shape[1]].reshape(shape), dd[: shape[0] * shape[1]].reshape(shape)
+        upper = out[band, lo:]
+        upper[...] = 0.0
         for a, d in blocks:
-            np.matmul(a[band], a.T, out=g)
+            np.matmul(a[band], a[lo:].T, out=g)
             if d is not None:
-                g *= np.matmul(d[band], d.T, out=h)
-            out[band] += g
+                g *= np.matmul(d[band], d[lo:].T, out=h)
+            upper += g
+        out[hi:, band] = upper[:, hi - lo :].T
     return out
 
 
@@ -288,16 +295,22 @@ class _ExactFit:
     linearized misfit is ||e_k||^2 - ||b_k||^2 + ||b_k - R_k J_k dw||^2 with
     b_k = R_k^{-T} G_k^T e_k: 3 weighted residuals per item in place of the
     recording's samples (Schraudolph 2002). The Levenberg-Marquardt step
-    (Levenberg 1944; Marquardt 1963) dw = M^T (M M^T + mu I)^{-1} b, with
-    M = R J, is solved multiplied through by R^{-1}: dw = J^T z with
-    (J J^T + mu H^{-1}) z = H^{-1} G^T e. That is 3 * count rows whatever
-    the network's size, J J^T comes from _length_gram, and R is never formed.
-    The damping is mu = lam * mean diagonal of M M^T.
+    (Levenberg 1944; Marquardt 1963) is dw = M^T (M M^T + mu I)^{-1} b =
+    (M^T M + mu I)^{-1} M^T b with M = R J, and the fit solves it in the
+    smaller of two spaces; R is never formed in either:
+      - length space, 3 * count rows, multiplied through by R^{-1}:
+        dw = J^T z with (J J^T + mu H^{-1}) z = H^{-1} G^T e, J J^T from
+        _length_gram;
+      - weight space, when the network has fewer weights than 3 * count
+        (Hagan & Menhaj 1994): (J^T H J + mu I) dw = J^T G^T e, J formed
+        from the backward pass's factors (pln.length_jacobian).
+    Both share the damping mu = lam * tr(M M^T) / (3 * count), the mean
+    diagonal of M M^T, as tr(M M^T) = tr(M^T M).
 
-    The fit owns the one J J^T buffer, which every linearize overwrites:
-    autodiff.lm_fit only steps from the newest linearized point, so no
-    earlier point's J J^T is read again. Training's policy: the fit has no
-    crawl exit, and it measures an accepted step in metres of predicted
+    In length space the fit owns the one J J^T buffer, which every linearize
+    overwrites: autodiff.lm_fit only steps from the newest linearized point,
+    so no earlier point's J J^T is read again. Training's policy: the fit has
+    no crawl exit, and it measures an accepted step in metres of predicted
     length against a step tolerance of 0, which no step is below, so it ends
     at its epoch budget unless its gradient vanishes or it stalls.
     """
@@ -313,7 +326,9 @@ class _ExactFit:
         self.count = dataset.count
         self.feats = _item_features(model, dataset.locations)
         self.scale = self.grid.dt / self.count
-        self.kk = np.empty((len(self.feats), len(self.feats)))
+        rows = len(self.feats)
+        self.weight_space = model.pln.n_weights < rows
+        self.kk = None if self.weight_space else np.empty((rows, rows))
 
     def evaluate(self, w: np.ndarray) -> dict:
         """The exact training loss (train_loss) at w.
@@ -347,10 +362,12 @@ class _ExactFit:
         return point
 
     def linearize(self, point: dict) -> dict:
-        """Add J's factors, J J^T, H^{-1}, H^{-1} G^T e, the damping scale and the gradient.
+        """Add G^T e, J^T G^T e, the gradient, the damping scale and the step's system.
 
-        The factors come from the point's backward pass, which evaluate
-        leaves to here so that a rejected trial step never runs it.
+        The system is J^T H J (weight space) or J's factors, J J^T, H^{-1}
+        and H^{-1} G^T e (length space). The factors come from the point's
+        backward pass, which evaluate leaves to here so that a rejected trial
+        step never runs it.
         """
         n_paths = len(THREE_PATHS)
         gte, gtg = length_normal_equations(
@@ -360,18 +377,24 @@ class _ExactFit:
         # merged arrivals make G^T G near singular; the relative jitter keeps
         # it invertible without moving the well-posed directions
         gtg += 1e-12 * np.trace(gtg, axis1=1, axis2=2)[:, None, None] * np.eye(n_paths)
-        h_inv = np.linalg.inv(gtg)
         inputs, deltas = point["backward"]()
+        jtg = length_vjp(self.model.pln.layout, inputs, deltas, gte.ravel())
+        # the loss's gradient -2 scale J^T G^T e
+        grad = (-2.0 * self.scale) * jtg
+        lin = {**point, "gte": gte, "jtg": jtg, "grad": grad, "grad_norm": math.sqrt(grad @ grad)}
+        if self.weight_space:
+            jac = length_jacobian(inputs, deltas)
+            h_jac = np.einsum("kij,kjw->kiw", gtg, jac.reshape(self.count, n_paths, -1))
+            jhj = jac.T @ h_jac.reshape(jac.shape)
+            return {**lin, "jhj": jhj, "mean_diag": np.trace(jhj) / len(jac)}
+        h_inv = np.linalg.inv(gtg)
         kk = _length_gram(inputs, deltas, self.kk)
         # mean diagonal of M M^T: tr(R_k K_kk R_k^T) = tr(H_k K_kk)
         items = np.arange(self.count)
         diag_blocks = kk.reshape(self.count, n_paths, self.count, n_paths)[items, :, items, :]
         mean_diag = np.einsum("kij,kji->", gtg, diag_blocks) / len(kk)
-        # the loss's gradient -2 scale J^T G^T e
-        grad = (-2.0 * self.scale) * length_vjp(self.model.pln.layout, inputs, deltas, gte.ravel())
-        return {**point, "inputs": inputs, "deltas": deltas, "kk": kk, "h_inv": h_inv,
-                "gte": gte, "rhs": np.einsum("kij,kj->ki", h_inv, gte), "mean_diag": mean_diag,
-                "grad": grad, "grad_norm": math.sqrt(grad @ grad)}
+        return {**lin, "inputs": inputs, "deltas": deltas, "kk": kk, "h_inv": h_inv,
+                "rhs": np.einsum("kij,kj->ki", h_inv, gte), "mean_diag": mean_diag}
 
     def moved(self, old: dict, new: dict) -> float:
         """An accepted step's size: the largest change of a predicted length, in metres."""
@@ -380,11 +403,16 @@ class _ExactFit:
     def step(self, lin: dict, lam: float) -> tuple[np.ndarray, float]:
         """Damped step at relative damping lam, and the loss drop it predicts.
 
-        The damping goes onto lin["kk"]'s diagonal 3x3 blocks in place and
-        comes off again exactly, from a copy of those blocks.
+        In weight space the drop is 2 dw . J^T G^T e - dw . J^T H J dw. In
+        length space the damping goes onto lin["kk"]'s diagonal 3x3 blocks in
+        place and comes off again exactly, from a copy of those blocks.
         """
         n_paths = len(THREE_PATHS)
         mu = lam * lin["mean_diag"]
+        if self.weight_space:
+            jhj = lin["jhj"]
+            dw = np.linalg.solve(jhj + mu * np.eye(len(jhj)), lin["jtg"])
+            return dw, float(2.0 * (dw @ lin["jtg"]) - dw @ (jhj @ dw)) * self.scale
         items = np.arange(self.count)
         blocks = lin["kk"].reshape(self.count, n_paths, self.count, n_paths)
         undamped = blocks[items, :, items, :]
@@ -480,6 +508,7 @@ def _peaks_stage(
     Moments start from zero; the rate follows _stage_lr from PEAKS_LR.
     """
     targets = _peak_length_targets(dataset)
+    feats = _item_features(model, dataset.locations).reshape(dataset.count, len(THREE_PATHS), -1)
     w = w.copy()
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m = np.zeros_like(w)
@@ -492,7 +521,8 @@ def _peaks_stage(
         losses = []
         for lo in range(0, dataset.count, BATCH_SIZE):
             idx = perm[lo : lo + BATCH_SIZE]
-            loss, g = value_and_grad(_make_peaks_loss_fn(model, dataset, idx, targets), w)
+            batch_feats = feats[idx].reshape(-1, feats.shape[-1])
+            loss, g = value_and_grad(_make_peaks_loss_fn(model, batch_feats, targets[idx]), w)
             losses.append(loss)
             step += 1
             m = beta1 * m + (1.0 - beta1) * g
@@ -519,6 +549,14 @@ def pretrain(
     for Adam, the whole-dataset loss for the exact stage) plus the in-region
     path-length error at each stage end, and warns if the trained network
     misses the in-region accuracy target.
+
+    The metadata's initial_loss is train_loss, whose sum runs over the
+    whole synthesized waveforms. final_loss is the exact stage's loss at the
+    returned weights, its last logged loss, summed on the arrival windows
+    only (_ExactFit.evaluate): the reference wherever the stage ran. The two
+    sums agree up to rounding, which the windowed one's cancellation against
+    the recordings' energy makes larger once the loss is tiny. Only when the
+    stage got no epochs is final_loss train_loss too.
     """
     region = region if region is not None else DEFAULT_REGION
     norm = InputNormalization.from_region(region, dataset.environment)
@@ -534,20 +572,22 @@ def pretrain(
     w = params.values.copy()
     curve: list[tuple[int, str, float]] = []  # epoch, kind, loss
     stage_errors: list[tuple[str, float]] = []  # kind, grid error
+    final_loss = None
     for kind, _, n_epochs, _ in cfg.stage_epochs():
         if n_epochs <= 0:
             continue
         if kind == STAGE_EXACT:
             last, _, _, losses = lm_fit(_ExactFit(model, dataset), w, n_epochs, 0.0)
-            w = last["v"]
-            del last  # it holds the fit's J J^T and backward pass, not needed from here on
+            w, final_loss = last["v"], last["loss"]
+            del last  # it holds the fit's linear system and backward pass, not needed from here on
         else:
             w, losses = _peaks_stage(model, dataset, w, n_epochs, rng)
         for loss in losses:
             curve.append((len(curve), kind, loss))
         model = replace(model, pln=PlnParams(arch, norm, w.copy()))
         stage_errors.append((kind, pln_error_grid(model.pln, dataset.environment, region)))
-    final_loss = train_loss(model, dataset)
+    if final_loss is None:  # the exact stage got no epochs
+        final_loss = train_loss(model, dataset)
     err = stage_errors[-1][1]
     if err > PLN_ERROR_TARGET:
         warnings.warn(

@@ -303,15 +303,17 @@ def _crlb_row(cfg: ExperimentConfig, env: Environment, snr_db: float) -> SweepRo
     return SweepRow(METHOD_CRLB, snr_db, 0.0, 0.0, 0, bound, 0.0, 0.0, 1.0, 0.0)
 
 
-def load_model(path: str | Path, env: Environment) -> ModelParams:
+def load_model(path: str | Path, env: Environment, pulse: AnalyticPulse) -> ModelParams:
     """The network model of the checkpoint at `path`; a receiver depth other
-    than `env`'s is a ConfigError, as the network bakes that depth in."""
+    than `env`'s is a ConfigError, as the network bakes that depth in, and so
+    is a medium other than the config's: mismatch here is a water-depth
+    offset only, so the sound speed and the pulse must match too."""
     model = load_checkpoint(path).model
-    if model.receiver_depth != env.receiver_depth:
-        raise ConfigError(
-            f"checkpoint receiver depth {model.receiver_depth} does not match "
-            f"environment receiver depth {env.receiver_depth}"
-        )
+    for name, have, want in (("receiver depth", model.receiver_depth, env.receiver_depth),
+                             ("sound speed", model.sound_speed, env.sound_speed),
+                             ("pulse", model.pulse, pulse)):
+        if have != want:
+            raise ConfigError(f"checkpoint {name} {have} does not match config {name} {want}")
     return model
 
 
@@ -324,7 +326,7 @@ def _require_model(cfg: ExperimentConfig) -> ModelParams | None:
         return None
     if cfg.checkpoint is None:
         raise ConfigError("methods gbl-nn/da-gbl need a checkpoint (config key 'checkpoint')")
-    return load_model(cfg.checkpoint, cfg.environment)
+    return load_model(cfg.checkpoint, cfg.environment, cfg.pulse)
 
 
 def _flag(flags: list, row: SweepRow, reason: str) -> None:

@@ -87,28 +87,49 @@ def _closed_form_seed(t_d: float, t_s: float, env: Environment, region: Region):
     return np.array(region.clip(math.sqrt(x_sq), z))
 
 
-def detect_arrivals(
-    values: np.ndarray, pulse: AnalyticPulse, fs: float, sep_cycles: float, rel_floor: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Up to three matched-filter arrivals: ascending times and their polarities.
+def peak_threshold(envelope: np.ndarray, rel_floor: float) -> float:
+    """max(median + 3 * 1.4826 MAD, rel_floor * max) of one envelope row.
 
-    Envelope peaks of the correlation with the pulse must clear the larger of
-    a median + 3 MAD noise floor and rel_floor times the envelope maximum,
-    and stand at least sep_cycles / bandwidth apart. Each is refined to
-    sub-sample precision; its polarity (+1 or -1) is the sign of the raw
-    correlation at the picked sample. Fewer than three (possibly none) come
-    back when fewer clear the floor.
+    The medians are skipped when the relative floor provably wins: if more
+    than n // 2 samples are at most tau = rel_floor * max / 8, the median and
+    the MAD are both at most tau, so the noise floor is at most 5.45 tau,
+    below rel_floor * max, which is then the threshold bit for bit. The count
+    compares 8 * sample (exact) with the floor, so tau is never rounded. A
+    zero rel_floor (the TOA seed's) never takes the shortcut, so nothing is
+    counted.
     """
-    envelope, lag_times, corr = correlation_envelope(values, pulse, fs)
+    floor = rel_floor * float(envelope.max())
+    if rel_floor > 0.0 and np.count_nonzero(8.0 * envelope <= floor) > len(envelope) // 2:
+        return floor
     med = float(np.median(envelope))
     mad = float(np.median(np.abs(envelope - med)))
-    threshold = max(med + 3.0 * 1.4826 * mad, rel_floor * float(envelope.max()))
+    return max(med + 3.0 * 1.4826 * mad, floor)
+
+
+def detect_arrivals(
+    values: np.ndarray, pulse: AnalyticPulse, fs: float, sep_cycles: float, rel_floor: float
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Up to three matched-filter arrivals per row of a block of recordings.
+
+    values is (rows, samples); one (ascending times, polarities) pair comes
+    back per row. Envelope peaks of the correlation with the pulse must clear
+    the row's peak_threshold (the larger of a median + 3 MAD noise floor and
+    rel_floor times the envelope maximum), and stand at least sep_cycles /
+    bandwidth apart. Each is refined to sub-sample precision; its polarity
+    (+1 or -1) is the sign of the raw correlation at the picked sample. Fewer
+    than three (possibly none) come back when fewer clear the floor.
+    """
+    envelopes, lag_times, corrs = correlation_envelope(values, pulse, fs)
     min_sep = max(1, int(round(sep_cycles / pulse.bandwidth * fs)))
-    peaks = np.array(pick_envelope_peaks(envelope, min_sep, threshold, max_peaks=3), dtype=int)
-    refined = np.array([refine_envelope_peak(envelope, i) for i in peaks])
-    order = np.argsort(refined)
-    polarity = np.where(corr[peaks[order]] < 0.0, -1.0, 1.0)
-    return lag_times[0] + refined[order] / fs, polarity
+    found = []
+    for envelope, corr in zip(envelopes, corrs):
+        threshold = peak_threshold(envelope, rel_floor)
+        peaks = np.array(pick_envelope_peaks(envelope, min_sep, threshold, max_peaks=3), dtype=int)
+        refined = np.array([refine_envelope_peak(envelope, i) for i in peaks])
+        order = np.argsort(refined)
+        polarity = np.where(corr[peaks[order]] < 0.0, -1.0, 1.0)
+        found.append((lag_times[0] + refined[order] / fs, polarity))
+    return found
 
 
 def toa_init(
@@ -131,7 +152,7 @@ def toa_init(
     ToaInitError
         If fewer than two sufficiently separated peaks clear the noise floor.
     """
-    times, _ = detect_arrivals(received.values, pulse, received.grid.sample_rate, 2.0, 0.0)
+    times, _ = detect_arrivals(received.values[None], pulse, received.grid.sample_rate, 2.0, 0.0)[0]
     if len(times) < 2:
         raise ToaInitError(
             f"only {len(times)} arrival peak(s) above the noise floor; "

@@ -196,6 +196,14 @@ def length_vjp(layout: Layout, inputs, deltas, v: np.ndarray) -> np.ndarray:
     return layout.pack(segments)
 
 
+def length_jacobian(inputs, deltas) -> np.ndarray:
+    """The lengths' weight Jacobian J, (rows, n_weights) in layout order, from the factors:
+    row r holds the outer product a_i[r] delta_i[r] and then delta_i[r], layer by layer."""
+    rows = len(inputs[0])
+    return np.hstack([part for a, d in zip(inputs, deltas)
+                      for part in ((a[:, :, None] * d[:, None, :]).reshape(rows, -1), d)])
+
+
 def length_position_jacobian(params: PlnParams, w: np.ndarray, deltas) -> np.ndarray:
     """d length / d(x, z) per row, (rows, 2), from the first layer's deltas."""
     w0 = params.layout.unpack(w)["W0"]

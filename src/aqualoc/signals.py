@@ -298,8 +298,10 @@ def correlation_envelope(
 ):
     """Matched-filter envelope, per-sample arrival times and the raw correlation.
 
-    The correlation is computed directly, its envelope by a real-FFT Hilbert
-    transform at the correlation's own length. Full correlation index j pairs
+    values is a (rows, samples) block of recordings; the envelope and the
+    correlation come back one row per recording. The correlation is computed
+    directly, row by row, its envelope by a real-FFT Hilbert transform at the
+    correlation's own length, all rows at once. Full correlation index j pairs
     values[n] with template sample m at n = j - (w - 1) + m, so an arrival at
     time tau (values[n] ~ s(n/fs - tau)) peaks at j = tau*fs + (kc - half) +
     (w - 1); the returned times invert that mapping. The correlation's sign at
@@ -310,11 +312,11 @@ def correlation_envelope(
     kc = int(round(pulse.center_time * fs))
     ks = np.arange(kc - half, kc + half + 1)
     template = eval_pulse(pulse, ks / fs)
-    corr = np.correlate(values, template, mode="full")
+    corr = np.stack([np.correlate(row, template, mode="full") for row in values])
     w = len(template)
     lag0 = -(w - 1) - (kc - half)
     envelope = analytic_envelope(corr)
-    times = (np.arange(len(corr)) + lag0) / fs
+    times = (np.arange(corr.shape[-1]) + lag0) / fs
     return envelope, times, corr
 
 
@@ -351,10 +353,11 @@ def refine_envelope_peak(envelope: np.ndarray, idx: int) -> float:
 
 
 def analytic_envelope(values: np.ndarray) -> np.ndarray:
-    """Analytic-signal magnitude |values + i H(values)|, H by real FFT at their own length."""
-    n = len(values)
+    """Analytic-signal magnitude |values + i H(values)| along the last axis, H by real FFT
+    at the rows' own length."""
+    n = values.shape[-1]
     spectrum = -1j * np.fft.rfft(values)
-    spectrum[0] = 0.0
+    spectrum[..., 0] = 0.0
     if n % 2 == 0:
-        spectrum[-1] = 0.0
+        spectrum[..., -1] = 0.0
     return np.hypot(values, np.fft.irfft(spectrum, n))

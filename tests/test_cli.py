@@ -423,6 +423,24 @@ def test_checkpoint_must_fit_environment_and_method(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "scene, message",
+    [
+        ({"environment": {"depth": 200.0, "sound_speed": 1480.0, "receiver_depth": 120.0}},
+         "sound speed 1500.0 does not match config sound speed 1480.0"),
+        ({"pulse": {"center_freq": 800.0, "bandwidth": 500.0, "center_time": 0.05}},
+         "center_freq=800.0"),
+    ],
+    ids=["sound-speed", "pulse"],
+)
+def test_checkpoint_must_fit_the_medium(tmp_path, capsys, untrained_checkpoint, scene, message):
+    # mismatch is a depth offset only: the reduced checkpoint's sound speed
+    # and pulse must be the config's
+    doc = {"checkpoint": str(untrained_checkpoint), "method": "gbl-nn", **scene}
+    assert main(["localize", "--config", write_config(tmp_path, "c.json", doc)]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("gamma", BAD_GAMMAS)
 def test_theorem_config_rejects_bad_gamma(gamma):
     from aqualoc.theory import TheoremConfig

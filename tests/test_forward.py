@@ -23,6 +23,7 @@ from aqualoc.environment import (
     arrival_params,
     gen_dataset,
     path_geometry,
+    stratified_locations,
     synthesize_received,
 )
 from aqualoc.forward import (
@@ -35,6 +36,7 @@ from aqualoc.forward import (
     STAGE_PEAKS,
     TrainConfig,
     _ExactFit,
+    _item_features,
     _length_gram,
     _make_peaks_loss_fn,
     _peak_length_targets,
@@ -49,6 +51,7 @@ from aqualoc.pln import (
     PlnArchitecture,
     PlnParams,
     length_forward,
+    length_jacobian,
     length_vjp,
     path_features,
     pln_init,
@@ -246,7 +249,8 @@ def test_peak_targets_resolve_polarity_both_sides(pulse, grid):
 def test_peaks_loss_gradient_and_floor(init_model, train_dataset):
     targets = _peak_length_targets(train_dataset)
     idx = np.arange(8)
-    loss_fn = _make_peaks_loss_fn(init_model, train_dataset, idx, targets)
+    feats = _item_features(init_model, train_dataset.locations[idx])
+    loss_fn = _make_peaks_loss_fn(init_model, feats, targets[idx])
     rep = fd_check(loss_fn, init_model.pln.values, n_coords=30, seed=1)
     assert rep.max_rel_error < 1e-6
     val = float(loss_fn(init_model.pln.values)[0])
@@ -258,7 +262,7 @@ def test_peaks_loss_gradient_and_floor(init_model, train_dataset):
         init_model.receiver_depth,
     )
     own[::3, 1:] = np.nan
-    perfect = _make_peaks_loss_fn(init_model, train_dataset, idx, own)
+    perfect = _make_peaks_loss_fn(init_model, feats, own[idx])
     loss, g = value_and_grad(perfect, init_model.pln.values)
     assert loss == 0.0
     assert np.all(g == 0.0)
@@ -288,12 +292,49 @@ def test_length_gram_matches_autodiff_jacobian(pulse, small_dataset):
         fd[:, j] = (length_forward(params, w + step, feats)[0]
                     - length_forward(params, w - step, feats)[0]) / (2.0 * h)
     np.testing.assert_allclose(jac, fd, rtol=0.0, atol=1e-9 * np.abs(jac).max())
+    np.testing.assert_array_equal(length_jacobian(inputs, deltas), jac)
     jjt = jac @ jac.T
     np.testing.assert_allclose(_length_gram(inputs, deltas, np.empty_like(jjt)), jjt, rtol=0.0,
                                atol=1e-12 * np.abs(jjt).max())
     v = np.random.default_rng(0).normal(size=len(feats))
     np.testing.assert_allclose(length_vjp(params.layout, inputs, deltas, v), jac.T @ v,
                                rtol=1e-12, atol=1e-12 * np.abs(jac).max())
+
+
+def test_length_gram_bands_cross_the_diagonal():
+    # 270 rows: two full 128-row bands and a partial one, so the computed
+    # upper bands and their mirrored lower parts meet inside every band
+    norm = InputNormalization.from_region(DEFAULT_REGION, DEFAULT_ENVIRONMENT)
+    params = pln_init(PlnArchitecture(hidden=(6, 5)), norm, 2)
+    locations = np.array(stratified_locations(DEFAULT_REGION, 90, seed=4))
+    feats = path_features(locations[:, 0], locations[:, 1], 120.0, norm).reshape(-1, 5)
+    inputs, deltas = length_forward(params, params.values, feats)[1]()
+    jac = length_jacobian(inputs, deltas)
+    gram = _length_gram(inputs, deltas, np.full((len(feats), len(feats)), np.nan))
+    assert len(gram) == 270
+    assert np.array_equal(gram, gram.T)
+    jjt = jac @ jac.T
+    np.testing.assert_allclose(gram, jjt, rtol=0.0, atol=1e-12 * np.abs(jjt).max())
+
+
+def test_weight_space_step_matches_length_space_step(init_model, small_dataset):
+    # 16 items give 48 rows against 57 weights, so the fit solves in length
+    # space; forced into weight space it must take the same step
+    length_fit = _ExactFit(init_model, small_dataset)
+    weight_fit = _ExactFit(init_model, small_dataset)
+    assert not length_fit.weight_space
+    weight_fit.weight_space = True
+    w = init_model.pln.values + 1e-3 * np.random.default_rng(2).normal(size=init_model.pln.n_weights)
+    by_length = length_fit.linearize(length_fit.evaluate(w))
+    by_weight = weight_fit.linearize(weight_fit.evaluate(w))
+    assert by_weight["mean_diag"] == pytest.approx(by_length["mean_diag"], rel=1e-12)
+    for lam in (1e-3, 1.0, 1e3):
+        dw_length, drop_length = length_fit.step(by_length, lam)
+        dw_weight, drop_weight = weight_fit.step(by_weight, lam)
+        np.testing.assert_allclose(dw_weight, dw_length, rtol=1e-9, atol=1e-9 * np.abs(dw_length).max())
+        assert drop_weight == pytest.approx(drop_length, rel=1e-9)
+    # the smaller space wins: 20 items give 60 rows, more than the 57 weights
+    assert _ExactFit(init_model, _subset(small_dataset, np.r_[0:16, 0:4])).weight_space
 
 
 def test_exact_fit_loss_matches_train_loss(init_model, small_dataset):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from aqualoc import autodiff, localize
 from aqualoc.autodiff import CRAWL_STEPS, LAM_INIT, fd_check, value_and_grad
@@ -30,6 +30,7 @@ from aqualoc.localize import (
     crlb,
     da_gbl,
     gbl,
+    peak_threshold,
     toa_init,
 )
 from aqualoc.pln import InputNormalization, PlnArchitecture, pln_init
@@ -143,6 +144,24 @@ def test_toa_seed_is_a_delay_stationary_point(env, pulse, grid, x, z):
     jac = jacobian()[cols] / env.sound_speed
     step = np.linalg.solve(jac.T @ jac, -(jac.T @ residual))
     assert np.max(np.abs(step)) < 1e-6
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    envelope=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e-307), st.floats(0.0, 1.0),
+                                st.floats(0.0, 1e300)), min_size=1, max_size=60),
+    rel_floor=st.sampled_from([0.0, 1e-3, 0.1, 0.125, 1.0]),
+)
+@example(envelope=[0.0, 0.0, 0.0, 1e-9, 1.0], rel_floor=1e-3)  # the shortcut decides
+@example(envelope=[0.0, 0.0, 1.0, 1.0], rel_floor=1.0)  # exactly n // 2 below tau
+@example(envelope=[0.0] * 4, rel_floor=1e-3)
+@example(envelope=[5e-324, 5e-324, 5e-324, 2.5e-323], rel_floor=1.0)  # subnormal floor
+def test_peak_threshold_shortcut_is_exact(envelope, rel_floor):
+    envelope = np.array(envelope)
+    med = float(np.median(envelope))
+    mad = float(np.median(np.abs(envelope - med)))
+    want = max(med + 3.0 * 1.4826 * mad, rel_floor * float(envelope.max()))
+    assert peak_threshold(envelope, rel_floor) == want
 
 
 # -- gradient-based localization ----------------------------------------------

@@ -248,8 +248,9 @@ def test_superpose_matches_per_arrival_loop(pulse, grid):
 
 
 def complex_fft_envelope(values):
-    """|ifft(fft(values) * h)| with the one-sided weights h: the textbook definition."""
-    n = len(values)
+    """|ifft(fft(values) * h)| along the last axis, with the one-sided weights h: the
+    textbook definition."""
+    n = values.shape[-1]
     h = np.zeros(n)
     h[0] = 1.0
     if n % 2 == 0:
@@ -273,18 +274,24 @@ def test_analytic_envelope_matches_complex_fft_definition(n, seed, scale):
     assert np.max(np.abs(est - complex_fft_envelope(values))) <= 1e-12 * np.max(np.abs(values))
 
 
-def test_detect_arrivals_pinned_to_complex_fft_envelope(monkeypatch, pulse, grid):
-    # noisy recordings over the region at 0-30 dB, detected with the TOA
-    # seed's settings under both envelopes
+@pytest.fixture(scope="module")
+def noisy_recordings(pulse, grid):
+    """40 recordings over the region at 0-30 dB, one row each."""
     snrs = [0.0, 10.0, 20.0, 30.0]
     recordings = []
     for k, (x, z) in enumerate(stratified_locations(DEFAULT_REGION, 40, seed=21)):
         clean = synthesize_received(DEFAULT_ENVIRONMENT, SourceLocation(x, z), pulse, grid)
         n0 = snr_to_n0(clean, snrs[k % 4], pulse.bandwidth)
         recordings.append(add_awgn(clean, NoiseSpec(n0, 500 + k)).values)
+    return np.stack(recordings)
+
+
+def test_detect_arrivals_pinned_to_complex_fft_envelope(monkeypatch, pulse, grid, noisy_recordings):
+    # noisy recordings detected with the TOA seed's settings under both
+    # envelopes, as one block
 
     def detect_all():
-        return [detect_arrivals(v, pulse, grid.sample_rate, 2.0, 0.0) for v in recordings]
+        return detect_arrivals(noisy_recordings, pulse, grid.sample_rate, 2.0, 0.0)
 
     new = detect_all()
     monkeypatch.setattr(signals, "analytic_envelope", complex_fft_envelope)
@@ -300,3 +307,31 @@ def test_peak_targets_pinned_to_complex_fft_envelope(monkeypatch, train_dataset)
     old = _peak_length_targets(train_dataset)
     assert np.array_equal(np.isnan(new), np.isnan(old))
     np.testing.assert_allclose(new, old, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("noisy", [True, False], ids=["toa-noisy", "training-noiseless"])
+def test_block_detect_arrivals_matches_row_by_row(request, pulse, grid, noisy):
+    # the TOA seed's settings on noisy rows, the peak targets' on noiseless
+    # training rows (where the relative floor's shortcut decides the threshold)
+    if noisy:
+        block, sep_cycles, rel_floor = request.getfixturevalue("noisy_recordings"), 2.0, 0.0
+    else:
+        block, sep_cycles, rel_floor = request.getfixturevalue("train_dataset").signals[:40], 1.0, 1e-3
+    found = detect_arrivals(block, pulse, grid.sample_rate, sep_cycles, rel_floor)
+    assert len(found) == len(block)
+    for row, (times, polarity) in zip(block, found):
+        [(want_times, want_polarity)] = detect_arrivals(
+            row[None], pulse, grid.sample_rate, sep_cycles, rel_floor)
+        assert np.array_equal(times, want_times)
+        assert np.array_equal(polarity, want_polarity)
+
+
+def test_block_envelope_matches_row_by_row(pulse, grid, noisy_recordings):
+    block = signals.correlation_envelope(noisy_recordings[:5], pulse, grid.sample_rate)
+    for k, row in enumerate(noisy_recordings[:5]):
+        one = signals.correlation_envelope(row[None], pulse, grid.sample_rate)
+        assert np.array_equal(block[0][k], one[0][0])
+        assert np.array_equal(block[1], one[1])
+        assert np.array_equal(block[2][k], one[2][0])
+        # the batched real FFTs give what a one-dimensional call gives
+        assert np.array_equal(one[0][0], signals.analytic_envelope(one[2][0]))
