@@ -14,8 +14,8 @@ from aqualoc.environment import (
     gen_dataset,
     synthesize_received,
 )
-from aqualoc.forward import TrainConfig, pretrain
-from aqualoc.pln import DEFAULT_HIDDEN, REDUCED_HIDDEN, PlnArchitecture
+from aqualoc.forward import Checkpoint, ModelParams, TrainConfig, pretrain, save_checkpoint
+from aqualoc.pln import DEFAULT_HIDDEN, REDUCED_HIDDEN, InputNormalization, PlnArchitecture, pln_init
 from aqualoc.signals import TimeGrid, make_pulse
 
 
@@ -65,6 +65,16 @@ def trained_checkpoint(train_dataset):
 def reduced_checkpoint(train_dataset):
     """Small-network checkpoint for the dense-Hessian theorem machinery."""
     return pretrain(train_dataset, PlnArchitecture(hidden=REDUCED_HIDDEN), TrainConfig())
+
+
+@pytest.fixture(scope="session")
+def untrained_checkpoint(tmp_path_factory):
+    """Path of a checkpoint holding the reduced network at its initial weights."""
+    norm = InputNormalization.from_region(DEFAULT_REGION, DEFAULT_ENVIRONMENT)
+    params = pln_init(PlnArchitecture(hidden=REDUCED_HIDDEN), norm, 0)
+    model = ModelParams(params, DEFAULT_ENVIRONMENT.sound_speed,
+                        DEFAULT_ENVIRONMENT.receiver_depth, make_pulse())
+    return save_checkpoint(Checkpoint(model), tmp_path_factory.mktemp("ck") / "ck.json")
 
 
 @pytest.fixture(scope="session")

@@ -375,20 +375,6 @@ def test_localize_bad_gamma_exits_2(tmp_path, capsys, gamma):
     assert "gamma" in capsys.readouterr().err
 
 
-@pytest.fixture(scope="module")
-def untrained_checkpoint(tmp_path_factory):
-    from aqualoc.environment import DEFAULT_ENVIRONMENT, DEFAULT_REGION
-    from aqualoc.forward import Checkpoint, ModelParams, save_checkpoint
-    from aqualoc.pln import REDUCED_HIDDEN, InputNormalization, PlnArchitecture, pln_init
-    from aqualoc.signals import make_pulse
-
-    norm = InputNormalization.from_region(DEFAULT_REGION, DEFAULT_ENVIRONMENT)
-    params = pln_init(PlnArchitecture(hidden=REDUCED_HIDDEN), norm, 0)
-    model = ModelParams(params, DEFAULT_ENVIRONMENT.sound_speed,
-                        DEFAULT_ENVIRONMENT.receiver_depth, make_pulse())
-    return save_checkpoint(Checkpoint(model), tmp_path_factory.mktemp("ck") / "ck.json")
-
-
 @pytest.mark.parametrize("gamma", BAD_GAMMAS)
 def test_verify_theorem_bad_gamma_exits_2(tmp_path, capsys, untrained_checkpoint, gamma):
     cfg = write_config(tmp_path, "t.json", {"checkpoint": str(untrained_checkpoint), "gamma": gamma})

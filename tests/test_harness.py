@@ -285,6 +285,57 @@ def test_mismatch_sweep_matched_tracks_true_depth(env):
     assert not flags
 
 
+# The untrained reduced network converges in some cells and not others, so
+# both sweeps raise flags of every kind they can.
+NETWORK_SWEEP = dict(methods=(METHOD_GBL_MATCHED, METHOD_GBL_NN, METHOD_DA_GBL),
+                     gamma_list=(0.0, 1.0), trials=2, seed=5)
+TRUST_BUDGET = "adaptation trust budget exceeded at this mismatch, no robustness claim"
+
+
+def _flags_from_rows(kind, rows):
+    """The sweep's flags, recomputed from its rows by its two rules."""
+    def flag(row, reason):
+        return {"method": row.method, "snr_db": row.snr_db, "mismatch_m": row.mismatch_m,
+                "gamma": row.gamma, "reason": reason}
+
+    suffix = f"; {TRUST_BUDGET}" if kind == "mismatch" else ""
+    flags = [flag(r, f"convergence rate {r.conv_rate:.2f} below 0.9{suffix}")
+             for r in rows if r.conv_rate < 0.9]
+    if kind == "mismatch":
+        matched = {r.mismatch_m: r.rmse_m for r in rows if r.method == METHOD_GBL_MATCHED}
+        flags += [flag(r, f"rmse {r.rmse_m:.3g} m is >= 5.0 x matched reference "
+                          f"{matched[r.mismatch_m]:.3g} m; {TRUST_BUDGET}")
+                  for r in rows if r.method == METHOD_DA_GBL
+                  and r.rmse_m >= 5.0 * matched[r.mismatch_m]]
+    return flags
+
+
+def test_sweep_row_order_and_flags(untrained_checkpoint):
+    ck = str(untrained_checkpoint)
+    snr_rows, snr_flags = run_snr_sweep(
+        ExperimentConfig(**NETWORK_SWEEP, snr_db_list=(0.0, 20.0), checkpoint=ck))
+    mis_rows, mis_flags = run_mismatch_sweep(
+        ExperimentConfig(**NETWORK_SWEEP, mismatch_m_list=(-1.0, 0.5), checkpoint=ck))
+    # the SNR sweep is method-major, the mismatch sweep mismatch-major;
+    # da-gbl runs once per gamma
+    assert [(r.method, r.snr_db, r.mismatch_m, r.gamma) for r in snr_rows] == [
+        ("gbl-matched", 0.0, 0.0, 0.0), ("gbl-matched", 20.0, 0.0, 0.0),
+        ("gbl-nn", 0.0, 0.0, 0.0), ("gbl-nn", 20.0, 0.0, 0.0),
+        ("da-gbl", 0.0, 0.0, 0.0), ("da-gbl", 0.0, 0.0, 1.0),
+        ("da-gbl", 20.0, 0.0, 0.0), ("da-gbl", 20.0, 0.0, 1.0),
+    ]
+    assert [(r.method, r.snr_db, r.mismatch_m, r.gamma) for r in mis_rows] == [
+        (method, 20.0, mismatch, gamma) for mismatch in (-1.0, 0.5)
+        for method, gamma in (("gbl-matched", 0.0), ("gbl-nn", 0.0),
+                              ("da-gbl", 0.0), ("da-gbl", 1.0))
+    ]
+    assert snr_flags == _flags_from_rows("snr", snr_rows)
+    assert mis_flags == _flags_from_rows("mismatch", mis_rows)
+    assert any(f["reason"].startswith("convergence rate") for f in mis_flags)
+    assert any(f["reason"].startswith("rmse") for f in mis_flags)
+    assert snr_flags and not any(TRUST_BUDGET in f["reason"] for f in snr_flags)
+
+
 def test_unknown_sweep_kind(tmp_path):
     cfg = ExperimentConfig(trials=1, out_dir=str(tmp_path))
     with pytest.raises(ConfigError):
