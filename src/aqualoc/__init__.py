@@ -60,8 +60,7 @@ from .harness import (
     config_from_dict,
     run_and_write,
     run_cell,
-    run_mismatch_sweep,
-    run_snr_sweep,
+    run_sweep,
     write_csv,
 )
 from .localize import (

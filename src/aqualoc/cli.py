@@ -170,8 +170,7 @@ def _cmd_localize(doc: dict) -> int:
     else:
         n0 = snr_to_n0(clean, snr_db, cfg.pulse.bandwidth)
         received = add_awgn(clean, NoiseSpec(n0, seed))
-    estimate, result = seed_and_fit(
-        method, received, adapter, cfg.pulse, env_assumed, cfg.region, gamma)
+    estimate, result = seed_and_fit(method, cfg, received, adapter, env_assumed, gamma)
     err = float(np.linalg.norm(result.p_hat - np.array([cfg.source.x, cfg.source.z])))
     print(
         json.dumps(
@@ -200,14 +199,6 @@ def _sweep(kind: str, doc: dict) -> int:
         print(f"FLAG {flag['method']} mismatch={flag['mismatch_m']} snr={flag['snr_db']}: {flag['reason']}")
     print(f"wrote {len(rows)} rows to {csv_path}")
     return 0
-
-
-def _cmd_sweep_snr(doc: dict) -> int:
-    return _sweep("snr", doc)
-
-
-def _cmd_sweep_mismatch(doc: dict) -> int:
-    return _sweep("mismatch", doc)
 
 
 def _cmd_crlb(doc: dict) -> int:
@@ -339,8 +330,8 @@ _CONFIGURED = {
     "gen-data": _cmd_gen_data,
     "train": _cmd_train,
     "localize": _cmd_localize,
-    "sweep-snr": _cmd_sweep_snr,
-    "sweep-mismatch": _cmd_sweep_mismatch,
+    "sweep-snr": lambda doc: _sweep("snr", doc),
+    "sweep-mismatch": lambda doc: _sweep("mismatch", doc),
     "crlb": _cmd_crlb,
     "verify-theorem": _cmd_verify_theorem,
 }

@@ -1,4 +1,4 @@
-"""Monte-Carlo experiment orchestration: SNR sweeps, mismatch sweeps, CRLB rows.
+"""Monte-Carlo experiment orchestration: SNR and mismatch sweeps, CRLB rows.
 
 Every artifact is a pure function of (config, master seed): per-trial noise
 seeds are derived by seed-sequence composition over the cell coordinates, and
@@ -104,15 +104,6 @@ class ExperimentConfig:
                 for i, v in enumerate(getattr(self, name))})
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    def to_dict(self) -> dict:
-        """JSON form; each scene section is its dataclass's fields in order."""
-        doc = asdict(self)
-        for name in ("snr_db_list", "mismatch_m_list", "gamma_list", "methods"):
-            doc[name] = list(doc[name])
-        doc["out_dir"] = str(self.out_dir)
-        doc["checkpoint"] = None if self.checkpoint is None else str(self.checkpoint)
-        return doc
 
 
 # The sections of a config document that hold one scene dataclass each.
@@ -231,6 +222,15 @@ def _cell_stats(errors: list, n_trials: int) -> tuple[float, float, float, float
     return rm, mean, ci, conv_rate
 
 
+def true_environment(env: Environment, mismatch_m: float, key: str = "mismatch_m") -> Environment:
+    """`env` with its water depth shifted by `mismatch_m`; a depth that leaves
+    the receiver outside the water is a ConfigError naming config key `key`."""
+    try:
+        return replace(env, depth=env.depth + mismatch_m)
+    except ValueError as exc:
+        raise ConfigError(f"{key} {mismatch_m!r}: {exc}") from None
+
+
 def method_cell(method: str, cfg: ExperimentConfig, mismatch_m: float,
                 model: ModelParams | None):
     """One method's view of a cell whose recording comes from the training
@@ -240,7 +240,7 @@ def method_cell(method: str, cfg: ExperimentConfig, mismatch_m: float,
     gbl-nn and da-gbl fit the trained network `model` and assume the training
     environment.
     """
-    env_true = replace(cfg.environment, depth=cfg.environment.depth + mismatch_m)
+    env_true = true_environment(cfg.environment, mismatch_m)
     if method == METHOD_GBL_MATCHED:
         env_assumed, adapter = env_true, MatchedModel(env_true, cfg.pulse)
     elif method not in NETWORK_METHODS:
@@ -253,12 +253,11 @@ def method_cell(method: str, cfg: ExperimentConfig, mismatch_m: float,
     return env_assumed, adapter, clean
 
 
-def seed_and_fit(method: str, received: SampledSignal, adapter, pulse: AnalyticPulse,
-                 env_assumed: Environment, region: Region,
-                 gamma: float) -> tuple[ToaEstimate, LocalizeResult]:
+def seed_and_fit(method: str, cfg: ExperimentConfig, received: SampledSignal, adapter,
+                 env_assumed: Environment, gamma: float) -> tuple[ToaEstimate, LocalizeResult]:
     """The TOA seed under the assumed environment, then `da_gbl` at gamma for
     da-gbl or `gbl` otherwise. Raises ToaInitError where the seed does."""
-    estimate = toa_init(received, pulse, env_assumed, region)
+    estimate = toa_init(received, cfg.pulse, env_assumed, cfg.region)
     if method == METHOD_DA_GBL:
         return estimate, da_gbl(received, adapter, estimate.p0, gamma)
     return estimate, gbl(received, adapter, estimate.p0)
@@ -282,8 +281,7 @@ def run_cell(
         seed = _trial_seed(cfg.seed, method, snr_db, mismatch_m, gamma, trial)
         received = add_awgn(clean, NoiseSpec(n0, seed))
         try:
-            _, result = seed_and_fit(
-                method, received, adapter, cfg.pulse, env_assumed, cfg.region, gamma)
+            _, result = seed_and_fit(method, cfg, received, adapter, env_assumed, gamma)
         except ToaInitError:
             continue
         if result.converged:
@@ -293,11 +291,11 @@ def run_cell(
     return SweepRow(method, snr_db, mismatch_m, gamma, cfg.trials, rm, mean, ci, conv_rate, wall)
 
 
-def _crlb_row(cfg: ExperimentConfig, env: Environment, snr_db: float) -> SweepRow:
-    clean = synthesize_received(env, cfg.source, cfg.pulse, cfg.grid)
+def _crlb_row(cfg: ExperimentConfig, snr_db: float) -> SweepRow:
+    clean = synthesize_received(cfg.environment, cfg.source, cfg.pulse, cfg.grid)
     n0 = snr_to_n0(clean, snr_db, cfg.pulse.bandwidth)
     try:
-        bound = crlb(env, cfg.source.x, cfg.source.z, cfg.pulse, cfg.grid, n0).rmse_bound
+        bound = crlb(cfg.environment, cfg.source.x, cfg.source.z, cfg.pulse, cfg.grid, n0).rmse_bound
     except SingularFisherError:
         bound = math.nan
     return SweepRow(METHOD_CRLB, snr_db, 0.0, 0.0, 0, bound, 0.0, 0.0, 1.0, 0.0)
@@ -329,85 +327,61 @@ def _require_model(cfg: ExperimentConfig) -> ModelParams | None:
     return load_model(cfg.checkpoint, cfg.environment, cfg.pulse)
 
 
-def _flag(flags: list, row: SweepRow, reason: str) -> None:
-    flags.append(
-        {
-            "method": row.method,
-            "snr_db": row.snr_db,
-            "mismatch_m": row.mismatch_m,
-            "gamma": row.gamma,
-            "reason": reason,
-        }
-    )
-
-
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
 
 
-def run_snr_sweep(cfg: ExperimentConfig):
-    """RMSE vs SNR in the true training environment; returns (rows, flags)."""
-    model = _require_model(cfg)
-    rows = []
-    flags = []
-    for method in cfg.methods:
-        for snr_db in cfg.snr_db_list:
-            if method == METHOD_CRLB:
-                rows.append(_crlb_row(cfg, cfg.environment, snr_db))
-                continue
-            gammas = cfg.gamma_list if method == METHOD_DA_GBL else (0.0,)
-            for gamma in gammas:
-                row = run_cell(method, cfg, snr_db, 0.0, gamma, model)
-                if row.conv_rate < CONVERGENCE_FLAG_RATE:
-                    _flag(flags, row, f"convergence rate {row.conv_rate:.2f} below {CONVERGENCE_FLAG_RATE}")
-                rows.append(row)
-    return rows, flags
+def run_sweep(kind: str, cfg: ExperimentConfig):
+    """One sweep's rows and manifest flags; returns (rows, flags).
 
-
-def run_mismatch_sweep(cfg: ExperimentConfig):
-    """RMSE vs water-depth mismatch at the configured SNR; returns (rows, flags).
-
-    Each method assumes its environment as `method_cell` sets it; the
-    gbl-matched rows, which use the true (offset) depth, serve as the
-    in-environment reference for the large-mismatch flag.
+    "snr" is RMSE vs SNR in the training environment, method-major over
+    `snr_db_list`. "mismatch" is RMSE vs water-depth mismatch at `cfg.snr_db`,
+    mismatch-major over the localization methods, each assuming its
+    environment as `method_cell` sets it. crlb rows hold the bound; da-gbl
+    runs once per gamma of `gamma_list`.
     """
-    methods = [m for m in cfg.methods if m != METHOD_CRLB]
-    if not methods:
-        raise ConfigError("mismatch sweep needs at least one localization method")
+    if kind == "snr":
+        cells = [(method, snr_db, 0.0) for method in cfg.methods for snr_db in cfg.snr_db_list]
+    elif kind == "mismatch":
+        methods = [m for m in cfg.methods if m != METHOD_CRLB]
+        if not methods:
+            raise ConfigError("mismatch sweep needs at least one localization method")
+        for i, mismatch in enumerate(cfg.mismatch_m_list):
+            true_environment(cfg.environment, mismatch, f"mismatch_m_list[{i}]")
+        cells = [(method, cfg.snr_db, mismatch)
+                 for mismatch in cfg.mismatch_m_list for method in methods]
+    else:
+        raise ConfigError(f"unknown sweep kind {kind!r}")
     model = _require_model(cfg)
     rows = []
-    flags = []
-    matched_ref = {}
-    for mismatch in cfg.mismatch_m_list:
-        for method in methods:
-            gammas = cfg.gamma_list if method == METHOD_DA_GBL else (0.0,)
-            for gamma in gammas:
-                row = run_cell(method, cfg, cfg.snr_db, mismatch, gamma, model)
-                rows.append(row)
-                if method == METHOD_GBL_MATCHED:
-                    matched_ref[mismatch] = row.rmse_m
-                if row.conv_rate < CONVERGENCE_FLAG_RATE:
-                    _flag(
-                        flags, row,
-                        f"convergence rate {row.conv_rate:.2f} below {CONVERGENCE_FLAG_RATE}; "
-                        "adaptation trust budget exceeded at this mismatch, no robustness claim",
-                    )
-    for row in rows:
-        ref = matched_ref.get(row.mismatch_m)
-        if (
-            row.method == METHOD_DA_GBL
-            and ref is not None
-            and np.isfinite(row.rmse_m)
-            and np.isfinite(ref)
-            and row.rmse_m >= MATCHED_REFERENCE_FACTOR * ref
-        ):
-            _flag(
-                flags, row,
-                f"rmse {row.rmse_m:.3g} m is >= {MATCHED_REFERENCE_FACTOR} x matched reference "
-                f"{ref:.3g} m; adaptation trust budget exceeded at this mismatch, no robustness claim",
-            )
-    return rows, flags
+    for method, snr_db, mismatch in cells:
+        if method == METHOD_CRLB:
+            rows.append(_crlb_row(cfg, snr_db))
+            continue
+        for gamma in cfg.gamma_list if method == METHOD_DA_GBL else (0.0,):
+            rows.append(run_cell(method, cfg, snr_db, mismatch, gamma, model))
+    return rows, _flags(kind, rows)
+
+
+def _flags(kind: str, rows: list) -> list:
+    """The cells the manifest flags, by two rules in turn, each in row order:
+    a convergence rate below CONVERGENCE_FLAG_RATE, and (mismatch sweep only)
+    a da-gbl RMSE at least MATCHED_REFERENCE_FACTOR times the gbl-matched RMSE
+    at its mismatch, the in-environment reference."""
+    budget = "; adaptation trust budget exceeded at this mismatch, no robustness claim"
+    suffix = budget if kind == "mismatch" else ""
+    flagged = [(row, f"convergence rate {row.conv_rate:.2f} below {CONVERGENCE_FLAG_RATE}{suffix}")
+               for row in rows if row.conv_rate < CONVERGENCE_FLAG_RATE]
+    if kind == "mismatch":
+        matched = {row.mismatch_m: row.rmse_m for row in rows if row.method == METHOD_GBL_MATCHED}
+        for row in rows:
+            ref = matched.get(row.mismatch_m, math.nan)
+            if row.method == METHOD_DA_GBL and row.rmse_m >= MATCHED_REFERENCE_FACTOR * ref:
+                flagged.append((row, f"rmse {row.rmse_m:.3g} m is >= {MATCHED_REFERENCE_FACTOR} x "
+                                     f"matched reference {ref:.3g} m{budget}"))
+    return [{"method": row.method, "snr_db": row.snr_db, "mismatch_m": row.mismatch_m,
+             "gamma": row.gamma, "reason": reason} for row, reason in flagged]
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +390,13 @@ def run_mismatch_sweep(cfg: ExperimentConfig):
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    canonical = json.dumps(cfg.to_dict(), sort_keys=True)
+    canonical = json.dumps(asdict(cfg), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def write_manifest(cfg: ExperimentConfig, flags, csv_path: Path, n_rows: int, path: str | Path) -> Path:
     doc = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
         "csv": csv_path.name,
@@ -436,14 +410,8 @@ def write_manifest(cfg: ExperimentConfig, flags, csv_path: Path, n_rows: int, pa
 
 def run_and_write(kind: str, cfg: ExperimentConfig):
     """Run one sweep and write its CSV and manifest; returns (rows, flags, csv_path)."""
-    if kind == "snr":
-        rows, flags = run_snr_sweep(cfg)
-        stem = "snr_sweep"
-    elif kind == "mismatch":
-        rows, flags = run_mismatch_sweep(cfg)
-        stem = "mismatch_sweep"
-    else:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
+    rows, flags = run_sweep(kind, cfg)
+    stem = f"{kind}_sweep"
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = write_csv(rows, out_dir / f"{stem}.csv")

@@ -174,6 +174,10 @@ def test_infinite_region_bound_exits_2(tmp_path, capsys, command):
         ("localize", {"seed": -1}, "seed"),
         ("sweep-snr", {"seed": -1, "methods": ["crlb"]}, "seed"),
         ("sweep-mismatch", {"seed": -1, "methods": ["gbl-matched"]}, "seed"),
+        # a depth offset that leaves the receiver below the bottom, before any cell runs
+        ("sweep-mismatch", {"mismatch_m_list": [-1, -90], "methods": ["gbl-matched"]},
+         "mismatch_m_list[1]"),
+        ("localize", {"mismatch_m": -90}, "mismatch_m"),
     ],
 )
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, doc, key):

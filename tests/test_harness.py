@@ -2,12 +2,13 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from aqualoc.environment import (
-    DEFAULT_ENVIRONMENT, DEFAULT_REGION, Environment, SourceLocation, synthesize_received,
+    DEFAULT_REGION, Environment, SourceLocation, synthesize_received,
 )
 from aqualoc.forward import MatchedModel, ModelParams, NetworkModel
 from aqualoc.harness import (
@@ -28,8 +29,7 @@ from aqualoc.harness import (
     method_cell,
     run_and_write,
     run_cell,
-    run_snr_sweep,
-    run_mismatch_sweep,
+    run_sweep,
     write_csv,
 )
 from aqualoc.localize import ToaInitError
@@ -121,14 +121,14 @@ def test_config_from_dict_bad_section():
 
 def test_config_dict_round_trip():
     cfg = ExperimentConfig(trials=7, seed=3, snr_db_list=(10.0, 20.0), gamma_list=(0.5,))
-    again = config_from_dict(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
+    again = config_from_dict(asdict(cfg))
+    assert asdict(again) == asdict(cfg)
     assert config_hash(again) == config_hash(cfg)
 
 
 def test_config_hash_pinned():
     # every sweep manifest records this hash of the default config's
-    # canonical JSON; it must not drift with how to_dict builds that JSON
+    # canonical JSON; it must not drift with how that JSON is built
     assert config_hash(ExperimentConfig()) == "a46b4c28e58744c4"
 
 
@@ -185,7 +185,7 @@ def test_csv_row_format_and_write(tmp_path):
 def test_crlb_rows_monotone_in_snr():
     cfg = ExperimentConfig(trials=1)
     bounds = [
-        _crlb_row(cfg, DEFAULT_ENVIRONMENT, snr).rmse_m for snr in (0.0, 10.0, 20.0, 30.0)
+        _crlb_row(cfg, snr).rmse_m for snr in (0.0, 10.0, 20.0, 30.0)
     ]
     assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
 
@@ -235,7 +235,7 @@ def test_failed_seeding_counted_not_averaged(monkeypatch):
 
     monkeypatch.setattr("aqualoc.harness.toa_init", boom)
     cfg = ExperimentConfig(trials=2, methods=(METHOD_GBL_MATCHED,), snr_db_list=(20.0,))
-    rows, flags = run_snr_sweep(cfg)
+    rows, flags = run_sweep("snr", cfg)
     assert rows[0].conv_rate == 0.0
     assert math.isnan(rows[0].rmse_m)
     assert flags and "convergence rate" in flags[0]["reason"]
@@ -265,7 +265,7 @@ def test_snr_sweep_crlb_only_deterministic_artifacts(tmp_path):
 def test_mismatch_sweep_requires_localization_method():
     cfg = ExperimentConfig(methods=(METHOD_CRLB,), trials=1)
     with pytest.raises(ConfigError):
-        run_mismatch_sweep(cfg)
+        run_sweep("mismatch", cfg)
 
 
 def test_mismatch_sweep_matched_tracks_true_depth(env):
@@ -277,7 +277,7 @@ def test_mismatch_sweep_matched_tracks_true_depth(env):
         mismatch_m_list=(-2.0,),
         snr_db=20.0,
     )
-    rows, flags = run_mismatch_sweep(cfg)
+    rows, flags = run_sweep("mismatch", cfg)
     assert len(rows) == 1
     assert rows[0].mismatch_m == -2.0
     assert rows[0].conv_rate == 1.0
@@ -312,10 +312,10 @@ def _flags_from_rows(kind, rows):
 
 def test_sweep_row_order_and_flags(untrained_checkpoint):
     ck = str(untrained_checkpoint)
-    snr_rows, snr_flags = run_snr_sweep(
-        ExperimentConfig(**NETWORK_SWEEP, snr_db_list=(0.0, 20.0), checkpoint=ck))
-    mis_rows, mis_flags = run_mismatch_sweep(
-        ExperimentConfig(**NETWORK_SWEEP, mismatch_m_list=(-1.0, 0.5), checkpoint=ck))
+    snr_rows, snr_flags = run_sweep(
+        "snr", ExperimentConfig(**NETWORK_SWEEP, snr_db_list=(0.0, 20.0), checkpoint=ck))
+    mis_rows, mis_flags = run_sweep(
+        "mismatch", ExperimentConfig(**NETWORK_SWEEP, mismatch_m_list=(-1.0, 0.5), checkpoint=ck))
     # the SNR sweep is method-major, the mismatch sweep mismatch-major;
     # da-gbl runs once per gamma
     assert [(r.method, r.snr_db, r.mismatch_m, r.gamma) for r in snr_rows] == [
