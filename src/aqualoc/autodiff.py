@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import alpha_tau
-from .signals import AnalyticPulse, TimeGrid, eval_pulse_dt, superpose_arrivals
+from .signals import AnalyticPulse, TimeGrid, eval_pulse_dt, superpose_windows
 
 # Levenberg-Marquardt relative damping: where every fit starts, and the
 # ceiling above which a step is a vanishing gradient step (a fit failing there has stalled)
@@ -41,22 +41,24 @@ class NumericOverflowError(ArithmeticError):
     """A non-finite value appeared while evaluating or differentiating."""
 
 
-def window_dt(pulse: AnalyticPulse, u: np.ndarray) -> np.ndarray:
-    """ds/dt on arrival windows, at times u relative to the envelope center."""
-    return eval_pulse_dt(pulse, u + pulse.center_time)
+def finite_arrivals(alpha, tau) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and tau as float64 arrays of one shape; NumericOverflowError unless all finite."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    tau = np.asarray(tau, dtype=np.float64)
+    if alpha.shape != tau.shape:
+        raise ValueError(f"alpha shape {alpha.shape} != tau shape {tau.shape}")
+    if not (np.isfinite(alpha).all() and np.isfinite(tau).all()):
+        raise NumericOverflowError("non-finite arrival parameters entering superpose")
+    return alpha, tau
 
 
 def superpose(alpha: np.ndarray, tau: np.ndarray, pulse: AnalyticPulse, grid: TimeGrid):
-    """signals.superpose_arrivals on checked float64 input: (out, (pad, start, u, window)).
+    """signals.superpose_windows on checked float64 input: (out, (pad, start, u, window)).
 
     Forward arithmetic is shared bit-for-bit with the plain synthesis kernel;
     the arrival windows come back with the waveform.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    tau = np.asarray(tau, dtype=np.float64)
-    if not (np.isfinite(alpha).all() and np.isfinite(tau).all()):
-        raise NumericOverflowError("non-finite arrival parameters entering superpose")
-    return superpose_arrivals(alpha, tau, pulse, grid, return_parts=True)
+    return superpose_windows(*finite_arrivals(alpha, tau), pulse, grid)
 
 
 def arrival_signal(lengths: np.ndarray, sound_speed: float, pulse: AnalyticPulse, grid: TimeGrid):
@@ -66,12 +68,13 @@ def arrival_signal(lengths: np.ndarray, sound_speed: float, pulse: AnalyticPulse
     return f, (alphas, *parts)
 
 
-def window_index(pad: int, start: np.ndarray, w_len: int, n: int):
+def window_index(start: np.ndarray, pulse: AnalyticPulse, grid: TimeGrid):
     """Grid index of every arrival-window sample, clipped into the grid, and whether it is on it."""
-    at = start[:, :, None] + np.arange(w_len) - pad
-    inside = (at >= 0) & (at < n)
+    lay = grid.windows(pulse)
+    at = start[:, :, None] + lay.rel
+    inside = (at >= 0) & (at < lay.n)
     # np.minimum/np.maximum rather than np.clip, whose wrapper costs more than this work
-    return np.minimum(np.maximum(at, 0), n - 1), inside
+    return np.minimum(np.maximum(at, 0), lay.n - 1), inside
 
 
 def on_windows(x: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -97,7 +100,7 @@ def length_normal_equations(pulse, sound_speed, lengths, alphas, u, window, insi
     G = df / dl on the arrival windows, d(alpha s(t - tau)) / dl through
     alpha = rho / l and tau = l / c, zero on window samples off the grid.
     """
-    dwindow = window_dt(pulse, u)
+    dwindow = eval_pulse_dt(pulse, u + pulse.center_time)  # ds/dt on the windows
     g_win = -(alphas / lengths)[:, :, None] * window
     g_win -= (alphas / sound_speed)[:, :, None] * dwindow
     g_win *= inside

@@ -40,6 +40,7 @@ from .harness import (
     parse_scene,
     run_and_write,
     seed_and_fit,
+    true_environment,
 )
 from .localize import crlb, require_gamma, toa_init
 from .pln import DEFAULT_HIDDEN, PlnArchitecture
@@ -164,6 +165,7 @@ def _cmd_localize(doc: dict) -> int:
         snr_db = _cast("snr_db", snr_db, finite_float)
     mismatch = _cast("mismatch_m", doc.get("mismatch_m", 0.0), finite_float)
     seed = _seed(doc)
+    true_environment(cfg.environment, mismatch)  # a bad offset is a ConfigError before any load
     env_assumed, adapter, clean = method_cell(method, cfg, mismatch, _require_model(cfg))
     if snr_db is None:
         received = clean

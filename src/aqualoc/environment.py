@@ -13,6 +13,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .signals import (
     finite_float,
     require_finite,
     snr_to_n0,
-    superpose_arrivals,
+    superpose_windows,
     whole_number,
 )
 
@@ -72,6 +73,12 @@ class Environment:
                 f"receiver_depth must lie inside (0, {self.depth}), "
                 f"got {self.receiver_depth}"
             )
+
+    @cached_property
+    def image_offsets(self) -> np.ndarray:
+        """Constant part (-z_r, z_r, 2 depth - z_r) of each path's image offset (IMAGE_SIGNS)."""
+        zr = self.receiver_depth
+        return np.array([-zr, zr, 2.0 * self.depth - zr])
 
 
 @dataclass(frozen=True)
@@ -119,14 +126,8 @@ DEFAULT_SOURCE = SourceLocation(x=610.0, z=20.0)
 
 
 # Image source of each path in THREE_PATHS order: its vertical offset from the
-# receiver is image_offsets(env) + IMAGE_SIGNS * z, so IMAGE_SIGNS = d(offset)/dz
+# receiver is env.image_offsets + IMAGE_SIGNS * z, so IMAGE_SIGNS = d(offset)/dz
 IMAGE_SIGNS = np.array([1.0, 1.0, -1.0])
-
-
-def image_offsets(env: Environment) -> np.ndarray:
-    """Constant part (-z_r, z_r, 2 depth - z_r) of each path's image offset."""
-    zr = env.receiver_depth
-    return np.array([-zr, zr, 2.0 * env.depth - zr])
 
 
 def path_geometry(env: Environment, x, z):
@@ -139,9 +140,16 @@ def path_geometry(env: Environment, x, z):
     the differentiable model when the analytic lengths are plugged in.
     """
     x = np.asarray(x, dtype=np.float64)[..., np.newaxis]
-    dz = image_offsets(env) + IMAGE_SIGNS * np.asarray(z, dtype=np.float64)[..., np.newaxis]
+    dz = env.image_offsets + IMAGE_SIGNS * np.asarray(z, dtype=np.float64)[..., np.newaxis]
     lengths = np.sqrt(x * x + dz * dz)
-    return lengths, lambda: np.stack([x / lengths, IMAGE_SIGNS * dz / lengths], axis=-1)
+
+    def jacobian() -> np.ndarray:
+        out = np.empty(lengths.shape + (2,))
+        np.divide(x, lengths, out=out[..., 0])
+        np.divide(IMAGE_SIGNS * dz, lengths, out=out[..., 1])
+        return out
+
+    return lengths, jacobian
 
 
 def reflection_coeff(path: PathSpec) -> float:
@@ -187,13 +195,15 @@ def synthesize_received(
     """
     alphas, taus = arrival_params(env, src)
     support = pulse.center_time + WINDOW_SIGMAS * pulse.sigma
-    latest = float(np.max(taus)) + support
+    latest = max(taus.tolist()) + support
     if latest > grid.duration:
         raise ObservationWindowError(
             f"latest arrival support ends at {latest:.6f} s, past the "
             f"{grid.duration:.6f} s observation window"
         )
-    return SampledSignal(grid, superpose_arrivals(alphas, taus, pulse, grid))
+    if not all(map(math.isfinite, alphas.tolist())):  # a path of length 0
+        raise ValueError("non-finite arrival amplitude or delay")
+    return SampledSignal(grid, superpose_windows(alphas, taus, pulse, grid)[0])
 
 
 @dataclass(frozen=True)
@@ -306,8 +316,8 @@ def gen_dataset(
         require_finite("dataset", snr_db=snr_db)
     locations = stratified_locations(region, count, seed)
     signals = np.empty((count, grid.n_samples))
-    for k in range(count):
-        src = SourceLocation(*locations[k])
+    for k, (x, z) in enumerate(locations.tolist()):
+        src = SourceLocation(x, z)
         clean = synthesize_received(env, src, pulse, grid)
         if snr_db is None:
             signals[k] = clean.values

@@ -340,16 +340,15 @@ class _ExactFit:
         s_i is the arrival's pulse window.
         """
         n_paths = len(THREE_PATHS)
-        n = self.grid.n_samples
         lengths, backward = length_forward(self.model.pln, w, self.feats)
         point = {"v": w, "loss": math.inf, "backward": backward}
         if not np.all(np.isfinite(lengths)):
             return point
         lengths = lengths.reshape(self.count, n_paths)
         alphas, taus = alpha_tau(lengths, self.model.sound_speed)
-        pad, start, u, window = arrival_windows(taus, self.pulse, self.grid)
+        _, start, u, window = arrival_windows(taus, self.pulse, self.grid)
         # window samples off the recording are dropped, as superpose does
-        at, inside = window_index(pad, start, window.shape[-1], n)
+        at, inside = window_index(start, self.pulse, self.grid)
         window = window * inside
         items = np.arange(self.count)[:, None, None]
         r_win = self.signals[items, at] * inside

@@ -104,6 +104,10 @@ class ExperimentConfig:
                 for i, v in enumerate(getattr(self, name))})
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        # whole numbers as floats, so that [0, 20] and [0.0, 20.0] hash as one config
+        for name in ("snr_db_list", "mismatch_m_list", "gamma_list"):
+            setattr(self, name, tuple(map(float, getattr(self, name))))
+        self.snr_db = float(self.snr_db)
 
 
 # The sections of a config document that hold one scene dataclass each.

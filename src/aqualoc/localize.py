@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import (
     NumericOverflowError,
-    arrival_signal,
+    finite_arrivals,
     length_normal_equations,
     lm_fit,
     value_and_grad,
@@ -35,11 +35,13 @@ from .environment import (
     Region,
     SURFACE,
     THREE_PATHS,
+    alpha_tau,
     path_geometry,
 )
 from .signals import (
     AnalyticPulse,
     SampledSignal,
+    arrival_windows,
     at_least,
     correlation_envelope,
     finite_float,
@@ -304,8 +306,8 @@ class _WaveformFit:
 
     def _data_term(self, point: dict) -> tuple[np.ndarray, np.ndarray]:
         """The data term's b = 2 dt G^T e and A = 2 dt G^T G over the 3 lengths."""
-        alphas, pad, start, u, window = point["arrivals"]
-        at, inside = window_index(pad, start, window.shape[-1], len(self.r))
+        alphas, _, start, u, window = point["arrivals"]
+        at, inside = window_index(start, self.adapter.pulse, self.grid)
         # G is zero on window samples off the grid, so e's clipped samples there add nothing
         gte, gtg = length_normal_equations(
             self.adapter.pulse, self.adapter.sound_speed, point["lengths"][None],
@@ -370,6 +372,7 @@ class _DelayFit(_WaveformFit):
     def __init__(self, times: np.ndarray, paths: Sequence[PathSpec], env: Environment):
         self.env, self.nw, self.gamma = env, 0, 0.0
         self.detected = np.array([float(path in paths) for path in THREE_PATHS])
+        self.a_len = np.diag((2.0 / (env.sound_speed * env.sound_speed)) * self.detected)
         self.times = np.array([times[paths.index(p)] if p in paths else 0.0 for p in THREE_PATHS])
 
     def evaluate(self, v: np.ndarray) -> dict:
@@ -383,8 +386,7 @@ class _DelayFit(_WaveformFit):
         return point
 
     def _data_term(self, point: dict) -> tuple[np.ndarray, np.ndarray]:
-        c = self.env.sound_speed
-        return (-2.0 / c) * point["r"], np.diag((2.0 / (c * c)) * self.detected)
+        return (-2.0 / self.env.sound_speed) * point["r"], self.a_len
 
 
 def _localize(
@@ -467,8 +469,9 @@ def crlb(
     if not 0.0 < n0 < math.inf:
         raise ValueError(f"noise density n0 must be finite and positive, got {n0!r}")
     lengths, jacobian = path_geometry(env, x, z)
-    _, (alphas, pad, start, u, window) = arrival_signal(lengths, env.sound_speed, pulse, grid)
-    _, inside = window_index(pad, start, window.shape[-1], grid.n_samples)
+    alphas, taus = finite_arrivals(*alpha_tau(lengths, env.sound_speed))
+    _, start, u, window = arrival_windows(taus[None], pulse, grid)
+    _, inside = window_index(start, pulse, grid)
     _, gtg = length_normal_equations(
         pulse, env.sound_speed, lengths[None], alphas[None], u, window, inside, None, start
     )

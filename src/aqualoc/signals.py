@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -154,13 +155,18 @@ class TimeGrid:
         if self.n_samples < 1:
             raise ValueError("grid must contain at least one sample")
 
-    @property
+    @cached_property
     def n_samples(self) -> int:
         return int(round(self.sample_rate * self.duration))
 
-    @property
+    @cached_property
     def dt(self) -> float:
         return 1.0 / self.sample_rate
+
+    def windows(self, pulse: AnalyticPulse) -> "WindowLayout":
+        """`pulse`'s arrival-window layout on this grid, built on first use and kept."""
+        layouts = self.__dict__.setdefault("_windows", {})
+        return layouts.get(pulse) or layouts.setdefault(pulse, WindowLayout(pulse, self))
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_samples, dtype=np.float64) / self.sample_rate
@@ -214,6 +220,20 @@ def add_awgn(sig: SampledSignal, noise: NoiseSpec) -> SampledSignal:
     return SampledSignal(sig.grid, sig.values + rng.normal(0.0, sd, sig.values.shape))
 
 
+class WindowLayout:
+    """What every arrival window of a pulse on a grid shares (TimeGrid.windows): w_len =
+    2 half + 1 samples, +/- WINDOW_SIGMAS * sigma around the envelope peak, and the
+    synthesis buffer's padding of pad samples (one window) on each side of the grid's n."""
+
+    def __init__(self, pulse: AnalyticPulse, grid: TimeGrid):
+        self.n, self.fs = grid.n_samples, grid.sample_rate
+        self.two_sigma_sq, self.omega = 2.0 * pulse.sigma**2, 2.0 * np.pi * pulse.center_freq
+        self.half = int(math.ceil(WINDOW_SIGMAS * pulse.sigma * self.fs))
+        self.w_len = self.pad = 2 * self.half + 1
+        self.offsets = np.arange(self.w_len, dtype=np.int64)  # a sample's place in its window
+        self.rel = self.offsets - self.pad  # its grid index less its window's padded start
+
+
 def arrival_windows(taus: np.ndarray, pulse: AnalyticPulse, grid: TimeGrid):
     """Where superpose_arrivals places each arrival, and the pulse samples there.
 
@@ -222,44 +242,48 @@ def arrival_windows(taus: np.ndarray, pulse: AnalyticPulse, grid: TimeGrid):
     relative to the envelope center, and `window` holds the unscaled pulse
     samples of each arrival's +/- WINDOW_SIGMAS * sigma window.
     """
-    n = grid.n_samples
-    fs = grid.sample_rate
-    half = int(math.ceil(WINDOW_SIGMAS * pulse.sigma * fs))
-    w_len = 2 * half + 1
-    pad = w_len
-
+    lay = grid.windows(pulse)
     # Integer start of each arrival's window in padded-buffer coordinates.
-    centers = np.rint((taus + pulse.center_time) * fs).astype(np.int64)
-    start = np.minimum(np.maximum(centers - half + pad, 0), n + 2 * pad - w_len)
-
-    offsets = np.arange(w_len, dtype=np.int64)
-    k = start[:, :, None] + offsets[None, None, :] - pad  # unpadded sample index
-    u = k / fs - taus[:, :, None] - pulse.center_time
-    envelope = np.exp(-(u * u) / (2.0 * pulse.sigma**2))
-    cosu = np.cos(2.0 * np.pi * pulse.center_freq * u)
-    window = pulse.amplitude * envelope * cosu
-    return pad, start, u, window
+    centers = np.rint((taus + pulse.center_time) * lay.fs).astype(np.int64)
+    start = np.minimum(np.maximum(centers + (lay.pad - lay.half), 0), lay.n + 2 * lay.pad - lay.w_len)
+    k = start[:, :, None] + lay.rel  # unpadded sample index
+    u = k / lay.fs - taus[:, :, None] - pulse.center_time
+    envelope = np.exp(-(u * u) / lay.two_sigma_sq)
+    window = pulse.amplitude * envelope * np.cos(lay.omega * u)
+    return lay.pad, start, u, window
 
 
-def superpose_arrivals(
-    alphas: np.ndarray,
-    taus: np.ndarray,
-    pulse: AnalyticPulse,
-    grid: TimeGrid,
-    return_parts: bool = False,
-):
+def superpose_windows(alphas: np.ndarray, taus: np.ndarray, pulse: AnalyticPulse, grid: TimeGrid):
+    """superpose_arrivals, unchecked, on float64 alphas and taus of one shape, and the
+    arrival windows of its rows: (out, (pad, start, u, window)). The differentiable
+    front end shares the synthesis's forward arithmetic bit for bit through it."""
+    a2 = alphas if alphas.ndim == 2 else alphas.reshape(1, -1)
+    pad, start, u, window = arrival_windows(taus.reshape(a2.shape), pulse, grid)
+    n, w_len = grid.n_samples, window.shape[-1]
+    scaled = a2[:, :, None] * window
+    # one add per path over all rows (a window repeats no index, so each sample
+    # still sums its arrivals in path order); one row takes cheaper slices
+    if len(a2) > 1:
+        buf = np.zeros((len(a2), n + 2 * pad))
+        rows, cols = np.arange(len(a2))[:, None], start.T[:, :, None] + grid.windows(pulse).offsets
+        for i, col in enumerate(cols):
+            buf[rows, col] += scaled[:, i]
+        return buf[:, pad : pad + n], (pad, start, u, window)
+    buf = np.zeros(n + 2 * pad)
+    for s0, part in zip(start[0].tolist(), scaled[0]):
+        buf[s0 : s0 + w_len] += part
+    return buf[pad : pad + n] if alphas.ndim == 1 else buf[None, pad : pad + n], (pad, start, u, window)
+
+
+def superpose_arrivals(alphas: np.ndarray, taus: np.ndarray, pulse: AnalyticPulse, grid: TimeGrid):
     """Sum of delayed scaled pulse copies: out[.., n] = sum_i a[.., i] s(t_n - tau[.., i]).
 
     Each arrival only touches a +/- WINDOW_SIGMAS * sigma window around its
     envelope peak; contributions are scattered into a padded buffer so arrivals
     partially or fully outside the observation window are truncated exactly (the
     part outside [0, duration) is discarded, never wrapped or clipped inward).
-
-    With return_parts=True also returns (pad, start, u, window) where `start`
-    indexes the padded buffer, `u` is time relative to the envelope center, and
-    `window` holds the pulse samples of each arrival. This is the hook the
-    differentiable front end uses so that both code paths share bit-identical
-    forward arithmetic.
+    Raises ValueError unless alphas and taus share one shape and are finite;
+    superpose_windows is the same sum without these checks.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     taus = np.asarray(taus, dtype=np.float64)
@@ -267,28 +291,7 @@ def superpose_arrivals(
         raise ValueError(f"alphas shape {alphas.shape} != taus shape {taus.shape}")
     if not (np.isfinite(alphas).all() and np.isfinite(taus).all()):
         raise ValueError("non-finite arrival amplitude or delay")
-
-    a2 = np.atleast_2d(alphas)
-    n_batch, n_paths = a2.shape
-    n = grid.n_samples
-    pad, start, u, window = arrival_windows(np.atleast_2d(taus), pulse, grid)
-    w_len = window.shape[-1]
-
-    # one add per path over all rows (a window repeats no index, so each sample
-    # still sums its arrivals in path order); one row takes cheaper slices
-    buf = np.zeros((n_batch, n + 2 * pad))
-    if n_batch > 1:
-        rows, cols = np.arange(n_batch)[:, None], start.T[:, :, None] + np.arange(w_len)
-    else:
-        rows, cols = slice(0, 1), [slice(s0, s0 + w_len) for s0 in start[0]]
-    for i in range(n_paths):
-        buf[rows, cols[i]] += a2[:, i, None] * window[:, i]
-    out = buf[:, pad : pad + n]
-    if alphas.ndim == 1:
-        out = out[0]
-    if return_parts:
-        return out, (pad, start, u, window)
-    return out
+    return superpose_windows(alphas, taus, pulse, grid)[0]
 
 
 def correlation_envelope(

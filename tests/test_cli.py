@@ -178,6 +178,9 @@ def test_infinite_region_bound_exits_2(tmp_path, capsys, command):
         ("sweep-mismatch", {"mismatch_m_list": [-1, -90], "methods": ["gbl-matched"]},
          "mismatch_m_list[1]"),
         ("localize", {"mismatch_m": -90}, "mismatch_m"),
+        # the offset is checked before the absent checkpoint is read
+        ("localize", {"mismatch_m": -90, "method": "gbl-nn", "checkpoint": "absent.json"},
+         "mismatch_m"),
     ],
 )
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, doc, key):

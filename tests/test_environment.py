@@ -1,5 +1,6 @@
 """Image-method propagation, received-signal synthesis, dataset generation."""
 
+import hashlib
 import json
 import math
 import tempfile
@@ -185,6 +186,20 @@ def test_received_rejects_late_arrivals(env, pulse):
     short = TimeGrid(4000.0, 0.25)
     with pytest.raises(ObservationWindowError):
         synthesize_received(env, DEFAULT_SOURCE, pulse, short)
+
+
+def test_received_rejects_zero_length_path(env, pulse, grid):
+    # x * x underflows and z sits at the receiver: the direct path has length
+    # 0 and an infinite amplitude, which synthesis refuses
+    with np.errstate(divide="ignore"), pytest.raises(ValueError, match="non-finite arrival"):
+        synthesize_received(env, SourceLocation(1e-170, env.receiver_depth), pulse, grid)
+
+
+def test_gen_dataset_signals_pinned(env, pulse, grid):
+    # the default 16-item set, bit for bit: synthesis may get faster, never different
+    ds = gen_dataset(env, DEFAULT_REGION, 16, pulse, grid, seed=0)
+    digest = hashlib.sha256(ds.signals.astype("<f8").tobytes()).hexdigest()
+    assert digest == "f58168894ac96e72adbebc640b343f472bc2dd6589c0caef8aebd3ef0e077719"
 
 
 def test_gen_dataset_empty(env, pulse, grid):

@@ -132,6 +132,20 @@ def test_config_hash_pinned():
     assert config_hash(ExperimentConfig()) == "a46b4c28e58744c4"
 
 
+def test_config_hash_reads_whole_numbers_as_floats():
+    # a JSON list of whole numbers names the same config as its float spelling
+    ints = config_from_dict(
+        {"snr_db_list": [0, 20], "mismatch_m_list": [-1, 2], "gamma_list": [0, 1], "snr_db": 20})
+    floats = config_from_dict({"snr_db_list": [0.0, 20.0], "mismatch_m_list": [-1.0, 2.0],
+                               "gamma_list": [0.0, 1.0], "snr_db": 20.0})
+    assert config_hash(ints) == config_hash(floats)
+    assert config_hash(config_from_dict({"snr_db": 20})) == "a46b4c28e58744c4"  # the default
+    assert ints.snr_db_list == (0.0, 20.0) and all(type(v) is float for v in ints.gamma_list)
+    for bad in ({"snr_db_list": ["x"]}, {"mismatch_m_list": [True]}, {"gamma_list": [None]}):
+        with pytest.raises(ConfigError):
+            config_from_dict(bad)
+
+
 def test_config_hash_sensitivity():
     a = ExperimentConfig(seed=0)
     b = ExperimentConfig(seed=1)

@@ -540,6 +540,16 @@ def test_crlb_rejects_bad_noise(env, pulse, grid):
             crlb(env, 610.0, 20.0, pulse, grid, n0)
 
 
+@pytest.mark.parametrize("x, z", [(np.nan, 20.0), (np.inf, 20.0), (20.0, np.inf), (0.0, 120.0)])
+def test_crlb_rejects_nonfinite_or_zero_length_geometry(env, pulse, grid, x, z):
+    # non-finite lengths, or the direct path's length 0 at the receiver (an
+    # infinite amplitude), fail as the arrivals are checked, before any window
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+        autodiff.NumericOverflowError, match="non-finite arrival parameters"
+    ):
+        crlb(env, x, z, pulse, grid, 1e-10)
+
+
 def test_crlb_singular_geometry(env, pulse, grid):
     # x -> 0 kills every d(tau)/dx: the range coordinate is unidentifiable
     with pytest.raises(SingularFisherError):

@@ -247,6 +247,29 @@ def test_superpose_matches_per_arrival_loop(pulse, grid):
     assert np.array_equal(superpose_arrivals(alphas[1], taus[1], pulse, grid), out[1])
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(2, 6),
+    spread=st.sampled_from([1e-3, 0.05, 2.4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_rows_equal_rows_alone(pulse, grid, rows, spread, seed):
+    # gen_dataset, train_loss and _ExactFit rely on each row of a batch being
+    # computed exactly as that row alone (the batch adds by index, one row by
+    # slices); delays from near-coincident to off both ends of the grid
+    rng = np.random.default_rng(seed)
+    taus = rng.uniform(-0.2, 2.2 - spread, size=(rows, 1)) + rng.uniform(0.0, spread, (rows, 3))
+    alphas = rng.normal(size=(rows, 3)) * 1e-3
+    windows = signals.arrival_windows(taus, pulse, grid)
+    out = superpose_arrivals(alphas, taus, pulse, grid)
+    for k in range(rows):
+        alone = signals.arrival_windows(taus[k : k + 1], pulse, grid)
+        assert alone[0] == windows[0]
+        assert all(np.array_equal(a[0], b[k]) for a, b in zip(alone[1:], windows[1:]))
+        assert np.array_equal(superpose_arrivals(alphas[k], taus[k], pulse, grid), out[k])
+        assert np.array_equal(superpose_arrivals(alphas[k : k + 1], taus[k : k + 1], pulse, grid), out[k : k + 1])
+
 def complex_fft_envelope(values):
     """|ifft(fft(values) * h)| along the last axis, with the one-sided weights h: the
     textbook definition."""
