@@ -98,7 +98,6 @@ from .signals import (
     gaussian_kernel,
     make_pulse,
     snr_to_n0,
-    superpose_arrivals,
 )
 from .theory import (
     TheoremConfig,

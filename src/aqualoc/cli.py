@@ -21,6 +21,7 @@ import numpy as np
 from .environment import (
     DEFAULT_ENVIRONMENT,
     DEFAULT_SOURCE,
+    SCENE_TYPES,
     gen_dataset,
     load_dataset,
     save_dataset,
@@ -31,7 +32,6 @@ from .harness import (
     ConfigError,
     DEFAULT_SNR_GRID,
     METHOD_GBL_MATCHED,
-    SCENE_TYPES,
     ExperimentConfig,
     _require_model,
     config_from_dict,

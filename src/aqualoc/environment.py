@@ -9,10 +9,9 @@ surface bounce flips polarity, and amplitudes follow spherical spreading 1/l.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .signals import (
     WINDOW_SIGMAS,
     add_awgn,
     finite_float,
+    keep_floats,
     require_finite,
     snr_to_n0,
     superpose_windows,
@@ -60,10 +60,7 @@ class Environment:
     receiver_depth: float
 
     def __post_init__(self) -> None:
-        require_finite(
-            "environment", depth=self.depth, sound_speed=self.sound_speed,
-            receiver_depth=self.receiver_depth,
-        )
+        keep_floats(self, "environment")
         if self.depth <= 0.0:
             raise ValueError(f"depth must be positive, got {self.depth}")
         if self.sound_speed <= 0.0:
@@ -89,7 +86,7 @@ class SourceLocation:
     z: float
 
     def __post_init__(self) -> None:
-        require_finite("source", x=self.x, z=self.z)
+        keep_floats(self, "source")
         if self.x <= 0.0:
             raise ValueError(f"source range must be positive, got {self.x}")
         if self.z <= 0.0:
@@ -216,9 +213,7 @@ class Region:
     z_max: float
 
     def __post_init__(self) -> None:
-        require_finite(
-            "region", x_min=self.x_min, x_max=self.x_max, z_min=self.z_min, z_max=self.z_max
-        )
+        keep_floats(self, "region")
         if not (0.0 < self.x_min < self.x_max):
             raise ValueError(f"need 0 < x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if not (0.0 < self.z_min < self.z_max):
@@ -235,6 +230,35 @@ class Region:
 
 
 DEFAULT_REGION = Region(300.0, 900.0, 5.0, 100.0)
+
+# The scene sections of a config, dataset manifest or checkpoint, each one dataclass.
+SCENE_TYPES = {
+    "environment": Environment,
+    "source": SourceLocation,
+    "pulse": AnalyticPulse,
+    "grid": TimeGrid,
+    "region": Region,
+}
+
+
+def scene_from_dict(section: str, doc):
+    """Scene section `section` (a SCENE_TYPES key) built from its JSON object `doc`.
+
+    Every file reader builds its scene through here. A non-object, a missing or unknown key,
+    or a value that is not a finite number (bools and strings included) is a ValueError naming
+    the section and the key; a field with a default may be left out.
+    """
+    cls = SCENE_TYPES[section]
+    if not isinstance(doc, dict):
+        raise ValueError(f"{section} must be a JSON object, got {doc!r}")
+    fields = cls.__dataclass_fields__
+    for key in doc:
+        if key not in fields:
+            raise ValueError(f"{section} has unknown key {key!r}; known: {list(fields)}")
+    for key, spec in fields.items():
+        if key not in doc and spec.default is MISSING:
+            raise ValueError(f"{section} lacks key {key!r}")
+    return cls(**doc)
 
 
 @dataclass
@@ -328,18 +352,18 @@ def gen_dataset(
     return Dataset(env, pulse, grid, seed, locations, signals, snr_db)
 
 
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
+SIGNALS_FILE = "signals.f64"
 
 
 def save_dataset(ds: Dataset, directory: str | Path) -> Path:
-    """Write a dataset directory: JSON manifest, locations CSV, raw signals.
+    """Write a dataset directory: manifest.json and SIGNALS_FILE. Round-trips exactly.
 
-    Each signal is one little-endian float64 binary file; the manifest records
-    environment, waveform, grid, seed, and the file list. Round-trips exactly.
+    The manifest records the scene, seed, snr_db and each item's [x, z] location; SIGNALS_FILE
+    holds the (count, n_samples) signal block as little-endian float64, row by row.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    files = [f"sig_{k:05d}.f64" for k in range(ds.count)]
     manifest = {
         "format_version": DATASET_FORMAT_VERSION,
         "count": ds.count,
@@ -348,27 +372,21 @@ def save_dataset(ds: Dataset, directory: str | Path) -> Path:
         "environment": asdict(ds.environment),
         "pulse": asdict(ds.pulse),
         "grid": asdict(ds.grid),
-        "signal_files": files,
+        "locations": ds.locations.tolist(),
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    with open(directory / "locations.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "x_s", "z_s"])
-        for k, (x, z) in enumerate(ds.locations):
-            writer.writerow([k, repr(float(x)), repr(float(z))])
-    for k, name in enumerate(files):
-        (directory / name).write_bytes(ds.signals[k].astype("<f8").tobytes())
+    (directory / SIGNALS_FILE).write_bytes(ds.signals.astype("<f8").tobytes())
     return directory
 
 
 def load_dataset(directory: str | Path) -> Dataset:
     """Load a dataset directory written by save_dataset.
 
-    Raises ValueError, naming the cause, for a malformed manifest (a `seed`
-    or `count` not a whole number, an `snr_db` neither null nor finite, a
-    count other than the number of signal files), a malformed or non-finite
-    location row, a locations table without exactly the indices 0..count-1
-    once each, or a signal file of the wrong length.
+    Raises ValueError, naming the cause, for a manifest of another format version (a version-1
+    directory must be written again by gen-data), a bad scene section (scene_from_dict), a
+    `seed` or `count` not a whole number, an `snr_db` neither null nor finite, a locations
+    list of another length than count or with a row that is not two finite numbers, or a
+    signals file of the wrong size.
     """
     directory = Path(directory)
     try:
@@ -380,16 +398,14 @@ def load_dataset(directory: str | Path) -> Dataset:
     version = manifest.get("format_version")
     if version != DATASET_FORMAT_VERSION:
         raise ValueError(
-            f"dataset format version {version} not supported "
-            f"(expected {DATASET_FORMAT_VERSION})"
+            f"dataset format version {version} not supported (expected "
+            f"{DATASET_FORMAT_VERSION}); write the dataset again with gen-data"
         )
     try:
-        env = Environment(**manifest["environment"])
-        pulse = AnalyticPulse(**manifest["pulse"])
-        grid = TimeGrid(**manifest["grid"])
-        files = manifest["signal_files"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad dataset manifest in {directory}: {exc!r}") from exc
+        env, pulse, grid = (scene_from_dict(key, manifest.get(key))
+                            for key in ("environment", "pulse", "grid"))
+    except ValueError as exc:
+        raise ValueError(f"bad dataset manifest in {directory}: {exc}") from exc
     checked = {}
     for key, check in (("seed", whole_number), ("count", whole_number),
                        ("snr_db", lambda v: v if v is None else finite_float(v))):
@@ -397,38 +413,23 @@ def load_dataset(directory: str | Path) -> Dataset:
             checked[key] = check(manifest.get(key))
         except ValueError as exc:
             raise ValueError(f"dataset manifest in {directory} has a bad {key}: {exc}") from None
-    if not (isinstance(files, list) and all(isinstance(f, str) for f in files)
-            and checked["count"] == len(files)):
+    count, rows = checked["count"], manifest.get("locations")
+    if not (isinstance(rows, list) and len(rows) == count):
         raise ValueError(
-            f"dataset manifest in {directory} gives count {manifest.get('count')!r} "
-            f"but does not list that many signal file names"
+            f"dataset manifest in {directory} gives count {count} but not that many locations"
         )
-    count = len(files)
-    table = directory / "locations.csv"
-    with open(table, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["index", "x_s", "z_s"]:
-            raise ValueError(f"unexpected locations header {header}")
-        try:
-            rows = [(int(k), float(x), float(z)) for k, x, z in reader]
-        except ValueError as exc:
-            raise ValueError(f"malformed row in {table}: {exc}") from exc
-    if not all(math.isfinite(x) and math.isfinite(z) for _, x, z in rows):
-        raise ValueError(f"non-finite location in {table}")
-    if sorted(k for k, _, _ in rows) != list(range(count)):
-        raise ValueError(f"{table} must list the indices 0..{count - 1} once each")
     locations = np.empty((count, 2))
-    for k, x, z in rows:
-        locations[k] = (x, z)
-    signals = np.empty((count, grid.n_samples))
-    for k, name in enumerate(files):
-        raw = (directory / name).read_bytes()
-        vals = np.frombuffer(raw, dtype="<f8")
-        if len(vals) != grid.n_samples:
-            raise ValueError(
-                f"signal file {name} holds {len(vals)} samples, "
-                f"expected {grid.n_samples}"
-            )
-        signals[k] = vals
+    for k, row in enumerate(rows):
+        try:
+            if not (isinstance(row, list) and len(row) == 2):
+                raise ValueError(f"{row!r} is not an [x, z] pair")
+            locations[k] = [finite_float(v) for v in row]
+        except ValueError as exc:
+            raise ValueError(f"malformed row {k} of the locations in {directory}: {exc}") from None
+    path = directory / SIGNALS_FILE
+    size, expected = path.stat().st_size, 8 * count * grid.n_samples
+    if size != expected:
+        raise ValueError(f"{path} holds {size} bytes, expected {expected} "
+                         f"({count} signals of {grid.n_samples} float64 samples)")
+    signals = np.fromfile(path, dtype="<f8").reshape(count, grid.n_samples)
     return Dataset(env, pulse, grid, checked["seed"], locations, signals, checked["snr_db"])

@@ -28,7 +28,7 @@ from .autodiff import (
     window_index,
 )
 from .environment import (
-    DEFAULT_REGION, THREE_PATHS, Dataset, Environment, alpha_tau, path_geometry,
+    DEFAULT_REGION, THREE_PATHS, Dataset, Environment, alpha_tau, path_geometry, scene_from_dict,
 )
 from .localize import detect_arrivals
 from .pln import (
@@ -695,7 +695,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             pln=params,
             sound_speed=doc["sound_speed"],
             receiver_depth=doc["receiver_depth"],
-            pulse=AnalyticPulse(**doc["pulse"]),
+            pulse=scene_from_dict("pulse", doc["pulse"]),
         )
     except (KeyError, ValueError, TypeError) as exc:
         if isinstance(exc, CheckpointError):

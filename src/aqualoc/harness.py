@@ -23,9 +23,11 @@ from .environment import (
     DEFAULT_ENVIRONMENT,
     DEFAULT_REGION,
     DEFAULT_SOURCE,
+    SCENE_TYPES,
     Environment,
     Region,
     SourceLocation,
+    scene_from_dict,
     synthesize_received,
 )
 from .forward import ModelParams, NetworkModel, MatchedModel, load_checkpoint
@@ -110,21 +112,11 @@ class ExperimentConfig:
         self.snr_db = float(self.snr_db)
 
 
-# The sections of a config document that hold one scene dataclass each.
-SCENE_TYPES = {
-    "environment": Environment,
-    "source": SourceLocation,
-    "pulse": AnalyticPulse,
-    "grid": TimeGrid,
-    "region": Region,
-}
-
-
 def parse_scene(doc: dict) -> dict:
     """The scene sections present in a config document, built and validated."""
     try:
-        return {key: cls(**doc[key]) for key, cls in SCENE_TYPES.items() if key in doc}
-    except (TypeError, ValueError) as exc:
+        return {key: scene_from_dict(key, doc[key]) for key in SCENE_TYPES if key in doc}
+    except ValueError as exc:
         raise ConfigError(f"bad scene section: {exc}") from exc
 
 

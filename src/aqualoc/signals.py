@@ -27,6 +27,8 @@ WINDOW_SIGMAS = 12.0
 
 def finite_float(value) -> float:
     """`value` as a float; ValueError unless it is a finite real number (bools excluded)."""
+    if type(value) is float and math.isfinite(value):  # the common case, without the ABC check
+        return value
     try:
         finite = (not isinstance(value, bool) and isinstance(value, numbers.Real)
                   and math.isfinite(value))
@@ -48,10 +50,21 @@ def whole_number(value) -> int:
 def require_finite(owner: str, **values) -> None:
     """Raise ValueError unless every value is a finite real number (bools excluded)."""
     for name, value in values.items():
-        try:
-            finite_float(value)
-        except ValueError:
-            raise ValueError(f"{owner} {name} must be a finite number, got {value!r}") from None
+        _finite_field(owner, name, value)
+
+
+def keep_floats(obj, owner: str) -> None:
+    """Check each field of the frozen dataclass `obj` as require_finite does and keep the float
+    finite_float gives, so that 200 and 200.0 make one object."""
+    for name in obj.__dataclass_fields__:
+        object.__setattr__(obj, name, _finite_field(owner, name, getattr(obj, name)))
+
+
+def _finite_field(owner: str, name: str, value) -> float:
+    try:
+        return finite_float(value)
+    except ValueError:
+        raise ValueError(f"{owner} {name} must be a finite number, got {value!r}") from None
 
 
 def at_least(name: str, value, cast, low):
@@ -79,10 +92,7 @@ class AnalyticPulse:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        require_finite(
-            "pulse", center_freq=self.center_freq, bandwidth=self.bandwidth,
-            center_time=self.center_time, amplitude=self.amplitude,
-        )
+        keep_floats(self, "pulse")
         if self.center_freq < 0.0:
             raise ValueError(f"center_freq must be >= 0, got {self.center_freq}")
         if self.bandwidth <= 0.0:
@@ -147,7 +157,7 @@ class TimeGrid:
     duration: float = DEFAULT_DURATION
 
     def __post_init__(self) -> None:
-        require_finite("grid", sample_rate=self.sample_rate, duration=self.duration)
+        keep_floats(self, "grid")
         if self.sample_rate <= 0.0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.duration <= 0.0:
@@ -235,7 +245,7 @@ class WindowLayout:
 
 
 def arrival_windows(taus: np.ndarray, pulse: AnalyticPulse, grid: TimeGrid):
-    """Where superpose_arrivals places each arrival, and the pulse samples there.
+    """Where superpose_windows places each arrival, and the pulse samples there.
 
     taus is (batch, paths). Returns (pad, start, u, window): `start` indexes a
     buffer padded by `pad` samples on each side of the grid, `u` is time
@@ -254,9 +264,11 @@ def arrival_windows(taus: np.ndarray, pulse: AnalyticPulse, grid: TimeGrid):
 
 
 def superpose_windows(alphas: np.ndarray, taus: np.ndarray, pulse: AnalyticPulse, grid: TimeGrid):
-    """superpose_arrivals, unchecked, on float64 alphas and taus of one shape, and the
-    arrival windows of its rows: (out, (pad, start, u, window)). The differentiable
-    front end shares the synthesis's forward arithmetic bit for bit through it."""
+    """Sum of delayed scaled pulse copies out[.., n] = sum_i a[.., i] s(t_n - tau[.., i]) over
+    float64 alphas and taus of one shape, unchecked, and its arrival windows: (out, (pad,
+    start, u, window)). Each arrival touches only its window, scattered into a padded buffer,
+    so the part of an arrival outside [0, duration) is dropped, never wrapped or clipped
+    inward. Synthesis and the differentiable front end share its arithmetic bit for bit."""
     a2 = alphas if alphas.ndim == 2 else alphas.reshape(1, -1)
     pad, start, u, window = arrival_windows(taus.reshape(a2.shape), pulse, grid)
     n, w_len = grid.n_samples, window.shape[-1]
@@ -273,25 +285,6 @@ def superpose_windows(alphas: np.ndarray, taus: np.ndarray, pulse: AnalyticPulse
     for s0, part in zip(start[0].tolist(), scaled[0]):
         buf[s0 : s0 + w_len] += part
     return buf[pad : pad + n] if alphas.ndim == 1 else buf[None, pad : pad + n], (pad, start, u, window)
-
-
-def superpose_arrivals(alphas: np.ndarray, taus: np.ndarray, pulse: AnalyticPulse, grid: TimeGrid):
-    """Sum of delayed scaled pulse copies: out[.., n] = sum_i a[.., i] s(t_n - tau[.., i]).
-
-    Each arrival only touches a +/- WINDOW_SIGMAS * sigma window around its
-    envelope peak; contributions are scattered into a padded buffer so arrivals
-    partially or fully outside the observation window are truncated exactly (the
-    part outside [0, duration) is discarded, never wrapped or clipped inward).
-    Raises ValueError unless alphas and taus share one shape and are finite;
-    superpose_windows is the same sum without these checks.
-    """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    taus = np.asarray(taus, dtype=np.float64)
-    if alphas.shape != taus.shape:
-        raise ValueError(f"alphas shape {alphas.shape} != taus shape {taus.shape}")
-    if not (np.isfinite(alphas).all() and np.isfinite(taus).all()):
-        raise ValueError("non-finite arrival amplitude or delay")
-    return superpose_windows(alphas, taus, pulse, grid)[0]
 
 
 def correlation_envelope(

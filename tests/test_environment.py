@@ -3,7 +3,9 @@
 import hashlib
 import json
 import math
+import re
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from aqualoc.environment import (
     ObservationWindowError,
     PathSpec,
     Region,
+    SIGNALS_FILE,
     SourceLocation,
     UnsupportedPathError,
     arrival_params,
@@ -33,6 +36,8 @@ from aqualoc.environment import (
     save_dataset,
     synthesize_received,
 )
+from aqualoc.forward import CheckpointError, load_checkpoint
+from aqualoc.harness import ConfigError, config_from_dict
 from aqualoc.signals import AnalyticPulse, analytic_envelope, eval_pulse
 
 
@@ -267,8 +272,8 @@ def test_gen_dataset_rejects_nonfinite_snr(env, pulse, grid, snr_db):
 
 def test_dataset_roundtrip(tmp_path, env, pulse, grid):
     ds = gen_dataset(env, DEFAULT_REGION, 6, pulse, grid, seed=9, snr_db=15.0)
-    save_dataset(ds, tmp_path / "ds")
-    back = load_dataset(tmp_path / "ds")
+    d = save_dataset(ds, tmp_path / "ds")
+    back = load_dataset(d)
     assert back.environment == ds.environment
     assert back.pulse == ds.pulse
     assert back.grid == ds.grid
@@ -276,18 +281,21 @@ def test_dataset_roundtrip(tmp_path, env, pulse, grid):
     assert back.snr_db == ds.snr_db
     np.testing.assert_array_equal(back.locations, ds.locations)
     np.testing.assert_array_equal(back.signals, ds.signals)
+    # one manifest and one little-endian (count, n_samples) block, row by row
+    assert sorted(p.name for p in d.iterdir()) == ["manifest.json", SIGNALS_FILE]
+    assert (d / SIGNALS_FILE).read_bytes() == ds.signals.astype("<f8").tobytes()
 
 
 # manifest.json of gen_dataset(env, DEFAULT_REGION, 2, pulse, grid, seed=5,
-# snr_db=12.5) as save_dataset wrote it before the scene dicts came from
-# dataclasses.asdict; any drift breaks datasets already on disk
+# snr_db=12.5) in format version 2; any drift breaks datasets already on disk
 MANIFEST_2_ITEMS = (
-    '{\n  "format_version": 1,\n  "count": 2,\n  "seed": 5,\n  "snr_db": 12.5,\n'
+    '{\n  "format_version": 2,\n  "count": 2,\n  "seed": 5,\n  "snr_db": 12.5,\n'
     '  "environment": {\n    "depth": 200.0,\n    "sound_speed": 1500.0,\n'
     '    "receiver_depth": 120.0\n  },\n  "pulse": {\n    "center_freq": 750.0,\n'
     '    "bandwidth": 500.0,\n    "center_time": 0.05,\n    "amplitude": 1.0\n  },\n'
     '  "grid": {\n    "sample_rate": 4000.0,\n    "duration": 2.0\n  },\n'
-    '  "signal_files": [\n    "sig_00000.f64",\n    "sig_00001.f64"\n  ]\n}'
+    '  "locations": [\n    [\n      541.500877123614,\n      81.7543750249669\n    ],\n'
+    '    [\n      754.5976683126426,\n      32.15113110837345\n    ]\n  ]\n}'
 )
 
 
@@ -302,76 +310,78 @@ def three_items(env, pulse, grid):
     return gen_dataset(env, DEFAULT_REGION, 3, pulse, grid, seed=2)
 
 
-# text written in place of a number: non-finite, or not a number at all
-BAD_NUMBERS = ("nan", "inf", "-inf", "abc", "")
-
-
-# rows of a rewritten locations.csv: (index written, item whose x, z it holds,
-# text replacing its x or z, or None to keep both)
-@settings(max_examples=60, deadline=None)
-@given(rows=st.lists(st.tuples(
-    st.integers(-1, 4), st.integers(0, 2),
-    st.none() | st.tuples(st.sampled_from(BAD_NUMBERS), st.integers(0, 1)),
-), max_size=5))
-def test_load_dataset_location_rows_exact_or_rejected(three_items, rows):
-    """Dropped, duplicated, renumbered or non-numeric rows load as written or raise ValueError."""
-    with tempfile.TemporaryDirectory() as d:
-        save_dataset(three_items, d)
-        loc = three_items.locations
-        lines = ["index,x_s,z_s"]
-        for k, j, bad in rows:
-            xz = [repr(float(loc[j, 0])), repr(float(loc[j, 1]))]
-            if bad is not None:
-                xz[bad[1]] = bad[0]
-            lines.append(f"{k},{xz[0]},{xz[1]}")
-        (Path(d) / "locations.csv").write_text("\r\n".join(lines) + "\r\n")
-        bad_text = {bad[0] for _, _, bad in rows if bad is not None}
-        if bad_text - {"nan", "inf", "-inf"}:
-            with pytest.raises(ValueError, match="malformed row"):
-                load_dataset(d)
-        elif bad_text:
-            with pytest.raises(ValueError, match="non-finite location"):
-                load_dataset(d)
-        elif sorted(k for k, _, _ in rows) == [0, 1, 2]:
-            # each index once: row k holds the item it names, so rows left
-            # at their own index load equal to the original
-            back = load_dataset(d)
-            assert back.locations.dtype == np.float64
-            assert np.all(np.isfinite(back.locations))
-            np.testing.assert_array_equal(
-                back.locations, loc[[j for _, j, _ in sorted(rows, key=lambda r: r[0])]]
-            )
-        else:
-            with pytest.raises(ValueError, match="indices 0..2 once each"):
-                load_dataset(d)
-
-
 def _rewrite_manifest(d: Path, **changes) -> None:
     doc = json.loads((d / "manifest.json").read_text())
     doc.update(changes)
     (d / "manifest.json").write_text(json.dumps(doc))
 
 
-def _cut_last_field(path: Path) -> None:
-    text = path.read_text()
-    path.write_text(text[: text.rindex(",")])
+# values written in place of a location number: non-finite (json writes NaN and
+# Infinity), or not a number at all
+BAD_NUMBERS = (math.nan, math.inf, -math.inf, "abc", "", True, None)
+
+
+# rows of a rewritten locations list: (item whose x, z it holds, value replacing
+# its x or z, or None to keep both)
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.integers(0, 2), st.none() | st.tuples(st.sampled_from(BAD_NUMBERS), st.integers(0, 1)),
+), max_size=5))
+def test_load_dataset_location_rows_exact_or_rejected(three_items, rows):
+    """Dropped, duplicated, reordered or non-numeric rows load as written or raise ValueError."""
+    with tempfile.TemporaryDirectory() as d:
+        save_dataset(three_items, d)
+        loc = three_items.locations.tolist()
+        written = []
+        for j, bad in rows:
+            xz = list(loc[j])
+            if bad is not None:
+                xz[bad[1]] = bad[0]
+            written.append(xz)
+        _rewrite_manifest(Path(d), locations=written)
+        bad_rows = [k for k, (_, bad) in enumerate(rows) if bad is not None]
+        if len(rows) != 3:
+            with pytest.raises(ValueError, match="gives count 3 but not that many locations"):
+                load_dataset(d)
+        elif bad_rows:
+            value = rows[bad_rows[0]][1][0]
+            with pytest.raises(ValueError, match=(
+                    f"malformed row {bad_rows[0]} .*: {re.escape(repr(value))} is not a finite number")):
+                load_dataset(d)
+        else:
+            # no index column: row k is item k, whichever item it was written from
+            back = load_dataset(d)
+            assert back.locations.dtype == np.float64
+            assert np.all(np.isfinite(back.locations))
+            np.testing.assert_array_equal(back.locations, three_items.locations[[j for j, _ in rows]])
+
+
+def _cut_signals(d: Path, n_bytes: int) -> None:
+    raw = (d / SIGNALS_FILE).read_bytes()
+    (d / SIGNALS_FILE).write_bytes(raw[: len(raw) - n_bytes])
 
 
 @pytest.mark.parametrize(
     "corrupt, match",
     [
         (lambda d: (d / "manifest.json").write_text("[1, 2]"), "not a JSON object"),
-        (lambda d: _rewrite_manifest(d, signal_files=["sig_00000.f64", "sig_00001.f64"]),
-         "count 3"),
-        (lambda d: _rewrite_manifest(d, count=2), "count 2"),
-        (lambda d: _rewrite_manifest(d, grid=[4000.0, 2.0]), "bad dataset manifest"),
+        (lambda d: _rewrite_manifest(d, format_version=1),
+         "format version 1 not supported .* gen-data"),
+        (lambda d: _rewrite_manifest(d, locations=[[400.0, 50.0], [500.0, 60.0]]),
+         "count 3 but not that many locations"),
+        (lambda d: _rewrite_manifest(d, count=2), "count 2 but not that many locations"),
+        (lambda d: _rewrite_manifest(d, grid=[4000.0, 2.0]),
+         "bad dataset manifest .*: grid must be a JSON object"),
         (lambda d: _rewrite_manifest(
             d, environment={"depth": 200.0, "sound_speed": math.nan, "receiver_depth": 120.0}
-        ), "sound_speed must be a finite number"),
-        (lambda d: _cut_last_field(d / "locations.csv"), "malformed row"),
+        ), "environment sound_speed must be a finite number"),
+        (lambda d: _rewrite_manifest(d, locations=[[400.0, 50.0], [500.0, 60.0], [600.0]]),
+         r"malformed row 2 .*: \[600.0\] is not an \[x, z\] pair"),
+        (lambda d: _cut_signals(d, 8 * 8000), "holds 128000 bytes, expected 192000"),
+        (lambda d: _cut_signals(d, 3), "holds 191997 bytes, expected 192000"),
     ],
-    ids=["non-object", "fewer-files", "count-mismatch", "bad-section", "nan-sound-speed",
-         "truncated-row"],
+    ids=["non-object", "version-1", "fewer-locations", "count-mismatch", "bad-section",
+         "nan-sound-speed", "truncated-row", "fewer-signals", "truncated-signals"],
 )
 def test_load_dataset_rejects_malformed_directory(tmp_path, three_items, corrupt, match):
     d = save_dataset(three_items, tmp_path / "ds")
@@ -386,11 +396,63 @@ def test_load_dataset_rejects_malformed_directory(tmp_path, three_items, corrupt
      ("snr_db", "loud"), ("snr_db", math.nan), ("snr_db", True)],
 )
 def test_load_dataset_rejects_bad_manifest_numbers(tmp_path, env, pulse, grid, key, value):
-    # a one-item set, where a count of true would equal the number of files
+    # a one-item set, where a count of true would equal the number of locations
     d = save_dataset(gen_dataset(env, DEFAULT_REGION, 1, pulse, grid, seed=2), tmp_path / "ds")
     _rewrite_manifest(d, **{key: value})
     with pytest.raises(ValueError, match=f"bad {key}"):
         load_dataset(d)
+
+
+def _read_config(doc: dict, tmp_path: Path, checkpoint: Path):
+    return config_from_dict(doc)
+
+
+def _read_manifest(doc: dict, tmp_path: Path, checkpoint: Path):
+    _rewrite_manifest(tmp_path, **doc)
+    return load_dataset(tmp_path)
+
+
+def _read_checkpoint(doc: dict, tmp_path: Path, checkpoint: Path):
+    saved = json.loads(checkpoint.read_text())
+    (tmp_path / "ck.json").write_text(json.dumps({**saved, **doc}))
+    return load_checkpoint(tmp_path / "ck.json")
+
+
+# each file reader: (reader, scene section it reads, a key without default, its error)
+SCENE_READERS = {
+    "config": (_read_config, "region", "x_min", ConfigError),
+    "manifest": (_read_manifest, "environment", "sound_speed", ValueError),
+    "checkpoint": (_read_checkpoint, "pulse", "bandwidth", CheckpointError),
+}
+
+
+# each change: (section, key without default) -> (changed section, key the message must name)
+@pytest.mark.parametrize("reader", SCENE_READERS)
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda s, key: ({k: v for k, v in s.items() if k != key}, key),
+        lambda s, key: ({**s, "extra": 1.0}, "extra"),
+        lambda s, key: ({**s, key: True}, key),
+        lambda s, key: ({**s, key: "abc"}, key),
+        lambda s, key: ({**s, key: math.nan}, key),
+        lambda s, key: (list(s.values()), None),
+    ],
+    ids=["missing-key", "unknown-key", "bool", "string", "nan", "non-object"],
+)
+def test_scene_readers_name_section_and_key(tmp_path, three_items, untrained_checkpoint,
+                                            reader, change):
+    read, name, key, error = SCENE_READERS[reader]
+    save_dataset(three_items, tmp_path)
+    section = {"region": DEFAULT_REGION, "environment": three_items.environment,
+               "pulse": three_items.pulse}[name]
+    section, named = change(asdict(section), key)
+    with pytest.raises(error) as info:
+        read({name: section}, tmp_path, untrained_checkpoint)
+    message = str(info.value)
+    assert type(info.value) is error
+    assert name in message and (named is None or repr(named) in message or f" {named} " in message)
+    assert "__init__" not in message
 
 
 def test_region_validation_and_clip():

@@ -140,6 +140,10 @@ def test_config_hash_reads_whole_numbers_as_floats():
                                "gamma_list": [0.0, 1.0], "snr_db": 20.0})
     assert config_hash(ints) == config_hash(floats)
     assert config_hash(config_from_dict({"snr_db": 20})) == "a46b4c28e58744c4"  # the default
+    # and so do scene sections: each is the default scene spelled in integers
+    for scene in ({"environment": {"depth": 200, "sound_speed": 1500, "receiver_depth": 120}},
+                  {"grid": {"sample_rate": 4000, "duration": 2}}):
+        assert config_hash(config_from_dict(scene)) == "a46b4c28e58744c4"
     assert ints.snr_db_list == (0.0, 20.0) and all(type(v) is float for v in ints.gamma_list)
     for bad in ({"snr_db_list": ["x"]}, {"mismatch_m_list": [True]}, {"gamma_list": [None]}):
         with pytest.raises(ConfigError):

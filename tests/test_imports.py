@@ -1,6 +1,7 @@
 """The package depends on numpy alone, and its modules import only what they use."""
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -48,3 +49,31 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.add((path.stem, name))
     assert unused == TRACER_GLOBALS
+
+
+SCENE_CLASSES = {"Environment", "SourceLocation", "AnalyticPulse", "TimeGrid", "Region"}
+
+
+def test_one_reader_builds_scenes_from_mappings():
+    # a call with **mapping whose callee is a scene class, or a name the module
+    # neither defines nor imports (a variable holding a class), builds a scene
+    # from a mapping; only environment.scene_from_dict may do that
+    builders = set()
+    for path in Path(aqualoc.__file__).resolve().parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        named = set(dir(builtins))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                named.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                named.update((a.asname or a.name).split(".")[0] for a in node.names)
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for call in ast.walk(func):
+                if not (isinstance(call, ast.Call) and any(k.arg is None for k in call.keywords)):
+                    continue
+                callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if callee in SCENE_CLASSES or (isinstance(call.func, ast.Name) and callee not in named):
+                    builders.add((path.stem, func.name))
+    assert builders == {("environment", "scene_from_dict")}

@@ -39,7 +39,7 @@ from aqualoc.signals import (
     SampledSignal,
     add_awgn,
     snr_to_n0,
-    superpose_arrivals,
+    superpose_windows,
 )
 
 TRUE_P = np.array([DEFAULT_SOURCE.x, DEFAULT_SOURCE.z])
@@ -99,7 +99,7 @@ def test_toa_two_peak_fallback(env, pulse, grid):
     _, taus = arrival_params(env, src)
     lengths = taus * env.sound_speed
     alphas = np.array([1.0 / lengths[0], -1.0 / lengths[1]])
-    values = superpose_arrivals(alphas, taus[:2], pulse, grid)
+    values = superpose_windows(alphas, taus[:2], pulse, grid)[0]
     est = toa_init(SampledSignal(grid, values), pulse, env)
     assert est.n_peaks == 2
     assert est.assignment == (DIRECT, SURFACE)
@@ -115,9 +115,7 @@ def test_toa_rejects_silence(env, pulse, grid):
 def test_toa_rejects_single_arrival(env, pulse, grid):
     src = SourceLocation(500.0, 40.0)
     _, taus = arrival_params(env, src)
-    values = superpose_arrivals(
-        np.array([2e-3]), taus[:1], pulse, grid
-    )
+    values = superpose_windows(np.array([2e-3]), taus[:1], pulse, grid)[0]
     with pytest.raises(ToaInitError):
         toa_init(SampledSignal(grid, values), pulse, env)
 

@@ -30,7 +30,7 @@ from aqualoc.signals import (
     eval_pulse_dt,
     make_pulse,
     snr_to_n0,
-    superpose_arrivals,
+    superpose_windows,
 )
 
 SIGMA_P = 1.0 / (math.pi * 500.0)
@@ -211,7 +211,7 @@ def test_sampled_signal_length_checked(grid):
 def test_superpose_matches_direct_evaluation(pulse, grid):
     alphas = np.array([1.0 / 618.0, -1.0 / 626.0, 1.0 / 663.0])
     taus = np.array([0.412, 0.417, 0.442])
-    out = superpose_arrivals(alphas, taus, pulse, grid)
+    out = superpose_windows(alphas, taus, pulse, grid)[0]
     t = grid.times()
     direct = sum(a * eval_pulse(pulse, t - tau) for a, tau in zip(alphas, taus))
     # windowing truncates at 12 sigma: error floor ~exp(-72)
@@ -237,14 +237,14 @@ def test_superpose_matches_per_arrival_loop(pulse, grid):
         [0.2, 0.2, 0.2],
     ])
     alphas = np.random.default_rng(5).normal(size=taus.shape) * 1e-3
-    out = superpose_arrivals(alphas, taus, pulse, grid)
+    out = superpose_windows(alphas, taus, pulse, grid)[0]
     pad, start, _, window = signals.arrival_windows(taus, pulse, grid)
     buf = np.zeros((len(taus), grid.n_samples + 2 * pad))
     for b in range(taus.shape[0]):
         for i in range(taus.shape[1]):
             buf[b, start[b, i] : start[b, i] + window.shape[-1]] += alphas[b, i] * window[b, i]
     assert np.array_equal(out, buf[:, pad : pad + grid.n_samples])
-    assert np.array_equal(superpose_arrivals(alphas[1], taus[1], pulse, grid), out[1])
+    assert np.array_equal(superpose_windows(alphas[1], taus[1], pulse, grid)[0], out[1])
 
 
 
@@ -262,13 +262,13 @@ def test_batch_rows_equal_rows_alone(pulse, grid, rows, spread, seed):
     taus = rng.uniform(-0.2, 2.2 - spread, size=(rows, 1)) + rng.uniform(0.0, spread, (rows, 3))
     alphas = rng.normal(size=(rows, 3)) * 1e-3
     windows = signals.arrival_windows(taus, pulse, grid)
-    out = superpose_arrivals(alphas, taus, pulse, grid)
+    out = superpose_windows(alphas, taus, pulse, grid)[0]
     for k in range(rows):
         alone = signals.arrival_windows(taus[k : k + 1], pulse, grid)
         assert alone[0] == windows[0]
         assert all(np.array_equal(a[0], b[k]) for a, b in zip(alone[1:], windows[1:]))
-        assert np.array_equal(superpose_arrivals(alphas[k], taus[k], pulse, grid), out[k])
-        assert np.array_equal(superpose_arrivals(alphas[k : k + 1], taus[k : k + 1], pulse, grid), out[k : k + 1])
+        assert np.array_equal(superpose_windows(alphas[k], taus[k], pulse, grid)[0], out[k])
+        assert np.array_equal(superpose_windows(alphas[k : k + 1], taus[k : k + 1], pulse, grid)[0], out[k : k + 1])
 
 def complex_fft_envelope(values):
     """|ifft(fft(values) * h)| along the last axis, with the one-sided weights h: the
