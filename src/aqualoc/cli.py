@@ -18,12 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import fd_check
 from .environment import (
     DEFAULT_ENVIRONMENT,
     DEFAULT_SOURCE,
     SCENE_TYPES,
     gen_dataset,
     load_dataset,
+    path_geometry,
     save_dataset,
     synthesize_received,
 )
@@ -39,10 +41,11 @@ from .harness import (
     method_cell,
     parse_scene,
     run_and_write,
+    run_cell,
     seed_and_fit,
     true_environment,
 )
-from .localize import crlb, require_gamma, toa_init
+from .localize import _WaveformFit, crlb, require_gamma, toa_init
 from .pln import DEFAULT_HIDDEN, PlnArchitecture
 from .signals import (
     NoiseSpec, TimeGrid, add_awgn, at_least, finite_float, make_pulse, snr_to_n0, whole_number,
@@ -94,9 +97,9 @@ def _cast(key: str, value, cast):
         raise ConfigError(f"config key {key!r}: bad value {value!r} ({exc})") from exc
 
 
-def _seed(doc: dict) -> int:
-    """The config's `seed` (default 0), a whole number >= 0."""
-    return _cast("seed", doc.get("seed", 0), lambda v: at_least("seed", v, whole_number, 0))
+def _whole(doc: dict, key: str, default: int) -> int:
+    """The config's `key` (default `default`), a whole number >= 0."""
+    return _cast(key, doc.get(key, default), lambda v: at_least(key, v, whole_number, 0))
 
 
 def _scene_from(doc: dict):
@@ -113,13 +116,11 @@ def _scene_from(doc: dict):
 def _cmd_gen_data(doc: dict) -> int:
     _check_keys(doc, _SCENE_KEYS | {"count", "snr_db", "seed", "out_dir"}, "gen-data")
     env, _, pulse, grid, region = _scene_from(doc)
-    count = _cast("count", doc.get("count", 256), whole_number)
-    if count < 0:
-        raise ConfigError(f"config key 'count' must be >= 0, got {count}")
+    count = _whole(doc, "count", 256)
     snr_db = doc.get("snr_db")
     if snr_db is not None:
         snr_db = _cast("snr_db", snr_db, finite_float)
-    seed = _seed(doc)
+    seed = _whole(doc, "seed", 0)
     out = _resolve(doc.get("out_dir", "dataset"))
     ds = gen_dataset(env, region, count, pulse, grid, seed, snr_db=snr_db)
     save_dataset(ds, out)
@@ -164,7 +165,7 @@ def _cmd_localize(doc: dict) -> int:
     if snr_db is not None:
         snr_db = _cast("snr_db", snr_db, finite_float)
     mismatch = _cast("mismatch_m", doc.get("mismatch_m", 0.0), finite_float)
-    seed = _seed(doc)
+    seed = _whole(doc, "seed", 0)
     true_environment(cfg.environment, mismatch)  # a bad offset is a ConfigError before any load
     env_assumed, adapter, clean = method_cell(method, cfg, mismatch, _require_model(cfg))
     if snr_db is None:
@@ -231,8 +232,9 @@ def _cmd_verify_theorem(doc: dict) -> int:
         theorem_cfg = TheoremConfig(**{key: doc[key] for key in theorem_keys & set(doc)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    model = load_model(_resolve(doc["checkpoint"]), env, pulse)
-    report = verify_theorem(model, env, source, eps_depth_m, theorem_cfg, grid=grid)
+    true_environment(env, eps_depth_m, "eps_depth_m")  # a bad offset is a ConfigError before any load
+    report = verify_theorem(load_model(_resolve(doc["checkpoint"]), env, pulse), env, source,
+                            eps_depth_m, theorem_cfg, grid=grid)
     out = _resolve(doc.get("out_dir", "theorem_report.json"))
     report.save(out)
     print(
@@ -263,8 +265,6 @@ def _cmd_selftest() -> int:
     grid = TimeGrid()
 
     def oracle_lengths():
-        from .environment import path_geometry
-
         got, _ = path_geometry(env, source.x, source.z)
         want = [618.1423784210236, 625.8594091327541, 663.0987860040161]
         assert np.allclose(got, want, rtol=0.0, atol=1e-9), f"{got} != {want}"
@@ -275,12 +275,8 @@ def _cmd_selftest() -> int:
         assert np.array_equal(oracle.values, matched), "matched synthesis differs from oracle"
 
     def gradient_check():
-        from .autodiff import fd_check
-
         clean = synthesize_received(env, source, pulse, grid)
         adapter = MatchedModel(env, pulse)
-        from .localize import _WaveformFit
-
         objective = _WaveformFit(adapter, clean, 0.0, False)
         # h: small enough that central-difference curvature error stays below
         # tolerance on the carrier-oscillatory loss
@@ -302,8 +298,6 @@ def _cmd_selftest() -> int:
         assert err < 0.5, f"TOA init off by {err:.3f} m"
 
     def determinism():
-        from .harness import ExperimentConfig, run_cell
-
         cfg = ExperimentConfig(trials=2, snr_db_list=(20.0,), methods=(METHOD_GBL_MATCHED,))
         r1 = run_cell(METHOD_GBL_MATCHED, cfg, 20.0, 0.0, 0.0, None)
         r2 = run_cell(METHOD_GBL_MATCHED, cfg, 20.0, 0.0, 0.0, None)

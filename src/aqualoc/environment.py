@@ -62,12 +62,12 @@ class Environment:
     def __post_init__(self) -> None:
         keep_floats(self, "environment")
         if self.depth <= 0.0:
-            raise ValueError(f"depth must be positive, got {self.depth}")
+            raise ValueError(f"environment depth must be positive, got {self.depth}")
         if self.sound_speed <= 0.0:
-            raise ValueError(f"sound_speed must be positive, got {self.sound_speed}")
+            raise ValueError(f"environment sound_speed must be positive, got {self.sound_speed}")
         if not 0.0 < self.receiver_depth < self.depth:
             raise ValueError(
-                f"receiver_depth must lie inside (0, {self.depth}), "
+                f"environment receiver_depth must lie inside (0, {self.depth}), "
                 f"got {self.receiver_depth}"
             )
 
@@ -215,9 +215,9 @@ class Region:
     def __post_init__(self) -> None:
         keep_floats(self, "region")
         if not (0.0 < self.x_min < self.x_max):
-            raise ValueError(f"need 0 < x_min < x_max, got [{self.x_min}, {self.x_max}]")
+            raise ValueError(f"region needs 0 < x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if not (0.0 < self.z_min < self.z_max):
-            raise ValueError(f"need 0 < z_min < z_max, got [{self.z_min}, {self.z_max}]")
+            raise ValueError(f"region needs 0 < z_min < z_max, got [{self.z_min}, {self.z_max}]")
 
     def contains(self, x: float, z: float) -> bool:
         return self.x_min <= x <= self.x_max and self.z_min <= z <= self.z_max

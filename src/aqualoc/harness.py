@@ -30,7 +30,7 @@ from .environment import (
     scene_from_dict,
     synthesize_received,
 )
-from .forward import ModelParams, NetworkModel, MatchedModel, load_checkpoint
+from .forward import NetworkModel, MatchedModel, load_checkpoint
 from .localize import (
     LocalizeResult, SingularFisherError, ToaEstimate, ToaInitError, crlb, da_gbl, gbl,
     require_gamma, toa_init,
@@ -228,13 +228,13 @@ def true_environment(env: Environment, mismatch_m: float, key: str = "mismatch_m
 
 
 def method_cell(method: str, cfg: ExperimentConfig, mismatch_m: float,
-                model: ModelParams | None):
+                model: NetworkModel | None):
     """One method's view of a cell whose recording comes from the training
     depth plus `mismatch_m`: (assumed environment, signal model, clean recording).
 
     gbl-matched fits the matched model in the true (offset) environment;
-    gbl-nn and da-gbl fit the trained network `model` and assume the training
-    environment.
+    gbl-nn and da-gbl fit `model`, the trained network of `load_model`, and
+    assume the training environment.
     """
     env_true = true_environment(cfg.environment, mismatch_m)
     if method == METHOD_GBL_MATCHED:
@@ -244,7 +244,7 @@ def method_cell(method: str, cfg: ExperimentConfig, mismatch_m: float,
     elif model is None:
         raise ConfigError(f"method {method} needs a trained checkpoint")
     else:
-        env_assumed, adapter = cfg.environment, NetworkModel(model)
+        env_assumed, adapter = cfg.environment, model
     clean = synthesize_received(env_true, cfg.source, cfg.pulse, cfg.grid)
     return env_assumed, adapter, clean
 
@@ -265,7 +265,7 @@ def run_cell(
     snr_db: float,
     mismatch_m: float,
     gamma: float,
-    model: ModelParams | None,
+    model: NetworkModel | None,
 ) -> SweepRow:
     """Run M noise trials of one method in one (SNR, mismatch) cell."""
     t_start = time.perf_counter() if cfg.timing else 0.0
@@ -297,22 +297,22 @@ def _crlb_row(cfg: ExperimentConfig, snr_db: float) -> SweepRow:
     return SweepRow(METHOD_CRLB, snr_db, 0.0, 0.0, 0, bound, 0.0, 0.0, 1.0, 0.0)
 
 
-def load_model(path: str | Path, env: Environment, pulse: AnalyticPulse) -> ModelParams:
-    """The network model of the checkpoint at `path`; a receiver depth other
-    than `env`'s is a ConfigError, as the network bakes that depth in, and so
-    is a medium other than the config's: mismatch here is a water-depth
-    offset only, so the sound speed and the pulse must match too."""
+def load_model(path: str | Path, env: Environment, pulse: AnalyticPulse) -> NetworkModel:
+    """The network of the checkpoint at `path` as a signal model, the one place
+    a checkpoint becomes one. A receiver depth other than `env`'s is a
+    ConfigError, as the network bakes that depth in, and so is a sound speed
+    or pulse other than the config's, as mismatch here is a depth offset only."""
     model = load_checkpoint(path).model
     for name, have, want in (("receiver depth", model.receiver_depth, env.receiver_depth),
                              ("sound speed", model.sound_speed, env.sound_speed),
                              ("pulse", model.pulse, pulse)):
         if have != want:
             raise ConfigError(f"checkpoint {name} {have} does not match config {name} {want}")
-    return model
+    return NetworkModel(model)
 
 
-def _require_model(cfg: ExperimentConfig) -> ModelParams | None:
-    """The model of `cfg.checkpoint`, which the network methods need and no
+def _require_model(cfg: ExperimentConfig) -> NetworkModel | None:
+    """The signal model of `cfg.checkpoint`, which the network methods need and no
     other method reads: a checkpoint that no method reads is a ConfigError."""
     if not any(m in cfg.methods for m in NETWORK_METHODS):
         if cfg.checkpoint is not None:

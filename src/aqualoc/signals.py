@@ -94,9 +94,9 @@ class AnalyticPulse:
     def __post_init__(self) -> None:
         keep_floats(self, "pulse")
         if self.center_freq < 0.0:
-            raise ValueError(f"center_freq must be >= 0, got {self.center_freq}")
+            raise ValueError(f"pulse center_freq must be >= 0, got {self.center_freq}")
         if self.bandwidth <= 0.0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+            raise ValueError(f"pulse bandwidth must be positive, got {self.bandwidth}")
 
     @property
     def sigma(self) -> float:
@@ -159,9 +159,9 @@ class TimeGrid:
     def __post_init__(self) -> None:
         keep_floats(self, "grid")
         if self.sample_rate <= 0.0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+            raise ValueError(f"grid sample_rate must be positive, got {self.sample_rate}")
         if self.duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+            raise ValueError(f"grid duration must be positive, got {self.duration}")
         if self.n_samples < 1:
             raise ValueError("grid must contain at least one sample")
 

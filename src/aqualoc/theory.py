@@ -20,7 +20,6 @@ import numpy as np
 
 from .autodiff import value_and_grad
 from .environment import Environment, SourceLocation, path_geometry, synthesize_received
-from .forward import ModelParams, NetworkModel
 from .localize import GblConfig, _WaveformFit, da_gbl, require_gamma, toa_init
 from .signals import SampledSignal, TimeGrid, at_least, require_finite, whole_number
 
@@ -273,7 +272,7 @@ def _newton_polish(grad_fn, v: np.ndarray, h: float, iters: int, max_step: float
 
 
 def verify_theorem(
-    model: ModelParams,
+    signal_model,
     env_train: Environment,
     source: SourceLocation,
     eps_depth_m: float,
@@ -289,29 +288,35 @@ def verify_theorem(
     the observed displacement and the sign witnesses. Assumption failures
     yield a not-applicable verdict rather than an exception.
 
-    The perturbation is a water-depth offset of `eps_depth_m` meters, as the
-    Lipschitz probe that sets its budget varies depth only; a value that is
-    not a finite number (a bool included) raises ValueError before any fit.
+    `signal_model`, trained in `env_train`, is any model the fits can adapt
+    (`pulse`, `w_train`, `signal_t`). The perturbation is a water-depth offset
+    of `eps_depth_m` meters, as the Lipschitz probe that sets its budget varies
+    depth only; a value that is not a finite number (a bool included) or that
+    leaves the receiver outside the water raises ValueError before any fit.
     """
     require_finite("verify_theorem", eps_depth_m=eps_depth_m)
     grid = grid or TimeGrid()
-    adapter = NetworkModel(model)
-    nw = adapter.n_weights
+    nw = signal_model.n_weights
     gbl_cfg = GblConfig(max_iter=800, step_tol_m=1e-7)
 
     def received(d: float) -> SampledSignal:
         """The noiseless recording at the training depth plus d."""
         env_d = replace(env_train, depth=env_train.depth + d)
-        return synthesize_received(env_d, source, model.pulse, grid)
+        return synthesize_received(env_d, source, signal_model.pulse, grid)
+
+    try:
+        r_test = received(eps_depth_m)
+    except ValueError as exc:
+        raise ValueError(f"eps_depth_m {eps_depth_m!r}: {exc}") from None
 
     def fit(r: SampledSignal):
         """DA-GBL on `r` from the shared seed p0: ([w; p], its gradient norm)."""
-        result = da_gbl(r, adapter, p0, cfg.gamma, gbl_cfg)
+        result = da_gbl(r, signal_model, p0, cfg.gamma, gbl_cfg)
         return np.concatenate([result.w_hat, result.p_hat]), result.grad_norm
 
     def normalized_grad(r: SampledSignal):
         """vt -> the adaptation objective's gradient on `r`, in normalized coordinates."""
-        raw_grad = make_grad_fn(adapter, r, cfg.gamma)
+        raw_grad = make_grad_fn(signal_model, r, cfg.gamma)
         return lambda vt: scales * raw_grad(vt * scales)
 
     def polish(grad_fn, v_raw: np.ndarray):
@@ -319,13 +324,13 @@ def verify_theorem(
         return _newton_polish(grad_fn, v_raw / scales, h_fd, NEWTON_ITERS, max_step=0.5 * sigma_used)
 
     r_train = received(0.0)
-    p0 = toa_init(r_train, model.pulse, env_train).p0
+    p0 = toa_init(r_train, signal_model.pulse, env_train).p0
     v0_raw, gbl_grad_norm = fit(r_train)
 
     # Normalized coordinates: unit weight scale, position scales chosen so the
     # data-term curvature per position coordinate, 2 dt |df/dp_j|^2 in the
     # Gauss-Newton model, equals CURVATURE_TARGET.
-    data_term = _WaveformFit(adapter, r_train, 0.0, True)
+    data_term = _WaveformFit(signal_model, r_train, 0.0, True)
     curv = data_term.linearize(data_term.evaluate(v0_raw))["curv_p"]
     u_p = np.sqrt(CURVATURE_TARGET / np.maximum(curv, 1e-300))
     scales = np.ones(nw + 2)
@@ -388,7 +393,6 @@ def verify_theorem(
     budget_ok = abs(eps_depth_m) <= epsilon_budget
 
     # Refit under the perturbed environment from the same initialization.
-    r_test = received(eps_depth_m)
     grad_test = normalized_grad(r_test)
     vt_eps, _ = polish(grad_test, fit(r_test)[0])
     displacement = float(np.linalg.norm(vt0 - vt_eps))

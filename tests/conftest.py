@@ -80,10 +80,11 @@ def untrained_checkpoint(tmp_path_factory):
 @pytest.fixture(scope="session")
 def theorem_report(reduced_checkpoint):
     """Robustness report at the reference depth perturbation."""
+    from aqualoc.forward import NetworkModel
     from aqualoc.theory import TheoremConfig, verify_theorem
 
     return verify_theorem(
-        reduced_checkpoint.model,
+        NetworkModel(reduced_checkpoint.model),
         DEFAULT_ENVIRONMENT,
         DEFAULT_SOURCE,
         -0.05,

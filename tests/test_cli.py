@@ -181,6 +181,7 @@ def test_infinite_region_bound_exits_2(tmp_path, capsys, command):
         # the offset is checked before the absent checkpoint is read
         ("localize", {"mismatch_m": -90, "method": "gbl-nn", "checkpoint": "absent.json"},
          "mismatch_m"),
+        ("verify-theorem", {"eps_depth_m": -90, "checkpoint": "absent.json"}, "eps_depth_m"),
     ],
 )
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, doc, key):

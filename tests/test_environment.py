@@ -437,8 +437,9 @@ SCENE_READERS = {
         lambda s, key: ({**s, key: "abc"}, key),
         lambda s, key: ({**s, key: math.nan}, key),
         lambda s, key: (list(s.values()), None),
+        lambda s, key: ({**s, key: -1.0}, key),
     ],
-    ids=["missing-key", "unknown-key", "bool", "string", "nan", "non-object"],
+    ids=["missing-key", "unknown-key", "bool", "string", "nan", "non-object", "out-of-range"],
 )
 def test_scene_readers_name_section_and_key(tmp_path, three_items, untrained_checkpoint,
                                             reader, change):

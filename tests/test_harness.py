@@ -219,12 +219,14 @@ def test_method_cell_rule_at_a_depth_offset(method, adapter_type, assumes_true_d
     # model knows that depth, the network methods assume the training one
     cfg = ExperimentConfig()
     norm = InputNormalization.from_region(DEFAULT_REGION, cfg.environment)
-    model = ModelParams(pln_init(PlnArchitecture(hidden=REDUCED_HIDDEN), norm, 0),
-                        cfg.environment.sound_speed, cfg.environment.receiver_depth, cfg.pulse)
+    model = NetworkModel(ModelParams(pln_init(PlnArchitecture(hidden=REDUCED_HIDDEN), norm, 0),
+                                     cfg.environment.sound_speed, cfg.environment.receiver_depth,
+                                     cfg.pulse))
     env_assumed, adapter, clean = method_cell(method, cfg, -2.0, model)
     true_depth = cfg.environment.depth - 2.0
     assert env_assumed.depth == (true_depth if assumes_true_depth else cfg.environment.depth)
     assert type(adapter) is adapter_type
+    assert (adapter is model) == (adapter_type is NetworkModel)
     env_true = Environment(true_depth, cfg.environment.sound_speed, cfg.environment.receiver_depth)
     want = synthesize_received(env_true, cfg.source, cfg.pulse, cfg.grid)
     assert np.array_equal(clean.values, want.values)

@@ -77,3 +77,27 @@ def test_one_reader_builds_scenes_from_mappings():
                 if callee in SCENE_CLASSES or (isinstance(call.func, ast.Name) and callee not in named):
                     builders.add((path.stem, func.name))
     assert builders == {("environment", "scene_from_dict")}
+
+
+def test_one_function_turns_a_checkpoint_into_a_signal_model():
+    # everything above harness.load_model takes the signal model it returns; the one other
+    # NetworkModel call, NetworkModel.with_pulse, derives a model from one that exists
+    builders = set()
+    theory_imports = set()
+    for path in Path(aqualoc.__file__).resolve().parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call)
+                    and getattr(call.func, "id", getattr(call.func, "attr", None)) == "NetworkModel"
+                    for call in ast.walk(func)):
+                builders.add((path.stem, func.name))
+        if path.stem == "theory":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    theory_imports.add(node.module or "")
+                    theory_imports.update(f"{node.module or ''}.{a.name}" for a in node.names)
+                elif isinstance(node, ast.Import):
+                    theory_imports.update(a.name for a in node.names)
+    assert builders == {("harness", "load_model"), ("forward", "with_pulse")}
+    assert not {name for name in theory_imports if "forward" in name.split(".")}

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,12 +12,14 @@ from aqualoc.environment import (
     DEFAULT_ENVIRONMENT,
     DEFAULT_REGION,
     DEFAULT_SOURCE,
+    RHOS,
+    path_geometry,
     synthesize_received,
 )
-from aqualoc.forward import ModelParams, NetworkModel
-from aqualoc.localize import _WaveformFit
+from aqualoc.forward import ModelParams, NetworkModel, _LengthModel
+from aqualoc.localize import GblConfig, _WaveformFit, da_gbl, toa_init
 from aqualoc.pln import InputNormalization, PlnArchitecture, pln_init
-from aqualoc.signals import SampledSignal, TimeGrid, make_pulse
+from aqualoc.signals import SampledSignal, eval_pulse, eval_pulse_dt
 from aqualoc.theory import (
     TheoremConfig,
     estimate_lambda,
@@ -32,28 +34,24 @@ TRUE_P = np.array([DEFAULT_SOURCE.x, DEFAULT_SOURCE.z])
 
 
 @pytest.fixture(scope="module")
-def small_model(pulse):
+def small_adapter(pulse):
     norm = InputNormalization.from_region(DEFAULT_REGION, DEFAULT_ENVIRONMENT)
     params = pln_init(PlnArchitecture(hidden=(8,)), norm, 0)
-    return ModelParams(params, 1500.0, 120.0, pulse)
-
-
-@pytest.fixture(scope="module")
-def small_adapter(small_model):
-    return NetworkModel(small_model)
+    return NetworkModel(ModelParams(params, 1500.0, 120.0, pulse))
 
 
 # -- inputs --------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("eps_depth_m", [math.nan, math.inf, True])
-def test_verify_rejects_bad_depth_offset_before_any_fit(small_model, monkeypatch, eps_depth_m):
+# -90 m puts the bottom at 110 m, above the 120 m receiver
+@pytest.mark.parametrize("eps_depth_m", [math.nan, math.inf, True, -90.0])
+def test_verify_rejects_bad_depth_offset_before_any_fit(small_adapter, monkeypatch, eps_depth_m):
     def no_fit(*args, **kwargs):
         raise AssertionError("a fit ran before the depth offset was checked")
 
     monkeypatch.setattr("aqualoc.theory.toa_init", no_fit)  # the first fit verify_theorem runs
     with pytest.raises(ValueError, match="eps_depth_m"):
-        verify_theorem(small_model, DEFAULT_ENVIRONMENT, DEFAULT_SOURCE, eps_depth_m)
+        verify_theorem(small_adapter, DEFAULT_ENVIRONMENT, DEFAULT_SOURCE, eps_depth_m)
 
 
 def test_config_validation():
@@ -211,7 +209,7 @@ def test_xi_detects_cubic_curvature():
 @pytest.fixture(scope="session")
 def theorem_zero(reduced_checkpoint):
     return verify_theorem(
-        reduced_checkpoint.model,
+        NetworkModel(reduced_checkpoint.model),
         DEFAULT_ENVIRONMENT,
         DEFAULT_SOURCE,
         0.0,
@@ -249,7 +247,7 @@ def test_verify_reference_perturbation_passes(theorem_report):
 
 def test_verify_big_perturbation_reports_budget_exceeded(reduced_checkpoint):
     rep = verify_theorem(
-        reduced_checkpoint.model,
+        NetworkModel(reduced_checkpoint.model),
         DEFAULT_ENVIRONMENT,
         DEFAULT_SOURCE,
         -10.0,
@@ -265,9 +263,9 @@ def test_verify_big_perturbation_reports_budget_exceeded(reduced_checkpoint):
 CLAIM_FLAGS = {"rho_ok", "gprime_ok", "budget_ok", "displacement_ok", "signs_ok", "passed"}
 
 
-def test_not_applicable_report_defaults_every_later_field(small_model, tmp_path):
+def test_not_applicable_report_defaults_every_later_field(small_adapter, tmp_path):
     # the untrained network's fit is not strongly convex on the sampled cube
-    rep = verify_theorem(small_model, DEFAULT_ENVIRONMENT, DEFAULT_SOURCE, -0.05)
+    rep = verify_theorem(small_adapter, DEFAULT_ENVIRONMENT, DEFAULT_SOURCE, -0.05)
     assert rep.verdict.startswith("not-applicable")
     assert rep.convexity_ok is False
     names = [f.name for f in fields(rep)]
@@ -289,3 +287,125 @@ def test_report_round_trips_as_json(theorem_report, tmp_path):
     assert doc["lambda_hat"] == theorem_report.lambda_hat
     assert doc["seed"] == theorem_report.seed
     assert len(doc["p_scales"]) == 2
+
+
+# -- known answers: a signal model whose one weight is the water depth -----------------
+
+
+class DepthModel(_LengthModel):
+    """Image-method lengths whose one weight is the water depth D, all else as in `env`.
+
+    Only the bottom path moves with D: its weight Jacobian column is
+    dl_b/dD = 2 (2D - z_r - z) / l_b. A depth at or above the receiver has
+    no geometry; its lengths are NaN, so the fit's loss there is inf.
+    """
+
+    def __init__(self, env, pulse):
+        self.env, self.pulse, self.sound_speed = env, pulse, env.sound_speed
+        self.w_train = np.array([env.depth])
+
+    def lengths(self, w, x, z):
+        depth = self.env.depth if w is None else float(w[0])
+        if not depth > self.env.receiver_depth:  # the fit's loss is inf and needs no Jacobian
+            return np.full(3, math.nan), None
+        lengths, d_p = path_geometry(replace(self.env, depth=depth), x, z)
+
+        def jacobian(weights: bool = True):
+            d_w = np.zeros((3, 1 if weights else 0))
+            if weights:
+                d_w[2, 0] = 2.0 * (2.0 * depth - self.env.receiver_depth - z) / lengths[2]
+            return d_p(), d_w
+
+        return lengths, jacobian
+
+
+def gn_hessian(env, pulse, grid, gamma):
+    """The Gauss-Newton Hessian of dt ||r - f||^2 + (gamma / 2) (D - D_train)^2 over
+    (D, x, z) at the reference source, in closed form: 2 dt L^T G^T G L + gamma e_D e_D^T,
+    with G = df/dl from the pulse and its derivative on the whole grid and L = dl/d(D, x, z)."""
+    lengths, d_p = path_geometry(env, DEFAULT_SOURCE.x, DEFAULT_SOURCE.z)
+    t = grid.times()[:, None] - lengths / env.sound_speed
+    g = (-(RHOS / lengths**2) * eval_pulse(pulse, t)
+         - (RHOS / (lengths * env.sound_speed)) * eval_pulse_dt(pulse, t))
+    l_v = np.zeros((3, 3))
+    l_v[2, 0] = 2.0 * (2.0 * env.depth - env.receiver_depth - DEFAULT_SOURCE.z) / lengths[2]
+    l_v[:, 1:] = d_p()
+    return 2.0 * grid.dt * l_v.T @ (g.T @ g) @ l_v + np.diag([gamma, 0.0, 0.0])
+
+
+@pytest.fixture(scope="module")
+def depth_model(pulse):
+    return DepthModel(DEFAULT_ENVIRONMENT, pulse)
+
+
+@pytest.fixture(scope="module")
+def depth_reports(depth_model):
+    """The depth model's reports at gamma = 10, by depth offset."""
+    return {eps: verify_theorem(depth_model, DEFAULT_ENVIRONMENT, DEFAULT_SOURCE, eps)
+            for eps in (0.0, -0.05, -1.0, -10.0)}
+
+
+def test_depth_model_lengths_and_jacobian(depth_model, grid, pulse):
+    # at the training depth it is the matched model; its depth column matches central differences
+    x, z = DEFAULT_SOURCE.x, DEFAULT_SOURCE.z
+    lengths, jacobian = depth_model.lengths(None, x, z)
+    assert np.array_equal(lengths, path_geometry(DEFAULT_ENVIRONMENT, x, z)[0])
+    h = 1e-4
+    hi, _ = depth_model.lengths(np.array([DEFAULT_ENVIRONMENT.depth + h]), x, z)
+    lo, _ = depth_model.lengths(np.array([DEFAULT_ENVIRONMENT.depth - h]), x, z)
+    assert np.allclose(jacobian()[1][:, 0], (hi - lo) / (2.0 * h), rtol=1e-6, atol=0.0)
+    # a depth at or above the receiver is an infinite loss, not an error
+    fit = _WaveformFit(depth_model, synthesize_received(DEFAULT_ENVIRONMENT, DEFAULT_SOURCE, pulse,
+                                                        grid), 10.0, True)
+    for depth in (DEFAULT_ENVIRONMENT.receiver_depth, 100.0, math.nan):
+        assert fit.evaluate(np.array([depth, x, z]))["loss"] == math.inf
+
+
+def test_depth_model_verdicts(depth_reports):
+    verdicts = {eps: rep.verdict for eps, rep in depth_reports.items()}
+    assert verdicts == {0.0: "pass", -0.05: "pass", -1.0: "budget-exceeded",
+                        -10.0: "budget-exceeded"}
+
+
+@pytest.mark.parametrize("gamma", [10.0, 1e-3, 1e-6])
+def test_depth_model_lambda_center_is_the_closed_form_hessians(depth_model, depth_reports,
+                                                               pulse, grid, gamma):
+    # noiseless data at the training depth: the fit lands on the truth, where the
+    # loss Hessian is the Gauss-Newton one; the report's coordinates rescale x and z
+    rep = depth_reports[0.0] if gamma == 10.0 else verify_theorem(
+        depth_model, DEFAULT_ENVIRONMENT, DEFAULT_SOURCE, 0.0, TheoremConfig(gamma=gamma))
+    scales = np.diag([1.0, *rep.p_scales])
+    want = np.linalg.eigvalsh(scales @ gn_hessian(DEFAULT_ENVIRONMENT, pulse, grid, gamma)
+                             @ scales)[0]
+    assert rep.lambda_center == pytest.approx(want, rel=1e-5)
+
+
+# the depth offsets of the recordings the adapting fit recovers, and its settings
+RECOVERY_OFFSETS = (-0.5, 0.05, 1.0)
+THEOREM_FIT = GblConfig(max_iter=800, step_tol_m=1e-7)
+
+
+def _adapted_fits(depth_model, pulse, grid, gamma):
+    """(offset, da_gbl result, true depth) from the TOA seed, noiseless, per recovery offset."""
+    for offset in RECOVERY_OFFSETS:
+        env_true = replace(DEFAULT_ENVIRONMENT, depth=DEFAULT_ENVIRONMENT.depth + offset)
+        received = synthesize_received(env_true, DEFAULT_SOURCE, pulse, grid)
+        p0 = toa_init(received, pulse, DEFAULT_ENVIRONMENT).p0
+        yield offset, da_gbl(received, depth_model, p0, gamma, THEOREM_FIT), env_true.depth
+
+
+def test_depth_model_unanchored_fit_recovers_depth_and_position(depth_model, pulse, grid):
+    for _, result, depth in _adapted_fits(depth_model, pulse, grid, 0.0):
+        assert np.abs(result.p_hat - TRUE_P).max() <= 1e-9
+        assert abs(result.w_hat[0] - depth) <= 1e-9
+
+
+@pytest.mark.parametrize("gamma", [1e-10, 1e-12])
+def test_depth_model_anchor_shrinks_depth_by_ridge_factor(depth_model, pulse, grid, gamma):
+    # the anchor pulls the depth back toward training by gamma / (gamma + kappa) of the
+    # offset, kappa the depth's Schur complement in the Gauss-Newton Hessian
+    h = gn_hessian(DEFAULT_ENVIRONMENT, pulse, grid, 0.0)
+    kappa = h[0, 0] - h[0, 1:] @ np.linalg.solve(h[1:, 1:], h[1:, 0])
+    for offset, result, depth in _adapted_fits(depth_model, pulse, grid, gamma):
+        want = -offset * gamma / (gamma + kappa)
+        assert result.w_hat[0] - depth == pytest.approx(want, rel=1e-2)
