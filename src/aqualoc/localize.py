@@ -89,8 +89,19 @@ def _closed_form_seed(t_d: float, t_s: float, env: Environment, region: Region):
     return np.array(region.clip(math.sqrt(x_sq), z))
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a 1-D array, bit for bit, from one selection at n // 2: an even count's
+    sums the largest sample below n // 2 and the one at n // 2, then halves, as np.median's
+    mean does. NaN sorts last, so it gives np.median's NaN only where NaN fill the top half,
+    as they do in the MAD samples of an infinite median (inf - inf)."""
+    half = len(values) // 2
+    part = np.partition(values, half)
+    upper = float(part[half])
+    return upper if len(values) % 2 else (float(part[:half].max()) + upper) / 2.0
+
+
 def peak_threshold(envelope: np.ndarray, rel_floor: float) -> float:
-    """max(median + 3 * 1.4826 MAD, rel_floor * max) of one envelope row.
+    """max(median + 3 * 1.4826 MAD, rel_floor * max) of one envelope row; NaN if it holds a NaN.
 
     The medians are skipped when the relative floor provably wins: if more
     than n // 2 samples are at most tau = rel_floor * max / 8, the median and
@@ -98,13 +109,18 @@ def peak_threshold(envelope: np.ndarray, rel_floor: float) -> float:
     below rel_floor * max, which is then the threshold bit for bit. The count
     compares 8 * sample (exact) with the floor, so tau is never rounded. A
     zero rel_floor (the TOA seed's) never takes the shortcut, so nothing is
-    counted.
+    counted. Each median is one selection (_median), not np.median's
+    partition at the middle ranks and the last (its NaN check): the maximum
+    already tells a NaN.
     """
-    floor = rel_floor * float(envelope.max())
+    top = float(envelope.max())
+    if math.isnan(top):
+        return math.nan
+    floor = rel_floor * top
     if rel_floor > 0.0 and np.count_nonzero(8.0 * envelope <= floor) > len(envelope) // 2:
         return floor
-    med = float(np.median(envelope))
-    mad = float(np.median(np.abs(envelope - med)))
+    med = _median(envelope)
+    mad = _median(np.abs(envelope - med))
     return max(med + 3.0 * 1.4826 * mad, floor)
 
 
@@ -152,14 +168,15 @@ def toa_init(
     Raises
     ------
     ToaInitError
-        If fewer than two sufficiently separated peaks clear the noise floor.
+        If fewer than two sufficiently separated peaks clear the noise floor;
+        the message names a recording with non-finite samples as the cause.
     """
     times, _ = detect_arrivals(received.values[None], pulse, received.grid.sample_rate, 2.0, 0.0)[0]
     if len(times) < 2:
-        raise ToaInitError(
-            f"only {len(times)} arrival peak(s) above the noise floor; "
-            "need at least 2 to seed a location"
-        )
+        cause = f"only {len(times)} arrival peak(s) above the noise floor"
+        if not np.isfinite(received.values).all():  # its envelope is NaN throughout
+            cause = "the recording has non-finite samples, so no arrival peak is found"
+        raise ToaInitError(f"{cause}; need at least 2 to seed a location")
     assignments = ([(DIRECT, SURFACE, BOTTOM), (DIRECT, BOTTOM, SURFACE)] if len(times) == 3
                    else [(DIRECT, SURFACE)])
     fits = []
@@ -320,14 +337,15 @@ class _WaveformFit:
         b, a_len = self._data_term(point)
         d_p, d_w = point["jacobian"](weights=self.nw > 0)
         grad, s_pp = -(b @ d_p), d_p.T @ a_len @ d_p
-        point.update(b=b, a_len=a_len, d_p=d_p, s_pp=s_pp, curv_p=np.diag(s_pp))
+        (s_xx, _), (_, s_zz) = s_pp.tolist()
         if self.nw:
             anchor = point["v"][:self.nw] - self.adapter.w_train
             gram = d_w @ d_w.T
             point.update(d_w=d_w, anchor=anchor, gram=gram, anchor_lengths=d_w @ anchor,
                          mu=float((a_len * gram).sum()) / self.nw)
             grad = np.concatenate([self.gamma * anchor - b @ d_w, grad])
-        point.update(grad=grad, grad_norm=math.sqrt(grad @ grad))
+        point.update(b=b, a_len=a_len, d_p=d_p, s_pp=s_pp, curv_p=(s_xx, s_zz), grad=grad,
+                     grad_norm=math.sqrt(grad @ grad))
 
     def step(self, lin: dict, lam: float) -> tuple[np.ndarray, float]:
         """Damped step at relative damping lam, and the drop the Gauss-Newton model predicts.
@@ -366,7 +384,9 @@ class _DelayFit(_WaveformFit):
 
     With image-method lengths l and arrival times t, the data term on the 3
     lengths is b = -(2 / c) r and A = (2 / c^2) diag(detected), r the delay
-    residual (zero on an undetected path). The loss is inf for x <= 0.
+    residual (zero on an undetected path). The loss is inf for x <= 0. The
+    inherited step solves it; evaluate and linearize are its own, without
+    the waveform fit's objective closures.
     """
 
     def __init__(self, times: np.ndarray, paths: Sequence[PathSpec], env: Environment):
@@ -376,17 +396,27 @@ class _DelayFit(_WaveformFit):
         self.times = np.array([times[paths.index(p)] if p in paths else 0.0 for p in THREE_PATHS])
 
     def evaluate(self, v: np.ndarray) -> dict:
-        """The delay misfit at v = [x; z] and the lengths' Jacobian."""
-        point = {"v": v, "loss": math.inf}
+        """The delay misfit at v = [x; z] and the closure giving the lengths' Jacobian."""
         if not v[0] > 0.0:
-            return point
-        lengths, d_p = path_geometry(self.env, v[0], v[1])
+            return {"v": v, "loss": math.inf}
+        lengths, jacobian = path_geometry(self.env, v[0], v[1])
         r = (lengths / self.env.sound_speed - self.times) * self.detected
-        point.update(loss=float(r @ r), r=r, lengths=lengths, jacobian=lambda weights: (d_p(), None))
-        return point
+        return {"v": v, "loss": float(r @ r), "r": r, "jacobian": jacobian}
 
-    def _data_term(self, point: dict) -> tuple[np.ndarray, np.ndarray]:
-        return (-2.0 / self.env.sound_speed) * point["r"], self.a_len
+    def linearize(self, point: dict) -> dict:
+        """Add b, A, the Jacobian, the gradient and the damping scales to an evaluated point;
+        NumericOverflowError, as from value_and_grad, unless its value and gradient are finite."""
+        if not math.isfinite(point["loss"]):
+            raise NumericOverflowError("non-finite value during forward pass")
+        b, d_p = (-2.0 / self.env.sound_speed) * point["r"], point["jacobian"]()
+        grad, s_pp = -(b @ d_p), d_p.T @ self.a_len @ d_p
+        g_x, g_z = grad.tolist()
+        if not (math.isfinite(g_x) and math.isfinite(g_z)):
+            raise NumericOverflowError("non-finite gradient during backward pass")
+        (s_xx, _), (_, s_zz) = s_pp.tolist()
+        point.update(b=b, a_len=self.a_len, d_p=d_p, s_pp=s_pp, curv_p=(s_xx, s_zz), grad=grad,
+                     grad_norm=math.sqrt(grad @ grad))
+        return point
 
 
 def _localize(

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import value_and_grad
+from .autodiff import NumericOverflowError, value_and_grad
 from .environment import Environment, SourceLocation, path_geometry, synthesize_received
 from .localize import GblConfig, _WaveformFit, da_gbl, require_gamma, toa_init
 from .signals import SampledSignal, TimeGrid, at_least, require_finite, whole_number
@@ -286,7 +286,8 @@ def verify_theorem(
     trust radius theta, the cube radius rho, the perturbation budget, and the
     displacement bound, then refits under the perturbed environment and checks
     the observed displacement and the sign witnesses. Assumption failures
-    yield a not-applicable verdict rather than an exception.
+    yield a not-applicable verdict rather than an exception, as does an xi
+    probe that leaves the region where the loss is finite.
 
     `signal_model`, trained in `env_train`, is any model the fits can adapt
     (`pulse`, `w_train`, `signal_t`). The perturbation is a water-depth offset
@@ -381,7 +382,12 @@ def verify_theorem(
         )
 
     direction = np.linalg.solve(lam.hessian_center, np.ones(nw + 2))
-    xi = estimate_xi(grad_train, vt0, direction, sigma_used, KAPPA_POINTS)
+    try:
+        xi = estimate_xi(grad_train, vt0, direction, sigma_used, KAPPA_POINTS)
+    except NumericOverflowError:
+        # the probe reaches as far as H^-1 1 is long, which grows as 1 / lambda
+        return TheoremReport(**measured, verdict="not-applicable: the xi probe along H^-1 1 "
+                                                 "leaves the region where the loss is finite")
 
     theta = min(sigma_used, 1.0 / xi.xi_hat) if xi.xi_hat > 0.0 else sigma_used
     rho_cube = theta * float(np.max(np.abs(direction)))

@@ -1,5 +1,8 @@
 """TOA seeding, gradient localization, adaptation, and the position CRLB."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -29,6 +32,7 @@ from aqualoc.localize import (
     _WaveformFit,
     crlb,
     da_gbl,
+    detect_arrivals,
     gbl,
     peak_threshold,
     toa_init,
@@ -38,6 +42,7 @@ from aqualoc.signals import (
     NoiseSpec,
     SampledSignal,
     add_awgn,
+    correlation_envelope,
     snr_to_n0,
     superpose_windows,
 )
@@ -144,12 +149,27 @@ def test_toa_seed_is_a_delay_stationary_point(env, pulse, grid, x, z):
     assert np.max(np.abs(step)) < 1e-6
 
 
+def recording_length_envelope(n: int, seed: int) -> list[float]:
+    """n envelope samples: half drawn from five levels (zero twice), so a fifth are zero and
+    the rest of that half tied, the other half spread over six decades."""
+    rng = np.random.default_rng(seed)
+    levels = rng.choice([0.0, 0.0, 1e-3, 0.25, 0.5], size=n)
+    spread = rng.exponential(1.0, n) * 10.0 ** rng.integers(-3, 3, n)
+    return np.where(rng.random(n) < 0.5, levels, spread).tolist()
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     envelope=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e-307), st.floats(0.0, 1.0),
-                                st.floats(0.0, 1e300)), min_size=1, max_size=60),
+                                st.floats(0.0, 1e300), st.just(math.inf)),
+                      min_size=1, max_size=60),
     rel_floor=st.sampled_from([0.0, 1e-3, 0.1, 0.125, 1.0]),
 )
+# the matched-filter envelope's own lengths: 8062 samples (even) and 8061 (odd)
+@example(envelope=recording_length_envelope(8062, 0), rel_floor=0.0)
+@example(envelope=recording_length_envelope(8061, 1), rel_floor=0.0)
+@example(envelope=recording_length_envelope(8062, 2), rel_floor=1e-3)
+@example(envelope=recording_length_envelope(8061, 3), rel_floor=1e-3)
 @example(envelope=[0.0, 0.0, 0.0, 1e-9, 1.0], rel_floor=1e-3)  # the shortcut decides
 @example(envelope=[0.0, 0.0, 1.0, 1.0], rel_floor=1.0)  # exactly n // 2 below tau
 @example(envelope=[0.0] * 4, rel_floor=1e-3)
@@ -159,7 +179,30 @@ def test_peak_threshold_shortcut_is_exact(envelope, rel_floor):
     med = float(np.median(envelope))
     mad = float(np.median(np.abs(envelope - med)))
     want = max(med + 3.0 * 1.4826 * mad, rel_floor * float(envelope.max()))
+    assume(not math.isnan(want))  # a majority of inf entries: see the NaN test below
     assert peak_threshold(envelope, rel_floor) == want
+
+
+@pytest.mark.parametrize("rel_floor", [0.0, 1e-3])
+def test_nan_envelope_has_nan_threshold_and_no_peaks(pulse, grid, oracle_received, rel_floor):
+    envelope = np.linspace(0.0, 1.0, 8062)
+    envelope[4000] = math.nan
+    assert math.isnan(peak_threshold(envelope, rel_floor))
+    # an infinite median leaves inf - inf = NaN in the top half of the MAD's samples
+    for envelope in ([math.inf, math.inf, 1.0], [math.inf, math.inf, 1.0, 1.0]):
+        assert math.isnan(peak_threshold(np.array(envelope), 0.0))
+    values = oracle_received.values.copy()
+    values[4000] = math.nan
+    [(times, polarity)] = detect_arrivals(values[None], pulse, grid.sample_rate, 2.0, rel_floor)
+    assert len(times) == 0 and len(polarity) == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_toa_names_a_non_finite_recording(env, pulse, oracle_received, bad):
+    values = oracle_received.values.copy()
+    values[100] = bad
+    with pytest.raises(ToaInitError, match="non-finite samples"):
+        toa_init(SampledSignal(oracle_received.grid, values), pulse, env)
 
 
 # -- gradient-based localization ----------------------------------------------
@@ -361,6 +404,30 @@ def test_exit_mix_over_the_region(env, pulse, grid):
     assert {reason for reason, _, _ in EXIT_MIX} == {"step", "stall"}
     assert [g[:2] for g in got] == [e[:2] for e in EXIT_MIX]
     assert [g[2] for g in got] == pytest.approx([e[2] for e in EXIT_MIX], rel=1e-9)
+
+
+# sha256 of the TOA seed's noise floor (peak_threshold), its seed (times, p0, residual, peak
+# count) and the matched gbl fit (p_hat, loss, trial steps, exit, gradient norm) at
+# stratified_locations(DEFAULT_REGION, 48, seed=29), each at 0, 10, 20 and 30 dB with noise
+# seed = location index. The three arrivals clear the floor by far at these SNRs, so the floor
+# is hashed itself. Any change to one of these bits moves the digest; a change that moves
+# results on purpose records the new one.
+FRONT_END_SHA256 = "4307b8a5e6ca5e9bec5e83fd0c94bfd1ef6a3e173dc984ad6b72470a6343edb9"
+
+
+def test_front_end_outputs_are_pinned_over_the_region(env, pulse, grid, matched):
+    digest = hashlib.sha256()
+    for k, (x, z) in enumerate(stratified_locations(DEFAULT_REGION, 48, seed=29)):
+        clean = synthesize_received(env, SourceLocation(x, z), pulse, grid)
+        for snr_db in (0.0, 10.0, 20.0, 30.0):
+            noisy = add_awgn(clean, NoiseSpec(snr_to_n0(clean, snr_db, pulse.bandwidth), k))
+            envelope = correlation_envelope(noisy.values[None], pulse, grid.sample_rate)[0][0]
+            est = toa_init(noisy, pulse, env)
+            res = gbl(noisy, matched, est.p0)
+            digest.update(repr((peak_threshold(envelope, 0.0), est.times.tolist(),
+                                est.p0.tolist(), est.residual, est.n_peaks, res.p_hat.tolist(),
+                                res.loss, res.n_iter, res.exit_reason, res.grad_norm)).encode())
+    assert digest.hexdigest() == FRONT_END_SHA256
 
 
 def test_gbl_argmin_consistency(env, pulse, matched, oracle_received, rng):

@@ -367,6 +367,17 @@ def test_depth_model_verdicts(depth_reports):
                         -10.0: "budget-exceeded"}
 
 
+def test_depth_model_probe_past_the_finite_loss_is_not_applicable(depth_model):
+    # at gamma = 1e-10, H^-1 1 is so long along the depth that the xi probe's point at
+    # -h lifts the bottom above the receiver, where the loss is inf
+    rep = verify_theorem(depth_model, DEFAULT_ENVIRONMENT, DEFAULT_SOURCE, 0.0,
+                         TheoremConfig(gamma=1e-10))
+    assert rep.convexity_ok
+    assert rep.verdict == ("not-applicable: the xi probe along H^-1 1 leaves the region where "
+                           "the loss is finite")
+    assert not rep.passed and math.isnan(rep.xi_hat)
+
+
 @pytest.mark.parametrize("gamma", [10.0, 1e-3, 1e-6])
 def test_depth_model_lambda_center_is_the_closed_form_hessians(depth_model, depth_reports,
                                                                pulse, grid, gamma):
